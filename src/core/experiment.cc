@@ -132,8 +132,11 @@ ExperimentResult Experiment::run(sim::Time warmup, sim::Time duration) {
   }
 
   // Snapshot per-receiver delivery counts at the start of the measurement
-  // window so `delivered` covers only the window.
+  // window so `delivered` covers only the window. Keyed by the engine
+  // context, as in the sharded engine: it sorts after every node's events
+  // at the same (firing, birth) time.
   std::map<net::ConnId, std::uint64_t> delivered_at_warmup;
+  sim_.activate_engine_context();
   sim_.schedule(warmup, [this, &delivered_at_warmup] {
     for (auto& c : conns_) {
       delivered_at_warmup[c->config().id] = c->receiver().next_expected();
@@ -144,26 +147,30 @@ ExperimentResult Experiment::run(sim::Time warmup, sim::Time duration) {
   sim_.run_until(end);
 
   ExperimentResult r = assemble_result(warmup, end, delivered_at_warmup);
+  close_audit(r, audit_.get(), sim_.now());
+  if (trace_) trace_->flush();
+  return r;
+}
 
-  // Conservation check: a run whose books don't balance must not produce
-  // figures. finalize/counters_check also fill r.audit.
-  if (audit_) {
-    AuditReport report = audit_->finalize(net_, sim_.now());
+void Experiment::close_audit(ExperimentResult& r, Audit* ledger,
+                             sim::Time end) {
+  AuditReport report;
+  if (ledger != nullptr) {
+    report = ledger->finalize(net_, end);
     if (!report.ok) {
       throw std::logic_error("conservation audit failed:\n" +
                              report.to_string());
     }
-    r.audit = report.totals;
   } else if (audit_mode_ == AuditMode::kCounters) {
-    AuditReport report = audit_counters_check(net_);
+    report = audit_counters_check(net_);
     if (!report.ok) {
       throw std::logic_error("conservation counter check failed:\n" +
                              report.to_string());
     }
-    r.audit = report.totals;
+  } else {
+    return;
   }
-  if (trace_) trace_->flush();
-  return r;
+  r.audit = report.totals;
 }
 
 ExperimentResult Experiment::assemble_result(

@@ -162,11 +162,16 @@ class Experiment {
 
   // Result assembly shared by run() and the sharded engine: port traces,
   // drops, per-connection series, and window-relative delivery counts.
-  // Leaves the audit section to the caller (serial and sharded runs close
-  // their ledgers differently).
+  // Leaves the audit section to close_audit.
   ExperimentResult assemble_result(
       sim::Time warmup, sim::Time end,
       const std::map<net::ConnId, std::uint64_t>& delivered_at_warmup);
+
+  // Closes the run's conservation books into r.audit, shared by run() and
+  // the sharded engine: finalizes `ledger` at `end` when there is one, else
+  // runs the counter check in kCounters mode. Throws std::logic_error on a
+  // violation — a run whose books don't balance must not produce figures.
+  void close_audit(ExperimentResult& r, Audit* ledger, sim::Time end);
 
   sim::Simulator sim_;
   net::Network net_;

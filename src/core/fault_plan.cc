@@ -231,16 +231,16 @@ std::vector<ResolvedPort> resolve_ports(Experiment& exp,
   return ports;
 }
 
-// The simulator a port's shots schedule on — the owning node's shard clock
-// under a sharded run, the experiment-wide simulator otherwise. In
-// deterministic-key mode the shot's key stream is the owning node's, so the
-// fault schedule orders identically at any shard count.
-sim::Simulator& shot_sim(Experiment& exp, net::NodeId owner) {
+// Arms one shot on the simulator of the port's owner — the owning node's
+// shard clock under a sharded run, the experiment-wide simulator otherwise —
+// keyed under the owner's context, so the fault schedule orders identically
+// at any shard count. The engine context is active again afterwards.
+void arm_shot(Experiment& exp, net::NodeId owner, sim::Time at,
+              sim::Scheduler::Action action) {
   sim::Simulator& sim = exp.network().sim_for(owner);
-  if (sim.det_context() != nullptr) {
-    sim.set_det_context(exp.network().node(owner).det_context());
-  }
-  return sim;
+  sim.set_det_context(exp.network().node(owner).det_context());
+  exp.add_timer(sim).arm_at(at, std::move(action));
+  sim.activate_engine_context();
 }
 
 }  // namespace
@@ -284,12 +284,11 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
       };
       static_assert(sim::Scheduler::Action::fits<decltype(down)>,
                     "link-down event must not heap-allocate");
-      sim::Simulator& sim = shot_sim(exp, rp.owner);
-      exp.add_timer(sim).arm_at(o.at, std::move(down));
+      arm_shot(exp, rp.owner, o.at, std::move(down));
       auto up = [port] { port->set_link_up(true); };
       static_assert(sim::Scheduler::Action::fits<decltype(up)>,
                     "link-up event must not heap-allocate");
-      exp.add_timer(sim).arm_at(o.at + o.duration, std::move(up));
+      arm_shot(exp, rp.owner, o.at + o.duration, std::move(up));
     }
   }
   for (const RateChange& c : rate_changes_) {
@@ -298,7 +297,7 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
       auto change = [port, bps = c.bits_per_second] { port->set_rate(bps); };
       static_assert(sim::Scheduler::Action::fits<decltype(change)>,
                     "rate-change event must not heap-allocate");
-      exp.add_timer(shot_sim(exp, rp.owner)).arm_at(c.at, std::move(change));
+      arm_shot(exp, rp.owner, c.at, std::move(change));
     }
   }
   for (const DelayChange& c : delay_changes_) {
@@ -309,7 +308,7 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
       };
       static_assert(sim::Scheduler::Action::fits<decltype(change)>,
                     "delay-change event must not heap-allocate");
-      exp.add_timer(shot_sim(exp, rp.owner)).arm_at(c.at, std::move(change));
+      arm_shot(exp, rp.owner, c.at, std::move(change));
     }
   }
 }

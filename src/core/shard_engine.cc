@@ -132,21 +132,15 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
                              AuditMode audit_mode, sim::TimerBackend backend)
     : plan_(plan_shards(spec.topo, spec.faults, shards)),
       warmup_(spec.warmup),
-      end_(spec.warmup + spec.duration),
-      audit_mode_(audit_mode) {
+      end_(spec.warmup + spec.duration) {
   const std::size_t n = plan_.shards;
   sims_.reserve(n);
-  engine_ctx_.resize(n);  // before any pointer is taken; never resized again
   for (std::size_t s = 0; s < n; ++s) {
     sims_.push_back(std::make_unique<sim::Simulator>(backend));
-    // The engine's own setup identity: sorts after every node context at the
-    // same key, mirroring the serial run scheduling its bookkeeping events
-    // after the model's.
-    engine_ctx_[s].id = sim::kDetCtxMaxId;
-    sims_[s]->set_det_context(&engine_ctx_[s]);
   }
 
   exp_ = std::make_unique<Experiment>();
+  exp_->set_audit_mode(audit_mode);
   exp_->network().set_sim_resolver([this](net::NodeId id) -> sim::Simulator& {
     return *sims_[plan_.shard_of.at(id)];
   });
@@ -156,7 +150,7 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
   // partitioned IS the NodeId the resolver is asked about.
   compiled_ = spec.topo.compile(*exp_);
 
-  if (audit_mode_ == AuditMode::kFull) {
+  if (audit_mode == AuditMode::kFull) {
     // One ledger per shard, installed port-by-port and host-by-host along
     // shard-ownership lines (Network::set_observer would alias one observer
     // across threads).
@@ -216,7 +210,7 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
     by_dst_shard[plan_.shard_of.at(c->config().dst_host)].push_back(c.get());
   }
   for (std::size_t s = 0; s < n; ++s) {
-    sims_[s]->set_det_context(&engine_ctx_[s]);
+    sims_[s]->activate_engine_context();
     sims_[s]->schedule_at(
         warmup_, [this, conns = std::move(by_dst_shard[s])] {
           for (tcp::Connection* c : conns) {
@@ -373,25 +367,14 @@ ExperimentResult ShardedEngine::run() {
     }
   }
 
-  if (audit_mode_ == AuditMode::kFull) {
-    Audit& merged = audits_.front();
+  Audit* ledger = nullptr;
+  if (!audits_.empty()) {
+    ledger = &audits_.front();
     for (std::size_t s = 1; s < audits_.size(); ++s) {
-      merged.absorb(std::move(audits_[s]));
+      ledger->absorb(std::move(audits_[s]));
     }
-    AuditReport report = merged.finalize(exp_->net_, end_);
-    if (!report.ok) {
-      throw std::logic_error("conservation audit failed:\n" +
-                             report.to_string());
-    }
-    r.audit = report.totals;
-  } else if (audit_mode_ == AuditMode::kCounters) {
-    AuditReport report = audit_counters_check(exp_->net_);
-    if (!report.ok) {
-      throw std::logic_error("conservation counter check failed:\n" +
-                             report.to_string());
-    }
-    r.audit = report.totals;
   }
+  exp_->close_audit(r, ledger, end_);
   return r;
 }
 

@@ -21,14 +21,14 @@
 //    A packet crossing a cut link departs at s >= m and arrives at
 //    s + delay >= m + L >= H, so no shard can ever receive work in its past.
 //
-//  * Determinism: every shard simulator runs in deterministic-key mode
-//    (sim/det_context.h) — events are ordered by (firing time, birth time,
-//    per-node tie) instead of insertion order, and a packet handed across a
-//    shard boundary carries the exact key the transmitting side would have
-//    used for a local delivery. Keys are a function of per-node event
-//    histories only, never of the partition, so the merged execution order
-//    is invariant under the shard count (shard_equivalence_test pins this
-//    for 1/2/4 shards on both timer backends).
+//  * Determinism: every simulator orders events by deterministic keys
+//    (sim/det_context.h) — (firing time, birth time, per-node tie) — and a
+//    packet handed across a shard boundary carries the exact key the
+//    transmitting side would have used for a local delivery. Keys are a
+//    function of per-node event histories only, never of the partition, so
+//    the merged execution order is the serial run's at every shard count
+//    (shard_equivalence_test pins serial and 1/2/4 shards on both timer
+//    backends).
 //
 //  * Audit: each shard keeps its own packet-lifecycle ledger; a crossing
 //    packet is handed between ledgers at the barrier (exactly-once
@@ -49,7 +49,6 @@
 #include "core/experiment.h"
 #include "core/topology.h"
 #include "net/packet.h"
-#include "sim/det_context.h"
 #include "sim/simulator.h"
 
 namespace tcpdyn::core {
@@ -79,9 +78,10 @@ ShardPlan plan_shards(const Topology& topo, const FaultPlan& faults,
 //   ShardedEngine engine(spec, 4);
 //   ExperimentResult r = engine.run();
 //
-// The result is bit-for-bit the result the same spec produces at any other
-// shard count (including 1). JSONL event tracing is not supported in
-// sharded runs (one trace stream, many clocks); the audit modes all are.
+// The result is bit-for-bit the result the same spec produces serially
+// (Experiment::run) and at any other shard count. JSONL event tracing is
+// not supported in sharded runs (one trace stream, many clocks); the audit
+// modes all are.
 class ShardedEngine {
  public:
   ShardedEngine(const TopoSpec& spec, std::size_t shards,
@@ -126,12 +126,10 @@ class ShardedEngine {
   ShardPlan plan_;
   sim::Time warmup_;
   sim::Time end_;
-  AuditMode audit_mode_;
 
   // Shard simulators outlive the experiment (ports and timers unwind
   // against their schedulers), so they are declared first.
   std::vector<std::unique_ptr<sim::Simulator>> sims_;
-  std::vector<sim::DetContext> engine_ctx_;  // per-shard setup identity
   std::unique_ptr<Experiment> exp_;
   CompiledTopology compiled_;
 

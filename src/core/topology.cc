@@ -168,7 +168,7 @@ CompiledTopology Topology::compile(Experiment& exp,
                   l.delay, l.buffer_ab, l.buffer_ba, l.policy);
     }
   }
-  net.compute_routes(net::Network::RouteMetric::kDelay, route_ref_bytes);
+  net.compute_routes(route_ref_bytes);
   for (const auto& [a, b] : monitors_) {
     exp.monitor(out.node_ids[a], out.node_ids[b]);
   }

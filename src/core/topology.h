@@ -93,10 +93,10 @@ class Topology {
   const std::vector<LinkSpec>& links() const { return links_; }
 
   // Builds the described network inside `exp`, computes Dijkstra routes
-  // (RouteMetric::kDelay, reference packet `route_ref_bytes`), and attaches
-  // the monitors. Throws std::invalid_argument if the graph is disconnected
-  // (a packet would hit a switch with no route). May be called once per
-  // Experiment.
+  // (Network::compute_routes, reference packet `route_ref_bytes`), and
+  // attaches the monitors. Throws std::invalid_argument if the graph is
+  // disconnected (a packet would hit a switch with no route). May be called
+  // once per Experiment.
   CompiledTopology compile(Experiment& exp,
                            std::int64_t route_ref_bytes = 500) const;
 

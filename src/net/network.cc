@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <cassert>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <queue>
@@ -121,39 +120,7 @@ void Network::set_switch_route(NodeId sw_id, NodeId dst, NodeId via) {
   assert(false && "port not owned by its switch");
 }
 
-void Network::compute_routes_hops() {
-  constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-  for (NodeId dst = 0; dst < nodes_.size(); ++dst) {
-    if (!nodes_[dst].host) continue;
-    // BFS from the destination over the undirected topology.
-    std::vector<std::size_t> dist(nodes_.size(), kUnreached);
-    std::deque<NodeId> frontier{dst};
-    dist[dst] = 0;
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop_front();
-      for (NodeId v : adjacency_[u]) {
-        if (dist[v] == kUnreached) {
-          dist[v] = dist[u] + 1;
-          frontier.push_back(v);
-        }
-      }
-    }
-    // Each switch routes toward the first adjacent node strictly closer to
-    // the destination. The port toward that neighbour carries the traffic.
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      if (nodes_[u].host || dist[u] == kUnreached || u == dst) continue;
-      for (NodeId v : adjacency_[u]) {
-        if (dist[v] + 1 == dist[u]) {
-          set_switch_route(u, dst, v);
-          break;
-        }
-      }
-    }
-  }
-}
-
-void Network::compute_routes_delay(std::int64_t route_ref_bytes) {
+void Network::compute_routes(std::int64_t route_ref_bytes) {
   constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
   // Per-direction link cost in exact integer nanoseconds. Duplex links are
   // symmetric in rate and delay, so cost(u,v) == cost(v,u).
@@ -197,15 +164,6 @@ void Network::compute_routes_delay(std::int64_t route_ref_bytes) {
       assert(best != kInvalidNode);
       set_switch_route(u, dst, best);
     }
-  }
-}
-
-void Network::compute_routes(RouteMetric metric,
-                             std::int64_t route_ref_bytes) {
-  if (metric == RouteMetric::kHops) {
-    compute_routes_hops();
-  } else {
-    compute_routes_delay(route_ref_bytes);
   }
 }
 

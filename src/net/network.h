@@ -55,26 +55,18 @@ class Network {
                sim::Time propagation_delay, QueueLimit queue_a_to_b,
                QueueLimit queue_b_to_a, const QdiscConfig& qdisc);
 
-  // Shortest-path metric for compute_routes.
-  //   kHops  — BFS hop count; ties broken by link insertion order (the
-  //            historic builder behaviour).
-  //   kDelay — Dijkstra over per-link cost = serialization time of one
-  //            reference packet (route_ref_bytes) + propagation delay, in
-  //            integer nanoseconds so the comparison is exact; ties broken
-  //            by smallest next-hop node id. The Topology layer compiles
-  //            with this metric.
-  enum class RouteMetric : std::uint8_t { kHops, kDelay };
-
   // Populates every switch's routing table with shortest-path next hops
-  // toward every host, under the chosen metric. Deterministic for a given
-  // construction sequence. Must be called after all connect() calls.
-  void compute_routes(RouteMetric metric = RouteMetric::kHops,
-                      std::int64_t route_ref_bytes = 500);
+  // toward every host: Dijkstra over per-link cost = serialization time of
+  // one reference packet (route_ref_bytes) + propagation delay, in integer
+  // nanoseconds so the comparison is exact; ties broken by smallest
+  // next-hop node id. Deterministic for a given construction sequence. Must
+  // be called after all connect() calls.
+  void compute_routes(std::int64_t route_ref_bytes = 500);
 
   Host& host(NodeId id);
   Switch& switch_node(NodeId id);
-  // Generic access when the caller does not care which kind it is (the
-  // sharded engine resolving deterministic contexts by node id).
+  // Generic access when the caller does not care which kind it is (fault
+  // plans resolving a port owner's deterministic context).
   Node& node(NodeId id) { return *nodes_.at(id).node; }
   bool is_host(NodeId id) const;
   std::size_t node_count() const { return nodes_.size(); }
@@ -97,8 +89,6 @@ class Network {
   sim::Simulator& sim() { return sim_; }
 
  private:
-  void compute_routes_hops();
-  void compute_routes_delay(std::int64_t route_ref_bytes);
   void set_switch_route(NodeId sw_id, NodeId dst, NodeId via);
 
   struct NodeSlot {

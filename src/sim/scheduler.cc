@@ -20,35 +20,25 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->is_pending(slot_, generation_);
 }
 
-EventHandle Scheduler::schedule_at(Time at, Action action) {
-  return schedule_impl(at, next_seq_++, 0, nullptr, std::move(action));
-}
-
-EventHandle Scheduler::schedule_at_keyed(Time at, std::uint64_t seq,
-                                         std::uint64_t det_tie,
-                                         DetContext* ctx, Action action) {
-  return schedule_impl(at, seq, det_tie, ctx, std::move(action));
-}
-
-EventHandle Scheduler::schedule_impl(Time at, std::uint64_t seq,
-                                     std::uint64_t det_tie, DetContext* ctx,
-                                     Action action) {
+EventHandle Scheduler::schedule_at(Time at, std::uint64_t seq,
+                                   std::uint64_t det_tie, DetContext* ctx,
+                                   Action&& action) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.action = std::move(action);
-  s.det_tie = det_tie;
   s.ctx = ctx;
   ++live_events_;
   if (backend_ == TimerBackend::kWheel &&
       TimerWheelState::tick_of(at.ns()) >= wheel_.cursor) {
     s.at = at;
     s.seq = seq;
+    s.det_tie = det_tie;
     wheel_insert(slot);
     ++wheel_.live;
   } else {
     // Slab backend, or an event inside the already-consumed cursor range
     // (at/below the current dispatch horizon): straight into the heap.
-    heap_push(Entry{at, seq, slot, s.generation});
+    heap_push(Entry{at, seq, det_tie, slot, s.generation});
   }
   return EventHandle(this, slot, s.generation);
 }
@@ -165,7 +155,7 @@ void Scheduler::maybe_compact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
   std::make_heap(
       heap_.begin(), heap_.end(),
-      [this](const Entry& a, const Entry& b) { return entry_before(b, a); });
+      [](const Entry& a, const Entry& b) { return entry_before(b, a); });
 }
 
 void Scheduler::wheel_insert(std::uint32_t slot) {
@@ -201,7 +191,7 @@ void Scheduler::wheel_settle() {
   // Merge wheel slots into the dispatch heap until the heap front is
   // strictly below the cursor (then nothing on the wheel can precede it) or
   // the wheel drains. Ties at the cursor boundary consume the slot first, so
-  // (time, seq) ordering is resolved inside the heap, never by wheel layout.
+  // key order is resolved inside the heap, never by wheel layout.
   for (;;) {
     drop_dead_front();
     if (wheel_.live == 0) return;
@@ -218,7 +208,7 @@ void Scheduler::wheel_advance_step() {
   // does not scan upper levels). Its entries can be anywhere inside the
   // block — including ticks that fresh inserts have since mapped to level 0
   // — so flatten it before consuming anything, or a same-tick pair could
-  // dispatch out of seq order. Inserts and cascades never target the
+  // dispatch out of key order. Inserts and cascades never target the
   // cursor's own index (equal digits map lower), so this only fires at
   // block entry, where the cursor's digits below `level` are all zero.
   for (int level = 1; level < TimerWheelState::kLevels; ++level) {
@@ -266,7 +256,7 @@ void Scheduler::wheel_consume_level0(int idx) {
     const std::uint32_t next = s.wheel_next;
     s.bucket = TimerWheelState::kNoBucket;
     s.wheel_prev = s.wheel_next = kNilSlot;
-    heap_push(Entry{s.at, s.seq, node, s.generation});
+    heap_push(Entry{s.at, s.seq, s.det_tie, node, s.generation});
     --wheel_.live;
     node = next;
   }

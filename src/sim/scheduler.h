@@ -1,12 +1,13 @@
-// Event scheduler: a binary min-heap of (time, insertion-sequence) keys over
-// a slab of generation-counted event slots. The sequence number makes
-// simultaneous events fire in insertion order, which keeps runs
-// deterministic and matches the FIFO intuition of the network model (e.g. a
-// dequeue scheduled before an enqueue at the same instant executes first).
+// Event scheduler: a binary min-heap of deterministic keys (firing time,
+// birth time, det tie — see sim/det_context.h) over a slab of
+// generation-counted event slots. The key is a strict total order, so
+// simultaneous events always fire in the same order, and it is a function
+// of per-entity event histories only, so a serial run and a sharded run at
+// any shard count dispatch every event in the same order.
 //
 // Steady-state operation is allocation-free: actions are stored in a
 // small-buffer callable inside slab slots that are recycled through a free
-// list, heap entries are 24-byte PODs, and cancellation is an O(1)
+// list, heap entries are 32-byte PODs, and cancellation is an O(1)
 // generation bump — no per-event shared_ptr, no std::function heap traffic.
 // Cancelled events leave a tombstone in the heap that is dropped lazily when
 // it surfaces, with a compaction sweep bounding tombstone build-up under
@@ -18,8 +19,8 @@
 //   kWheel — far-future events are staged on a hierarchical timer wheel
 //            (O(1) arm/cancel, no tombstones) and are merged into the heap
 //            only when the wheel cursor reaches their slot. The heap uses
-//            the same (time, seq) comparator either way and every entry is
-//            merged before it could become the minimum, so dispatch order is
+//            the same key comparator either way and every entry is merged
+//            before it could become the minimum, so dispatch order is
 //            byte-identical between backends (ctest-gated).
 #pragma once
 
@@ -74,21 +75,15 @@ class Scheduler {
 
   TimerBackend backend() const { return backend_; }
 
-  // Enqueues `action` to run at absolute time `at`. `at` must be >= the time
-  // of the last event popped.
-  EventHandle schedule_at(Time at, Action action);
+  // Enqueues `action` to run at absolute time `at` (>= the time of the last
+  // event popped), ordered by the key (at, seq, det_tie): seq is the event's
+  // birth time, det_tie a per-entity draw from det_tie_next. `ctx` is
+  // published as the active context when the event runs.
+  EventHandle schedule_at(Time at, std::uint64_t seq, std::uint64_t det_tie,
+                          DetContext* ctx, Action&& action);
 
-  // Deterministic-key variant used by sharded runs: the caller supplies the
-  // (seq, det_tie) ordering key — seq is the event's birth time, det_tie a
-  // per-entity draw from det_tie_next — plus the dispatch context published
-  // as the active context when the event runs. Must not be mixed with plain
-  // schedule_at on the same scheduler (the seq spaces differ).
-  EventHandle schedule_at_keyed(Time at, std::uint64_t seq,
-                                std::uint64_t det_tie, DetContext* ctx,
-                                Action action);
-
-  // Registers the location where run_next publishes the dispatched event's
-  // DetContext (sharded runs only; slots carry a null context otherwise).
+  // Registers the location where run_next publishes each dispatched event's
+  // DetContext (the owning Simulator's active context).
   void bind_active_context(DetContext** ref) { active_ref_ = ref; }
 
   // True when no live (non-cancelled, non-fired) events remain. O(1) and
@@ -115,10 +110,10 @@ class Scheduler {
   // only; `bucket == kNoBucket` means the event lives in the heap).
   struct Slot {
     Action action;
-    Time at;                 // wheel only: absolute firing time
-    std::uint64_t seq = 0;   // wheel only: insertion sequence for FIFO ties
-    std::uint64_t det_tie = 0;    // keyed mode: third-level ordering key
-    DetContext* ctx = nullptr;    // keyed mode: dispatch context
+    Time at;                    // wheel only: absolute firing time
+    std::uint64_t seq = 0;      // wheel only: birth time (second key)
+    std::uint64_t det_tie = 0;  // wheel only: det tie (third key)
+    DetContext* ctx = nullptr;  // dispatch context
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNilSlot;
     std::uint32_t wheel_prev = kNilSlot;
@@ -126,25 +121,21 @@ class Scheduler {
     std::uint16_t bucket = TimerWheelState::kNoBucket;
   };
 
-  // Heap key: POD, ordered by (at, seq) so moves during sift are cheap and
-  // FIFO order among simultaneous events is exact.
+  // Heap entry: POD, so moves during sift are cheap. It carries the whole
+  // key, fixed at insertion: a tombstone keeps its key after its slot is
+  // recycled, so the heap stays ordered around it.
   struct Entry {
     Time at;
     std::uint64_t seq;
+    std::uint64_t det_tie;
     std::uint32_t slot;
     std::uint32_t generation;
   };
 
-  bool entry_before(const Entry& a, const Entry& b) const {
+  static bool entry_before(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at < b.at;
     if (a.seq != b.seq) return a.seq < b.seq;
-    // Distinct events never share a seq in serial runs (global insertion
-    // counter), so this compare is reachable only in keyed (sharded) mode,
-    // where seq is the birth time and the per-entity tie breaks the
-    // collision. A tombstone whose slot was recycled may read the new
-    // occupant's tie, but that only permutes equal-(at, seq) entries —
-    // tombstones are dropped unexecuted, so dispatch order is unaffected.
-    return slots_[a.slot].det_tie < slots_[b.slot].det_tie;
+    return a.det_tie < b.det_tie;
   }
 
   bool is_pending(std::uint32_t slot, std::uint32_t generation) const {
@@ -175,13 +166,9 @@ class Scheduler {
   void wheel_cascade(int level, int idx);        // bucket -> lower levels
   void wheel_far_jump();                         // re-bucket beyond-horizon set
 
-  EventHandle schedule_impl(Time at, std::uint64_t seq, std::uint64_t det_tie,
-                            DetContext* ctx, Action action);
-
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
-  std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;
   TimerBackend backend_ = TimerBackend::kSlab;
   DetContext** active_ref_ = nullptr;

@@ -6,33 +6,18 @@ namespace tcpdyn::sim {
 
 EventHandle Simulator::schedule(Time delay, Scheduler::Action action) {
   if (delay < Time::zero()) delay = Time::zero();
-  if (ctx_ != nullptr) {
-    return scheduler_.schedule_at_keyed(
-        now_ + delay, static_cast<std::uint64_t>(now_.ns()),
-        det_tie_next(*ctx_), ctx_, std::move(action));
-  }
-  return scheduler_.schedule_at(now_ + delay, std::move(action));
+  return insert(now_ + delay, ctx_, std::move(action));
 }
 
 EventHandle Simulator::schedule_at(Time at, Scheduler::Action action) {
   assert(at >= now_);
-  if (ctx_ != nullptr) {
-    return scheduler_.schedule_at_keyed(
-        at, static_cast<std::uint64_t>(now_.ns()), det_tie_next(*ctx_), ctx_,
-        std::move(action));
-  }
-  return scheduler_.schedule_at(at, std::move(action));
+  return insert(at, ctx_, std::move(action));
 }
 
 EventHandle Simulator::schedule_handoff(Time delay, DetContext* dispatch,
                                         Scheduler::Action action) {
   if (delay < Time::zero()) delay = Time::zero();
-  if (ctx_ == nullptr) {
-    return scheduler_.schedule_at(now_ + delay, std::move(action));
-  }
-  return scheduler_.schedule_at_keyed(
-      now_ + delay, static_cast<std::uint64_t>(now_.ns()),
-      det_tie_next(*ctx_), dispatch, std::move(action));
+  return insert(now_ + delay, dispatch, std::move(action));
 }
 
 EventHandle Simulator::schedule_at_keyed(Time at, std::uint64_t seq,
@@ -40,8 +25,15 @@ EventHandle Simulator::schedule_at_keyed(Time at, std::uint64_t seq,
                                          DetContext* dispatch,
                                          Scheduler::Action action) {
   assert(at >= now_);
-  return scheduler_.schedule_at_keyed(at, seq, det_tie, dispatch,
-                                      std::move(action));
+  return scheduler_.schedule_at(at, seq, det_tie, dispatch,
+                                std::move(action));
+}
+
+EventHandle Simulator::insert(Time at, DetContext* dispatch,
+                              Scheduler::Action&& action) {
+  return scheduler_.schedule_at(at, static_cast<std::uint64_t>(now_.ns()),
+                                det_tie_next(*ctx_), dispatch,
+                                std::move(action));
 }
 
 void Simulator::run_until(Time until) {

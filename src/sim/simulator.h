@@ -1,5 +1,7 @@
 // Simulator: the simulation clock plus the scheduler façade every model
 // component uses. Single-threaded; all model state is driven from run().
+// Every event is keyed deterministically (sim/det_context.h): one event
+// order, whether the run is serial or one shard of a ShardedEngine.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,8 @@ class Simulator {
   TimerBackend timer_backend() const { return scheduler_.backend(); }
 
   // Schedules `action` to run `delay` after now. Negative delays are clamped
-  // to zero (runs "immediately", after currently queued same-time events).
+  // to zero (runs at now(), after the same-time events already queued from
+  // an earlier birth time).
   EventHandle schedule(Time delay, Scheduler::Action action);
 
   // Schedules at an absolute time (must be >= now()).
@@ -44,19 +47,20 @@ class Simulator {
 
   std::uint64_t events_executed() const { return events_executed_; }
 
-  // --- deterministic-key (sharded) mode ---------------------------------
-  // While a DetContext is active, every schedule call is keyed by (firing
-  // time, birth time = now(), det tie drawn from the active context) instead
-  // of the scheduler's insertion counter, and the context is re-published at
+  // --- deterministic event keys -----------------------------------------
+  // Every schedule call is keyed by (firing time, birth time = now(), det
+  // tie drawn from the active context), and the context is re-published at
   // each dispatch so scheduled children inherit the dispatching entity's
-  // identity. Serial runs never activate a context and are untouched.
+  // identity. The simulator's own engine context is active from
+  // construction; setup code activates a node's context while it schedules
+  // on that node's behalf.
   void set_det_context(DetContext* ctx) { ctx_ = ctx; }
   DetContext* det_context() const { return ctx_; }
+  void activate_engine_context() { ctx_ = &engine_ctx_; }
 
   // Port handoff: keyed from the *active* (transmitting-side) context but
   // dispatched under `dispatch` (the receiving node's context), so events
-  // the receiver schedules inherit its identity. Plain schedule when no
-  // context is active.
+  // the receiver schedules inherit its identity.
   EventHandle schedule_handoff(Time delay, DetContext* dispatch,
                                Scheduler::Action action);
 
@@ -78,11 +82,17 @@ class Simulator {
   void advance_clock_to(Time t);
 
  private:
+  // The one keyed insert behind every schedule call. Takes the action by
+  // rvalue reference: each by-value hop would relocate it once more.
+  EventHandle insert(Time at, DetContext* dispatch,
+                     Scheduler::Action&& action);
+
   Scheduler scheduler_;
   Time now_ = Time::zero();
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
-  DetContext* ctx_ = nullptr;
+  DetContext engine_ctx_{kDetCtxMaxId};
+  DetContext* ctx_ = &engine_ctx_;
 };
 
 }  // namespace tcpdyn::sim

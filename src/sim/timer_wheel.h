@@ -8,7 +8,7 @@
 // entry cascades at most kLevels times over its lifetime.
 //
 // The wheel stages *far* events only. The scheduler keeps its binary heap
-// (same (time, insertion-seq) comparator as the slab backend) as a dispatch
+// (same deterministic-key comparator as the slab backend) as a dispatch
 // buffer: before any pop, slots at or below the heap front are consumed into
 // the heap, so firing order is byte-identical to the slab path by
 // construction rather than by accident. See DESIGN.md §13.

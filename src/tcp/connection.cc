@@ -18,16 +18,6 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
   auto& src = network.host(config.src_host);
   auto& dst = network.host(config.dst_host);
 
-  // Sharded (deterministic-key) runs: everything an endpoint schedules at
-  // setup time — the start/stop events below, any controller timers — is
-  // keyed by its host's context, so the key stream is a function of the
-  // host alone and not of which shard builds it. Serial runs have no
-  // context and skip this entirely.
-  sim::Simulator& ssim = network.sim_for(config.src_host);
-  if (ssim.det_context() != nullptr) ssim.set_det_context(src.det_context());
-  sim::Simulator& dsim = network.sim_for(config.dst_host);
-  if (dsim.det_context() != nullptr) dsim.set_det_context(dst.det_context());
-
   CcConfig cc;
   cc.algo = config.kind;
   cc.fixed_window = config.fixed_window;
@@ -54,10 +44,18 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
   receiver_ =
       std::make_unique<Receiver>(network.sim_for(config.dst_host), dst, rp);
 
+  // The start/stop events are the only ones a connection schedules at
+  // setup. They key under the source host's context, and the sender's first
+  // window inherits it, whether or not the receiver shares the simulator —
+  // so the key stream is the same at every shard count. Setup code after
+  // this keys under the engine context again.
+  sim::Simulator& ssim = network.sim_for(config.src_host);
+  ssim.set_det_context(src.det_context());
   sender_->start(config.start_time);
   if (config.stop_time > sim::Time::zero()) {
     sender_->stop(config.stop_time);
   }
+  ssim.activate_engine_context();
 }
 
 TahoeCc* Connection::tahoe() {

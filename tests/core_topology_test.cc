@@ -261,7 +261,7 @@ TEST(TopologyFile, ErrorsNameTheLine) {
 // The dumbbell and chain builders became adapters over Topology; the
 // networks they compile must match the historic direct net::Network
 // construction bit for bit. These tests rebuild the legacy networks by hand
-// (same node, link, and monitor order; BFS hop-count routes) and compare
+// (same node, link, and monitor order; Network::compute_routes) and compare
 // whole runs.
 
 void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
@@ -296,7 +296,7 @@ std::vector<ConnSpec> twoway_conns() {
 TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
   const DumbbellParams p;  // paper defaults
 
-  // Legacy: direct net::Network calls, BFS hop-count routing.
+  // Legacy: direct net::Network calls.
   Experiment legacy;
   {
     auto& net = legacy.network();

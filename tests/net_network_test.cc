@@ -1,7 +1,10 @@
 // Switch routing, host demux, and Network topology/route computation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "net/network.h"
+#include "sim/det_context.h"
 
 namespace tcpdyn::net {
 namespace {
@@ -145,6 +148,19 @@ TEST(Network, SwitchWithoutRouteThrows) {
   Switch& sw = net.switch_node(s);
   Packet p = make_packet(0, PacketKind::kData, 7, 8);
   EXPECT_THROW(sw.receive(std::move(p)), std::logic_error);
+}
+
+TEST(Node, IdMustFitTheDetKeySpace) {
+  // kDetCtxMaxId is every simulator's engine context; node ids stay below.
+  EXPECT_NO_THROW(Switch(sim::kDetCtxMaxId - 1, "last"));
+  try {
+    Switch sw(sim::kDetCtxMaxId, "x");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "node id 16777215 exceeds the deterministic-key id space "
+                 "(ids must be < 16777215)");
+  }
 }
 
 TEST(Host, DemuxByConnAndKind) {

@@ -1,5 +1,5 @@
-// Routing over a topology with a cycle: BFS shortest-path with deterministic
-// tie-breaking, exercised on a four-switch ring.
+// Routing over a topology with a cycle: Dijkstra shortest-path with
+// deterministic tie-breaking, exercised on a four-switch ring.
 #include <gtest/gtest.h>
 
 #include "net/network.h"
@@ -60,9 +60,9 @@ TEST(RingTopology, ShortestPathChosen) {
 }
 
 TEST(RingTopology, OppositeCornersDeterministic) {
-  // Hosts on opposite corners of the ring: both arcs are 2 hops; the route
-  // must be chosen deterministically (link insertion order) and identically
-  // across two separately built networks.
+  // Hosts on opposite corners of the ring: both arcs cost the same; the
+  // route must be chosen deterministically (smallest next-hop node id) and
+  // identically across two separately built networks.
   auto build_and_probe = [] {
     sim::Simulator sim;
     Network net(sim);

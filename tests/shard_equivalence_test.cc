@@ -1,7 +1,8 @@
 // Shard-count invariance lock for the ShardedEngine: the same TopoSpec must
-// produce a bit-for-bit identical ExperimentResult at --shards 1, 2, and 4,
-// on both timer backends, and match the serial Experiment::run path. The
-// digest covers every per-connection counter, every monitored-port counter,
+// produce a bit-for-bit identical ExperimentResult on the serial
+// Experiment::run path and at --shards 1, 2, and 4, on both timer backends
+// (every run orders events by the same deterministic keys). The digest
+// covers every per-connection counter, every monitored-port counter,
 // the full cwnd trajectories (hashed over the raw doubles), the drop log
 // size, and the conservation-audit totals — if any event executes in a
 // different order on any shard layout, some counter or cwnd sample moves
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "core/shard_engine.h"
 #include "core/topo_scenarios.h"
@@ -103,34 +105,21 @@ std::string sharded_digest(const TopoSpec& spec, std::size_t shards,
   return digest(engine.run());
 }
 
-// Asserts the full cross product: shards {1, 2, 4} on the slab backend plus
-// shards {1, 4} on the wheel backend, all byte-identical — and, when
-// `expect_serial_match`, also identical to the serial Experiment::run path.
-//
-// Serial equality only holds for runs with no cross-node event-key ties:
-// the serial scheduler breaks (firing time, birth time) ties by global
-// insertion order, which is inherently partition-dependent — two hosts in
-// different shards have no shared insertion sequence — so deterministic-key
-// mode breaks those ties by node identity instead. Scenarios that manufacture
-// simultaneous events on distinct nodes (incast's synchronized arrivals, the
-// chaos trunk's paired fault shots) therefore follow a different-but-equally-
-// valid total order than the serial engine; for those the invariant under
-// test is shard-count/backend invariance, which is exact.
-void expect_invariant(const TopoSpec& spec, bool expect_serial_match = true) {
-  const std::string ref = sharded_digest(spec, 1, sim::TimerBackend::kSlab);
+// Asserts the full cross product: the serial path and shards {1, 2, 4}, on
+// the slab and the wheel backend, all byte-identical.
+void expect_invariant(const TopoSpec& spec) {
+  const std::string ref = serial_digest(spec, sim::TimerBackend::kSlab);
   ASSERT_FALSE(ref.empty());
-  if (expect_serial_match) {
-    EXPECT_EQ(serial_digest(spec, sim::TimerBackend::kSlab), ref)
-        << spec.name << ": serial/slab";
+  EXPECT_EQ(serial_digest(spec, sim::TimerBackend::kWheel), ref)
+      << spec.name << ": serial/wheel";
+  for (const sim::TimerBackend backend :
+       {sim::TimerBackend::kSlab, sim::TimerBackend::kWheel}) {
+    for (const std::size_t shards : {1, 2, 4}) {
+      EXPECT_EQ(sharded_digest(spec, shards, backend), ref)
+          << spec.name << ": shards=" << shards << "/"
+          << sim::to_string(backend);
+    }
   }
-  EXPECT_EQ(sharded_digest(spec, 2, sim::TimerBackend::kSlab), ref)
-      << spec.name << ": shards=2/slab";
-  EXPECT_EQ(sharded_digest(spec, 4, sim::TimerBackend::kSlab), ref)
-      << spec.name << ": shards=4/slab";
-  EXPECT_EQ(sharded_digest(spec, 1, sim::TimerBackend::kWheel), ref)
-      << spec.name << ": shards=1/wheel";
-  EXPECT_EQ(sharded_digest(spec, 4, sim::TimerBackend::kWheel), ref)
-      << spec.name << ": shards=4/wheel";
 }
 
 // A fig2/fig6-shaped dumbbell as a TopoSpec: two hosts per side, two
@@ -193,7 +182,7 @@ TEST(ShardEquivalence, ChaosFaultedDumbbell) {
   p.duration_sec = 150.0;
   p.flap_period_sec = 40.0;
   p.flaps = 2;
-  expect_invariant(chaos_spec(p), /*expect_serial_match=*/false);
+  expect_invariant(chaos_spec(p));
 }
 
 TEST(ShardEquivalence, ParkingLotChain) {
@@ -214,7 +203,45 @@ TEST(ShardEquivalence, IncastChurn) {
   p.session_sec = 2.0;
   p.warmup_sec = 5.0;
   p.duration_sec = 25.0;
-  expect_invariant(incast_spec(p), /*expect_serial_match=*/false);
+  expect_invariant(incast_spec(p));
+}
+
+// Two flows start at the same instant and cross on the trunk (A->D beside
+// B->C), so their first packets tie at S1 on (firing time, birth time) and
+// the emitting context's id decides which the queue serves first. Each
+// connection's start must key under its source host whether or not the
+// receiver shares the source's shard, or 2 shards serve the pair in the
+// opposite order to serial.
+TEST(ShardEquivalence, SimultaneousStartsAcrossTheCut) {
+  TopoSpec spec;
+  spec.name = "crossed-starts";
+  Topology& t = spec.topo;
+  const std::size_t a = t.add_host("A");
+  const std::size_t b = t.add_host("B");
+  const std::size_t c = t.add_host("C");
+  const std::size_t d = t.add_host("D");
+  const std::size_t s1 = t.add_switch("S1");
+  const std::size_t s2 = t.add_switch("S2");
+  const net::QueueLimit inf = net::QueueLimit::infinite();
+  for (const std::size_t h : {a, b}) {
+    t.add_link(h, s1, 10'000'000, sim::Time::microseconds(100), inf);
+  }
+  for (const std::size_t h : {c, d}) {
+    t.add_link(h, s2, 10'000'000, sim::Time::microseconds(100), inf);
+  }
+  t.add_link(s1, s2, 50'000, sim::Time::milliseconds(10),
+             net::QueueLimit::of(5));
+  t.monitor(s1, s2);
+  for (const auto& [src, dst] : {std::pair{"A", "D"}, std::pair{"B", "C"}}) {
+    ConnSpec flow;
+    flow.src = src;
+    flow.dst = dst;
+    flow.start_time = sim::Time::seconds(1.0);
+    spec.traffic.add(flow);
+  }
+  spec.warmup = sim::Time::seconds(2.0);
+  spec.duration = sim::Time::seconds(20.0);
+  expect_invariant(spec);
 }
 
 // The partitioner itself is deterministic and conservative: the plan for a

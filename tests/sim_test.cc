@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
+#include "fifo_scheduler.h"
+#include "sim/det_context.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -43,7 +47,7 @@ TEST(Time, Arithmetic) {
 }
 
 TEST(Scheduler, RunsInTimeOrder) {
-  Scheduler sched;
+  FifoScheduler sched;
   std::vector<int> order;
   sched.schedule_at(Time::seconds(3.0), [&] { order.push_back(3); });
   sched.schedule_at(Time::seconds(1.0), [&] { order.push_back(1); });
@@ -53,7 +57,7 @@ TEST(Scheduler, RunsInTimeOrder) {
 }
 
 TEST(Scheduler, SimultaneousEventsFifo) {
-  Scheduler sched;
+  FifoScheduler sched;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sched.schedule_at(Time::seconds(1.0), [&order, i] { order.push_back(i); });
@@ -63,7 +67,7 @@ TEST(Scheduler, SimultaneousEventsFifo) {
 }
 
 TEST(Scheduler, Cancellation) {
-  Scheduler sched;
+  FifoScheduler sched;
   int fired = 0;
   EventHandle h1 = sched.schedule_at(Time::seconds(1.0), [&] { ++fired; });
   EventHandle h2 = sched.schedule_at(Time::seconds(2.0), [&] { ++fired; });
@@ -83,7 +87,7 @@ TEST(Scheduler, InertHandleIsSafe) {
 }
 
 TEST(Scheduler, NextTimeSkipsCancelled) {
-  Scheduler sched;
+  FifoScheduler sched;
   EventHandle h = sched.schedule_at(Time::seconds(1.0), [] {});
   sched.schedule_at(Time::seconds(5.0), [] {});
   h.cancel();
@@ -91,7 +95,7 @@ TEST(Scheduler, NextTimeSkipsCancelled) {
 }
 
 TEST(Scheduler, EmptyAfterAllCancelled) {
-  Scheduler sched;
+  FifoScheduler sched;
   EventHandle h = sched.schedule_at(Time::seconds(1.0), [] {});
   EXPECT_FALSE(sched.empty());
   h.cancel();
@@ -103,7 +107,7 @@ TEST(Scheduler, CancelHeavyLeavesSchedulerEmpty) {
   // Regression test: empty() must report true purely from bookkeeping after
   // mass cancellation — without running any event to flush tombstones (the
   // old implementation const_cast-scrubbed the queue inside empty()).
-  Scheduler sched;
+  FifoScheduler sched;
   std::vector<EventHandle> handles;
   constexpr int kEvents = 10'000;
   handles.reserve(kEvents);
@@ -123,7 +127,7 @@ TEST(Scheduler, SlotReuseDoesNotResurrectOldHandles) {
   // After an event fires or is cancelled its slab slot is recycled; a stale
   // handle to the old incarnation must stay dead and must not cancel the
   // new occupant.
-  Scheduler sched;
+  FifoScheduler sched;
   int fired = 0;
   EventHandle old_handle =
       sched.schedule_at(Time::seconds(1.0), [&] { ++fired; });
@@ -140,7 +144,7 @@ TEST(Scheduler, SlotReuseDoesNotResurrectOldHandles) {
 TEST(Scheduler, OrderSurvivesInterleavedCancellation) {
   // Cancel more than half the events to force tombstone compaction, then
   // verify the survivors still run in exact (time, insertion) order.
-  Scheduler sched;
+  FifoScheduler sched;
   std::vector<int> order;
   std::vector<EventHandle> doomed;
   for (int i = 0; i < 1'000; ++i) {
@@ -169,7 +173,7 @@ TEST(Scheduler, ActionSeesItselfRetired) {
   // run_next() retires the slot before invoking the action, so a timer
   // action observes pending() == false and can immediately re-arm through
   // the same handle variable — the pattern the transport timers rely on.
-  Scheduler sched;
+  FifoScheduler sched;
   EventHandle handle;
   bool rearmed_fired = false;
   handle = sched.schedule_at(Time::seconds(1.0), [&] {
@@ -179,6 +183,75 @@ TEST(Scheduler, ActionSeesItselfRetired) {
   });
   while (!sched.empty()) sched.run_next();
   EXPECT_TRUE(rearmed_fired);
+}
+
+TEST(DetContext, ExhaustedTieCounterThrows) {
+  // A context one emission short of 2^40 has exactly one unique tie left.
+  constexpr std::uint64_t kLast = (std::uint64_t{1} << kDetTieEmittedBits) - 1;
+  DetContext ctx{7, kLast};
+  EXPECT_EQ(det_tie_next(ctx),
+            (std::uint64_t{7} << kDetTieEmittedBits) | kLast);
+  try {
+    det_tie_next(ctx);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "det-key context 7 emitted 2^40 events; its ties are "
+                 "exhausted");
+  }
+}
+
+TEST(Simulator, SameTimeEventsOrderByBirthThenContext) {
+  // The deterministic key: firing time, then birth time, then the emitting
+  // context's id, then its emission count. The engine context sorts after
+  // every node at the same (firing, birth) time.
+  Simulator sim;
+  DetContext a{1};
+  DetContext b{2};
+  std::vector<int> order;
+  const auto record = [&order](int i) {
+    return [&order, i] { order.push_back(i); };
+  };
+  const Time t = Time::seconds(2.0);
+  sim.set_det_context(&b);
+  sim.schedule_at(t, record(3));
+  sim.set_det_context(&a);
+  sim.schedule_at(t, record(1));
+  sim.schedule_at(t, record(2));
+  sim.schedule(Time::seconds(1.0), [&] { sim.schedule_at(t, record(5)); });
+  sim.activate_engine_context();
+  sim.schedule_at(t, record(4));
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(Simulator, TombstoneKeepsItsKeyWhenItsSlotIsReused) {
+  // All nine live events tie on (firing, birth), so only the det tie orders
+  // them. Cancelling a2 frees its slot, and d's first event takes it while
+  // a2's tombstone is still in the heap; the tombstone must keep a2's key,
+  // or c0 can sift past it to the front ahead of b0.
+  Simulator sim(TimerBackend::kSlab);
+  DetContext a{1};
+  DetContext b{2};
+  DetContext c{3};
+  DetContext d{4};
+  std::vector<int> order;
+  const auto record = [&](DetContext& ctx, int i) {
+    sim.set_det_context(&ctx);
+    return sim.schedule_at(Time::seconds(1.0), [&order, id = ctx.id, i] {
+      order.push_back(static_cast<int>(id) * 10 + i);
+    });
+  };
+  record(a, 0);
+  EventHandle a1 = record(a, 1);
+  record(a, 2);
+  record(b, 0);
+  a1.cancel();
+  for (int i = 0; i < 5; ++i) record(d, i);
+  record(c, 0);
+  sim.run_all();
+  EXPECT_EQ(order,
+            (std::vector<int>{10, 12, 20, 30, 40, 41, 42, 43, 44}));
 }
 
 TEST(Simulator, ClockAdvancesBeforeDispatch) {

@@ -1,7 +1,7 @@
 // Tests for the hierarchical timer-wheel scheduler backend and the RAII
 // sim::Timer handle. The load-bearing property is byte-identical firing
 // order with the slab backend — the wheel only changes how pending events
-// are *stored*, never the (time, seq) dispatch order — so most tests here
+// are *stored*, never the key dispatch order — so most tests here
 // are differential: run the same workload on both backends and demand the
 // same trace. Larger end-to-end digests live in cc_equivalence_test.cc.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "fifo_scheduler.h"
 #include "sim/scheduler.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -62,7 +63,7 @@ struct Rng {
 // and returns the full firing trace as (event id, fire time ns).
 std::vector<std::pair<int, std::int64_t>> run_workload(TimerBackend backend,
                                                        std::uint64_t seed) {
-  Scheduler sched(backend);
+  FifoScheduler sched(backend);
   Rng rng{seed};
   std::vector<std::pair<int, std::int64_t>> trace;
   std::vector<EventHandle> handles;
@@ -98,9 +99,9 @@ std::vector<std::pair<int, std::int64_t>> run_workload(TimerBackend backend,
       const std::int64_t at_ns =
           now.ns() + static_cast<std::int64_t>(r % 5'000'000);
       const int id = next_id++;
-      sched.schedule_at(Time::nanoseconds(at_ns), [&trace, id, at_ns] {
-        trace.emplace_back(id, at_ns);
-      });
+      sched.schedule_at(
+          Time::nanoseconds(at_ns),
+          [&trace, id, at_ns] { trace.emplace_back(id, at_ns); }, now);
     }
   }
   return trace;
@@ -118,7 +119,7 @@ TEST(TimerWheel, FiringOrderMatchesSlab) {
 TEST(TimerWheel, SameTickDifferentTimesOrdered) {
   // Two events inside one wheel tick (1024 ns) must still fire in time
   // order: the wheel resolves sub-tick order through the dispatch heap.
-  Scheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched(TimerBackend::kWheel);
   std::vector<int> order;
   sched.schedule_at(Time::nanoseconds(700), [&] { order.push_back(2); });
   sched.schedule_at(Time::nanoseconds(300), [&] { order.push_back(1); });
@@ -127,7 +128,7 @@ TEST(TimerWheel, SameTickDifferentTimesOrdered) {
 }
 
 TEST(TimerWheel, SimultaneousEventsFifo) {
-  Scheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched(TimerBackend::kWheel);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sched.schedule_at(Time::seconds(1.0), [&order, i] { order.push_back(i); });
@@ -138,7 +139,7 @@ TEST(TimerWheel, SimultaneousEventsFifo) {
 }
 
 TEST(TimerWheel, CancelInBucketIsImmediate) {
-  Scheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched(TimerBackend::kWheel);
   int fired = 0;
   EventHandle h = sched.schedule_at(Time::seconds(5.0), [&] { ++fired; });
   sched.schedule_at(Time::seconds(1.0), [&] { ++fired; });
@@ -153,7 +154,7 @@ TEST(TimerWheel, CancelInBucketIsImmediate) {
 TEST(TimerWheel, CascadeAcrossLevels) {
   // An event far enough out to sit above level 0 must still fire exactly on
   // time after cascading down, including across a level-1 carry boundary.
-  Scheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched(TimerBackend::kWheel);
   std::vector<std::int64_t> fired_at;
   const std::int64_t kTick = 1 << 10;
   for (std::int64_t t : {255 * kTick, 256 * kTick, 257 * kTick,
@@ -177,8 +178,8 @@ TEST(TimerWheel, StaleBucketAtBlockEntryPreservesFifo) {
   // still staged (the carry path never scans upper levels). A fresh insert
   // at the same tick then lands directly in level 0 of the new block; the
   // stale bucket must be cascaded before level 0 is consumed, or the pair
-  // fires in reverse seq order. Found via the paced-dumbbell digest diff.
-  Scheduler sched(TimerBackend::kWheel);
+  // fires in reverse key order. Found via the paced-dumbbell digest diff.
+  FifoScheduler sched(TimerBackend::kWheel);
   const std::int64_t kTick = 1 << 10;
   std::vector<int> order;
   // E1 in the NEXT level-1 block (tick 352 -> bucket (1,1) at cursor 0).
@@ -190,14 +191,14 @@ TEST(TimerWheel, StaleBucketAtBlockEntryPreservesFifo) {
   sched.schedule_at(Time::nanoseconds(255 * kTick),
                     [&] { sched.schedule_at(t_shared, [&] { order.push_back(2); }); });
   while (!sched.empty()) sched.run_next();
-  // Same firing time: FIFO on insertion seq, so E1 (armed first) wins.
+  // Same firing time and birth: FIFO on the tie, so E1 (armed first) wins.
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(TimerWheel, FarFutureEvents) {
   // Beyond the six-level horizon (2^48 ticks): the far bucket re-enters the
   // wheel via far_jump and still fires in order.
-  Scheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched(TimerBackend::kWheel);
   std::vector<int> order;
   const std::int64_t far = std::int64_t{1} << 59;
   sched.schedule_at(Time::nanoseconds(far + 5000), [&] { order.push_back(3); });
@@ -211,7 +212,7 @@ TEST(TimerWheel, HeavyRearmLeavesNoTombstones) {
   // The RTO pattern: cancel + re-schedule a far deadline on every "ACK".
   // Bucket unlink must reclaim the slot each time, so the scheduler never
   // accumulates dead entries (size() counts live events only).
-  Scheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched(TimerBackend::kWheel);
   EventHandle rto;
   int fired = 0;
   for (int i = 0; i < 10'000; ++i) {

@@ -27,7 +27,7 @@
 #include "core/sweep.h"
 #include "core/topo_scenarios.h"
 #include "net/queue.h"
-#include "sim/timer_wheel.h"
+#include "shared_options.h"
 #include "tcp/congestion_control.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -35,6 +35,7 @@
 #include "util/thread_pool.h"
 
 using namespace tcpdyn;
+using tools::SharedOptions;
 
 namespace {
 
@@ -112,7 +113,8 @@ double param(const core::SweepPoint& pt, const util::Flags& flags,
 // make_topo_scenario so serial and sharded points run the same spec.
 std::optional<core::TopoSpec> build_point_spec(const std::string& which,
                                                const core::SweepPoint& pt,
-                                               const util::Flags& flags) {
+                                               const util::Flags& flags,
+                                               const SharedOptions& opts) {
   const auto as_size = [](double v) { return static_cast<std::size_t>(v); };
   if (which == "ring") {
     core::RingParams p;
@@ -144,13 +146,7 @@ std::optional<core::TopoSpec> build_point_spec(const std::string& which,
                              static_cast<double>(p.buffer)));
     p.flows = as_size(param(pt, flags, "conns",
                             static_cast<double>(p.flows)));
-    const std::string qdisc = flags.get("qdisc");
-    if (!qdisc.empty()) {
-      const net::QdiscChoice& choice =
-          net::qdisc_registry().require(qdisc, "queue discipline");
-      p.qdisc.kind = choice.kind;
-      p.qdisc.red.ecn = choice.ecn;
-    }
+    if (opts.qdisc) p.qdisc = *opts.qdisc;
     p.ecn = flags.get_bool("ecn");
     p.seed = pt.seed;
     return core::red_wave_spec(p);
@@ -183,8 +179,10 @@ std::optional<core::TopoSpec> build_point_spec(const std::string& which,
 
 core::Scenario build_scenario(const std::string& which,
                               const core::SweepPoint& pt,
-                              const util::Flags& flags) {
-  if (std::optional<core::TopoSpec> spec = build_point_spec(which, pt, flags)) {
+                              const util::Flags& flags,
+                              const SharedOptions& opts) {
+  if (std::optional<core::TopoSpec> spec =
+          build_point_spec(which, pt, flags, opts)) {
     return core::make_topo_scenario(*spec);
   }
   const auto as_size = [](double v) { return static_cast<std::size_t>(v); };
@@ -239,19 +237,7 @@ core::Scenario build_scenario(const std::string& which,
   if (which == "ccmix") {
     // Mixed congestion controllers sharing one bottleneck. The cycle comes
     // from --cc (names are not sweepable axes, but conns/tau/buffer are).
-    std::vector<tcp::CcAlgorithm> algos;
-    const std::string list = flags.get("cc");
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      const std::size_t comma = std::min(list.find(',', pos), list.size());
-      const std::string name = list.substr(pos, comma - pos);
-      if (!name.empty()) {
-        algos.push_back(
-            tcp::cc_registry().require(name, "congestion controller"));
-      }
-      pos = comma + 1;
-    }
-    return core::ccmix_twoway(algos, as_size(param(pt, flags, "conns", 6)),
+    return core::ccmix_twoway(opts.cc, as_size(param(pt, flags, "conns", 6)),
                               param(pt, flags, "tau", 0.01),
                               as_size(param(pt, flags, "buffer", 20)));
   }
@@ -283,13 +269,13 @@ int main(int argc, char** argv) {
   }
   const std::string which = flags.get("scenario");
 
-  // Set before any worker builds an Experiment (Simulators snapshot the
-  // process default at construction; the sweep sets it once, up front).
-  if (const auto backend = sim::parse_timer_backend(flags.get("timer"))) {
-    sim::set_default_timer_backend(*backend);
-  } else {
-    return usage(flags,
-                 "unknown --timer '" + flags.get("timer") + "' (slab|wheel)");
+  // Before any worker builds an Experiment: this also installs --timer as
+  // the process-default backend, once, up front.
+  SharedOptions shared;
+  try {
+    shared = tools::parse_shared_flags(flags);
+  } catch (const std::exception& e) {
+    return usage(flags, e.what());
   }
 
   core::SweepGrid grid;
@@ -311,26 +297,12 @@ int main(int argc, char** argv) {
     util::set_log_level(util::LogLevel::kInfo);
   }
 
-  std::optional<core::AuditMode> audit_mode;
-  if (flags.has("audit")) {
-    audit_mode = core::parse_audit_mode(flags.get("audit"));
-    if (!audit_mode) {
-      return usage(flags, "unknown --audit mode '" + flags.get("audit") +
-                              "' (off|counters|full)");
-    }
-  }
   const std::string trace_prefix = flags.get("trace");
-
-  // An explicit --shards routes every point through the sharded engine
-  // (even N=1, so shard counts are byte-comparable); its per-run worker
-  // threads compose with the sweep's --jobs pool.
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards"));
-  const bool sharded = flags.has("shards");
-  if (sharded) {
-    if (shards < 1) return usage(flags, "--shards must be >= 1");
-    if (!trace_prefix.empty()) {
-      return usage(flags, "--trace is not supported with --shards");
-    }
+  // --shards > 1 routes every point through the sharded engine, whose
+  // per-run worker threads compose with the sweep's --jobs pool.
+  const bool sharded = shared.shards > 1;
+  if (sharded && !trace_prefix.empty()) {
+    return usage(flags, "--trace is not supported with --shards");
   }
 
   core::SweepRunner runner(std::move(grid), opts);
@@ -338,7 +310,8 @@ int main(int argc, char** argv) {
   try {
     table = runner.run([&](const core::SweepPoint& pt) {
       if (sharded) {
-        std::optional<core::TopoSpec> spec = build_point_spec(which, pt, flags);
+        std::optional<core::TopoSpec> spec =
+            build_point_spec(which, pt, flags, shared);
         if (!spec) {
           throw std::invalid_argument(
               "--shards requires a topology-backed scenario "
@@ -352,19 +325,20 @@ int main(int argc, char** argv) {
               sim::Time::seconds(flags.get_double("duration", 400.0));
         }
         core::ShardedEngine engine(
-            *spec, shards, audit_mode.value_or(core::kDefaultAuditMode));
+            *spec, shared.shards,
+            shared.audit.value_or(core::kDefaultAuditMode));
         core::ScenarioSummary s =
             core::summarize_result(engine.run(), spec->epoch_gap_sec);
         return core::summary_row(pt, s);
       }
-      core::Scenario sc = build_scenario(which, pt, flags);
+      core::Scenario sc = build_scenario(which, pt, flags, shared);
       if (flags.has("warmup")) {
         sc.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
       }
       if (flags.has("duration")) {
         sc.duration = sim::Time::seconds(flags.get_double("duration", 400.0));
       }
-      if (audit_mode) sc.exp->set_audit_mode(*audit_mode);
+      if (shared.audit) sc.exp->set_audit_mode(*shared.audit);
       if (!trace_prefix.empty()) {
         sc.exp->enable_trace(trace_prefix + ".point" +
                              std::to_string(pt.index) + ".jsonl");
