@@ -43,6 +43,18 @@ void Topology::add_link(const LinkSpec& link) {
     throw std::invalid_argument("link endpoints must differ ('" +
                                 nodes_[link.a].name + "')");
   }
+  const auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("link '" + nodes_[link.a].name + "'-'" +
+                                nodes_[link.b].name + "': " + what);
+  };
+  if (link.bits_per_second <= 0) {
+    reject("rate must be > 0 b/s, got " +
+           std::to_string(link.bits_per_second));
+  }
+  if (link.delay < sim::Time::zero()) {
+    reject("delay must be >= 0, got " + std::to_string(link.delay.ns()) +
+           " ns");
+  }
   for (const std::size_t end : {link.a, link.b}) {
     if (nodes_[end].host && host_link_count_[end] > 0) {
       throw std::invalid_argument("host '" + nodes_[end].name +
@@ -275,6 +287,10 @@ double to_double(const std::string& tok, std::size_t line,
 std::int64_t to_int(const std::string& tok, std::size_t line,
                     const std::string& what) {
   const double v = to_double(tok, line, what);
+  // Casting a NaN or out-of-range double to an integer is undefined.
+  if (!(v > -9.2e18 && v < 9.2e18)) {
+    parse_error(line, what + " is out of range: '" + tok + "'");
+  }
   return static_cast<std::int64_t>(v);
 }
 
@@ -324,7 +340,14 @@ TopoSpec parse_topology(std::istream& in) {
       l.a = spec.topo.index(args[0]);
       l.b = spec.topo.index(args[1]);
       l.bits_per_second = to_int(args[2], lineno, "link rate");
-      l.delay = sim::Time::seconds(to_double(args[3], lineno, "link delay"));
+      if (l.bits_per_second <= 0) {
+        parse_error(lineno, "link rate must be > 0 b/s, got '" + args[2] + "'");
+      }
+      const double delay_sec = to_double(args[3], lineno, "link delay");
+      if (!(delay_sec >= 0.0)) {
+        parse_error(lineno, "link delay must be >= 0 s, got '" + args[3] + "'");
+      }
+      l.delay = sim::Time::seconds(delay_sec);
       l.buffer_ab = to_buffer(args[4], lineno);
       l.buffer_ba = to_buffer(args[5], lineno);
       if (args.size() > 6) {

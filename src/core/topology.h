@@ -66,7 +66,8 @@ class Topology {
   std::size_t add_switch(std::string name);
 
   // Declares a duplex link. Endpoints must already be declared; a host may
-  // appear in at most one link (its access link).
+  // appear in at most one link (its access link). The rate must be > 0 b/s
+  // and the delay >= 0.
   void add_link(const LinkSpec& link);
   // Convenience: symmetric buffers.
   void add_link(std::size_t a, std::size_t b, std::int64_t bits_per_second,

@@ -1,9 +1,10 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <limits>
-#include <queue>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -54,6 +55,18 @@ void Network::connect(NodeId a, NodeId b, std::int64_t bits_per_second,
 void Network::connect(NodeId a, NodeId b, std::int64_t bits_per_second,
                       sim::Time propagation_delay, QueueLimit queue_a_to_b,
                       QueueLimit queue_b_to_a, const QdiscConfig& qdisc) {
+  const auto reject = [&](const std::string& what) {
+    throw std::invalid_argument("link " + nodes_.at(a).node->name() + "-" +
+                                nodes_.at(b).node->name() + ": " + what);
+  };
+  if (bits_per_second <= 0) {
+    reject("rate must be > 0 b/s, got " + std::to_string(bits_per_second));
+  }
+  if (propagation_delay < sim::Time::zero()) {
+    reject("delay must be >= 0, got " +
+           std::to_string(propagation_delay.ns()) + " ns");
+  }
+  // Returns the new port and its index among `from`'s ports.
   auto make_port = [&](NodeId from, NodeId to, QueueLimit limit) {
     // Deterministic per-port seed so random-drop and RED runs reproduce.
     const std::uint64_t seed =
@@ -67,6 +80,7 @@ void Network::connect(NodeId a, NodeId b, std::int64_t bits_per_second,
     port->set_peer(nodes_[to].node.get());
     port->set_observer(observer_);
     OutputPort* raw = port.get();
+    std::uint32_t index = 0;
     if (nodes_[from].host) {
       auto& h = static_cast<Host&>(*nodes_[from].node);
       if (ports_.count({from, to}) || !adjacency_[from].empty()) {
@@ -74,14 +88,24 @@ void Network::connect(NodeId a, NodeId b, std::int64_t bits_per_second,
       }
       h.set_port(std::move(port));
     } else {
-      static_cast<Switch&>(*nodes_[from].node).add_port(std::move(port));
+      index = static_cast<std::uint32_t>(
+          static_cast<Switch&>(*nodes_[from].node).add_port(std::move(port)));
     }
     ports_[{from, to}] = raw;
+    return std::pair{raw, index};
   };
-  make_port(a, b, queue_a_to_b);
-  make_port(b, a, queue_b_to_a);
-  adjacency_[a].push_back(b);
-  adjacency_[b].push_back(a);
+  const auto [ab, ab_index] = make_port(a, b, queue_a_to_b);
+  const auto [ba, ba_index] = make_port(b, a, queue_b_to_a);
+  // A parallel link shadows the older one: port_between, and routing with
+  // it, see only the newest port in each direction.
+  for (Link& l : adjacency_[a]) {
+    if (l.peer == b) l = {b, ab, ba, ab_index};
+  }
+  for (Link& l : adjacency_[b]) {
+    if (l.peer == a) l = {a, ba, ab, ba_index};
+  }
+  adjacency_[a].push_back({b, ab, ba, ab_index});
+  adjacency_[b].push_back({a, ba, ab, ba_index});
 }
 
 OutputPort* Network::port_between(NodeId from, NodeId to) {
@@ -107,62 +131,98 @@ void Network::for_each_host(const std::function<void(Host&)>& fn) {
   }
 }
 
-void Network::set_switch_route(NodeId sw_id, NodeId dst, NodeId via) {
-  auto& sw = static_cast<Switch&>(*nodes_[sw_id].node);
-  OutputPort* p = port_between(sw_id, via);
-  assert(p != nullptr);
-  for (std::size_t i = 0; i < sw.port_count(); ++i) {
-    if (&sw.port(i) == p) {
-      sw.set_route(dst, i);
-      return;
-    }
-  }
-  assert(false && "port not owned by its switch");
-}
-
 void Network::compute_routes(std::int64_t route_ref_bytes) {
   constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
-  // Per-direction link cost in exact integer nanoseconds. Duplex links are
-  // symmetric in rate and delay, so cost(u,v) == cost(v,u).
-  const auto cost_ns = [&](NodeId from, NodeId to) {
-    const OutputPort* p = ports_.at({from, to});
-    return (sim::Time::transmission(route_ref_bytes, p->bits_per_second()) +
-            p->propagation_delay())
-        .ns();
+  const std::size_t n = nodes_.size();
+  // Per-direction port cost in exact integer nanoseconds. The next-hop
+  // tie-break and the leaf argument below both need it to be >= 1 ns.
+  const auto cost_ns = [&](const OutputPort& p) {
+    const std::int64_t ns =
+        (sim::Time::transmission(route_ref_bytes, p.bits_per_second()) +
+         p.propagation_delay())
+            .ns();
+    if (ns < 1) {
+      throw std::invalid_argument("port " + p.name() + ": route cost " +
+                                  std::to_string(ns) + " ns is below 1 ns");
+    }
+    return ns;
   };
-  for (NodeId dst = 0; dst < nodes_.size(); ++dst) {
-    if (!nodes_[dst].host) continue;
-    // Dijkstra from the destination; the pop order breaks distance ties by
-    // smallest node id, and so does the next-hop selection below.
-    std::vector<std::int64_t> dist(nodes_.size(), kUnreached);
-    using Entry = std::pair<std::int64_t, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
-    dist[dst] = 0;
-    pq.push({0, dst});
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
+  // Flat edge list, built once: node u's edges are
+  // edges[first[u] .. first[u + 1]), in connect() order.
+  struct Edge {
+    NodeId to;
+    std::uint32_t port;   // index of u's port toward `to`
+    std::int64_t out_ns;  // u -> to
+    std::int64_t in_ns;   // to -> u
+  };
+  std::vector<std::size_t> first(n + 1);
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < n; ++u) {
+    first[u] = edges.size();
+    for (const Link& l : adjacency_[u]) {
+      edges.push_back({l.peer, l.port, cost_ns(*l.out), cost_ns(*l.in)});
+    }
+  }
+  first[n] = edges.size();
+  const auto edges_of = [&](NodeId u) {
+    return std::span<const Edge>(edges).subspan(first[u],
+                                                 first[u + 1] - first[u]);
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    if (!nodes_[u].host) switch_node(u).reset_routes(n);
+  }
+
+  // A host is a leaf: connect() gives it exactly one link. For host h on
+  // switch s and every node u != h, dist_h(u) = dist_s(u) + cost(s->h), so
+  // the next-hop predicate dist[v] + cost(u,v) == dist[u] picks the same
+  // neighbours toward h as toward s. One Dijkstra per switch with hosts
+  // attached therefore routes all of its hosts; at s the access port is
+  // the only candidate. Hosts linked to a host, or to nothing, get no
+  // routes.
+  std::vector<std::int64_t> dist(n);
+  using Entry = std::pair<std::int64_t, NodeId>;
+  std::vector<Entry> heap;  // min-heap on (distance, node)
+  for (NodeId s = 0; s < n; ++s) {
+    if (nodes_[s].host) continue;
+    bool has_hosts = false;
+    for (const Edge& e : edges_of(s)) {
+      if (!nodes_[e.to].host) continue;
+      switch_node(s).set_route(e.to, e.port);
+      has_hosts = true;
+    }
+    if (!has_hosts) continue;
+    // Dijkstra toward s: dist[v] is the cost of the cheapest v -> s path.
+    dist.assign(n, kUnreached);
+    dist[s] = 0;
+    heap.assign(1, {0, s});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const auto [d, u] = heap.back();
+      heap.pop_back();
       if (d != dist[u]) continue;  // stale entry
-      for (NodeId v : adjacency_[u]) {
-        const std::int64_t nd = d + cost_ns(v, u);
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          pq.push({nd, v});
+      for (const Edge& e : edges_of(u)) {
+        const std::int64_t nd = d + e.in_ns;
+        if (nd < dist[e.to]) {
+          dist[e.to] = nd;
+          heap.push_back({nd, e.to});
+          std::push_heap(heap.begin(), heap.end(), std::greater<>());
         }
       }
     }
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
-      if (nodes_[u].host || dist[u] == kUnreached || u == dst) continue;
+    for (NodeId u = 0; u < n; ++u) {
+      if (nodes_[u].host || dist[u] == kUnreached || u == s) continue;
       // Route toward the neighbour on a shortest path; among equal-cost
       // candidates the smallest node id wins, deterministically.
-      NodeId best = kInvalidNode;
-      for (NodeId v : adjacency_[u]) {
-        if (dist[v] == kUnreached) continue;
-        if (dist[v] + cost_ns(u, v) != dist[u]) continue;
-        if (best == kInvalidNode || v < best) best = v;
+      const Edge* best = nullptr;
+      for (const Edge& e : edges_of(u)) {
+        if (dist[e.to] == kUnreached) continue;
+        if (dist[e.to] + e.out_ns != dist[u]) continue;
+        if (best == nullptr || e.to < best->to) best = &e;
       }
-      assert(best != kInvalidNode);
-      set_switch_route(u, dst, best);
+      assert(best != nullptr);
+      for (const Edge& e : edges_of(s)) {
+        if (nodes_[e.to].host) switch_node(u).set_route(e.to, best->port);
+      }
     }
   }
 }

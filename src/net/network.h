@@ -41,7 +41,8 @@ class Network {
   // Creates a duplex link between a and b: one output port on each side,
   // with independent buffers (paper: no buffer sharing between lines) and a
   // shared discard discipline. A host may have at most one link (its access
-  // link).
+  // link). Throws std::invalid_argument for a rate <= 0 b/s or a negative
+  // propagation delay.
   void connect(NodeId a, NodeId b, std::int64_t bits_per_second,
                sim::Time propagation_delay, QueueLimit queue_a_to_b,
                QueueLimit queue_b_to_a,
@@ -60,7 +61,8 @@ class Network {
   // one reference packet (route_ref_bytes) + propagation delay, in integer
   // nanoseconds so the comparison is exact; ties broken by smallest
   // next-hop node id. Deterministic for a given construction sequence. Must
-  // be called after all connect() calls.
+  // be called after all connect() calls. Throws std::invalid_argument,
+  // naming the port, when a port's cost is below 1 ns (DESIGN.md §9.2).
   void compute_routes(std::int64_t route_ref_bytes = 500);
 
   Host& host(NodeId id);
@@ -89,11 +91,17 @@ class Network {
   sim::Simulator& sim() { return sim_; }
 
  private:
-  void set_switch_route(NodeId sw_id, NodeId dst, NodeId via);
-
   struct NodeSlot {
     std::unique_ptr<Node> node;
     bool host = false;
+  };
+  // One end of a duplex link, as seen from its owning node: the peer, the
+  // ports in both directions, and `out`'s index among the owner's ports.
+  struct Link {
+    NodeId peer;
+    OutputPort* out;  // owner -> peer
+    OutputPort* in;   // peer -> owner
+    std::uint32_t port;
   };
 
   sim::Simulator& sim_;
@@ -101,7 +109,7 @@ class Network {
   SimResolver sim_resolver_;
   PacketObserver* observer_ = nullptr;
   std::vector<NodeSlot> nodes_;
-  std::vector<std::vector<NodeId>> adjacency_;
+  std::vector<std::vector<Link>> adjacency_;  // per node, in connect() order
   std::map<std::pair<NodeId, NodeId>, OutputPort*> ports_;  // (from,to) -> port
 };
 

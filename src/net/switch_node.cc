@@ -12,18 +12,22 @@ std::size_t Switch::add_port(std::unique_ptr<OutputPort> port) {
   return ports_.size() - 1;
 }
 
+void Switch::reset_routes(std::size_t node_count) {
+  routes_.assign(node_count, kNoRoute);
+}
+
 void Switch::set_route(NodeId dst, std::size_t port_index) {
-  assert(port_index < ports_.size());
-  routes_[dst] = port_index;
+  assert(dst < routes_.size() && port_index < ports_.size());
+  routes_[dst] = static_cast<std::uint32_t>(port_index);
 }
 
 void Switch::receive(Packet pkt) {
-  auto it = routes_.find(pkt.dst);
-  if (it == routes_.end()) {
+  const std::optional<std::size_t> port = route_port(pkt.dst);
+  if (!port) {
     throw std::logic_error(name() + ": no route to node " +
                            std::to_string(pkt.dst));
   }
-  ports_[it->second]->enqueue(std::move(pkt));
+  ports_[*port]->enqueue(std::move(pkt));
 }
 
 }  // namespace tcpdyn::net

@@ -3,8 +3,9 @@
 // zero; all delay comes from queueing, serialization, and propagation.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "net/node.h"
@@ -23,15 +24,26 @@ class Switch : public Node {
   const OutputPort& port(std::size_t index) const { return *ports_[index]; }
   std::size_t port_count() const { return ports_.size(); }
 
-  // Routes packets destined to host `dst` out of port `port_index`.
+  // Dense next-hop table indexed by destination NodeId. reset_routes sizes
+  // it for `node_count` nodes with no route anywhere; set_route then routes
+  // packets destined to host `dst` out of port `port_index`.
+  void reset_routes(std::size_t node_count);
   void set_route(NodeId dst, std::size_t port_index);
-  bool has_route(NodeId dst) const { return routes_.contains(dst); }
+  // The output port index toward `dst`; nullopt when there is no route
+  // (dst past the table's end, or unreachable).
+  std::optional<std::size_t> route_port(NodeId dst) const {
+    if (dst >= routes_.size() || routes_[dst] == kNoRoute) return std::nullopt;
+    return routes_[dst];
+  }
+  bool has_route(NodeId dst) const { return route_port(dst).has_value(); }
 
   void receive(Packet pkt) override;
 
  private:
+  static constexpr std::uint32_t kNoRoute = UINT32_MAX;
+
   std::vector<std::unique_ptr<OutputPort>> ports_;
-  std::unordered_map<NodeId, std::size_t> routes_;
+  std::vector<std::uint32_t> routes_;  // by NodeId; kNoRoute = none
 };
 
 }  // namespace tcpdyn::net

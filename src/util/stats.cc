@@ -135,21 +135,35 @@ LaggedCorrelation peak_cross_correlation(std::span<const double> a,
   return best;
 }
 
-double autocorrelation(std::span<const double> xs, std::size_t lag) {
-  const std::size_t n = xs.size();
-  if (lag >= n) return 0.0;
-  const double m = mean(xs);
-  double denom = 0.0;
+namespace {
+
+// The two sums of the normalized autocorrelation. autocorrelation() and
+// dominant_period() share them so every lag comes out bit for bit the same.
+double centered_sum_sq(std::span<const double> xs, double m) {
+  double sum = 0.0;
   for (double x : xs) {
     const double d = x - m;
-    denom += d * d;
+    sum += d * d;
   }
+  return sum;
+}
+
+double lagged_sum(std::span<const double> xs, double m, std::size_t lag) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i + lag < xs.size(); ++i) {
+    sum += (xs[i] - m) * (xs[i + lag] - m);
+  }
+  return sum;
+}
+
+}  // namespace
+
+double autocorrelation(std::span<const double> xs, std::size_t lag) {
+  if (lag >= xs.size()) return 0.0;
+  const double m = mean(xs);
+  const double denom = centered_sum_sq(xs, m);
   if (denom <= 0.0) return 0.0;
-  double num = 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) {
-    num += (xs[i] - m) * (xs[i + lag] - m);
-  }
-  return num / denom;
+  return lagged_sum(xs, m, lag) / denom;
 }
 
 std::optional<std::size_t> dominant_period(std::span<const double> xs,
@@ -158,20 +172,28 @@ std::optional<std::size_t> dominant_period(std::span<const double> xs,
   const std::size_t n = xs.size();
   if (n < 4 || min_lag + 1 >= n / 2) return std::nullopt;
   const std::size_t max_lag = n / 2;
-  std::vector<double> ac(max_lag + 1, 0.0);
-  for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
-    ac[lag] = autocorrelation(xs, lag);
-  }
+  // The mean and denominator do not depend on the lag. A constant series
+  // has autocorrelation 0 at every lag, which can never both dip below and
+  // reach min_corr.
+  const double m = mean(xs);
+  const double denom = centered_sum_sq(xs, m);
+  if (denom <= 0.0) return std::nullopt;
+  const auto ac = [&](std::size_t lag) {
+    return lagged_sum(xs, m, lag) / denom;
+  };
   // First local maximum above the threshold: a lag whose autocorrelation
   // exceeds both neighbours. Skip the initial decay from lag 0 by requiring
-  // the function to have dipped below min_corr at least once first.
+  // the function to have dipped below min_corr at least once first. Lags
+  // are computed only as far as the scan reads: the returned lag + 1.
   bool dipped = false;
+  double prev = ac(min_lag);
+  double cur = ac(min_lag + 1);
   for (std::size_t lag = min_lag + 1; lag < max_lag; ++lag) {
-    if (ac[lag] < min_corr) dipped = true;
-    if (dipped && ac[lag] >= min_corr && ac[lag] >= ac[lag - 1] &&
-        ac[lag] >= ac[lag + 1]) {
-      return lag;
-    }
+    const double next = ac(lag + 1);
+    if (cur < min_corr) dipped = true;
+    if (dipped && cur >= min_corr && cur >= prev && cur >= next) return lag;
+    prev = cur;
+    cur = next;
   }
   return std::nullopt;
 }

@@ -50,6 +50,28 @@ TEST(Topology, RejectsBadDeclarations) {
   EXPECT_THROW(t.monitor(1, 2), std::invalid_argument);
 }
 
+TEST(Topology, RejectsNonPositiveRateAndNegativeDelay) {
+  Topology t;
+  t.add_switch("s");
+  t.add_switch("r");
+  const auto error_of = [&](std::int64_t bps, sim::Time delay) {
+    try {
+      t.add_link(0, 1, bps, delay);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of(0, sim::Time::zero()),
+            "link 's'-'r': rate must be > 0 b/s, got 0");
+  EXPECT_EQ(error_of(-50'000, sim::Time::zero()),
+            "link 's'-'r': rate must be > 0 b/s, got -50000");
+  EXPECT_EQ(error_of(1'000'000, sim::Time::milliseconds(-10)),
+            "link 's'-'r': delay must be >= 0, got -10000000 ns");
+  EXPECT_EQ(t.link_count(), 0u);
+  EXPECT_EQ(error_of(1, sim::Time::zero()), "no error");
+}
+
 TEST(Topology, CompileRejectsDisconnectedGraph) {
   Topology t;
   t.add_host("a");
@@ -254,6 +276,51 @@ TEST(TopologyFile, ErrorsNameTheLine) {
                 .find("before the first flow"),
             std::string::npos);
   EXPECT_NE(line_of("").find("no nodes"), std::string::npos);
+}
+
+TEST(TopologyFile, RejectsNonPositiveRateAndNegativeDelay) {
+  const auto error_of = [](const std::string& link) {
+    std::istringstream in("switch S1\nswitch S2\n" + link + "\n");
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(error_of("link S1 S2 0 0.01 20 20"),
+            "topology file line 3: link rate must be > 0 b/s, got '0'");
+  EXPECT_EQ(error_of("link S1 S2 -50000 0.01 20 20"),
+            "topology file line 3: link rate must be > 0 b/s, got '-50000'");
+  EXPECT_EQ(error_of("link S1 S2 0.5 0.01 20 20"),
+            "topology file line 3: link rate must be > 0 b/s, got '0.5'");
+  EXPECT_EQ(error_of("link S1 S2 nan 0.01 20 20"),
+            "topology file line 3: link rate is out of range: 'nan'");
+  EXPECT_EQ(error_of("link S1 S2 1e30 0.01 20 20"),
+            "topology file line 3: link rate is out of range: '1e30'");
+  EXPECT_EQ(error_of("link S1 S2 50000 -0.01 20 20"),
+            "topology file line 3: link delay must be >= 0 s, got '-0.01'");
+  EXPECT_EQ(error_of("link S1 S2 50000 nan 20 20"),
+            "topology file line 3: link delay must be >= 0 s, got 'nan'");
+  EXPECT_EQ(error_of("link S1 S2 50000 0 20 20"), "no error");
+}
+
+// A rate above 4e12 b/s with no delay truncates the route cost of a 500 B
+// reference packet to 0 ns; compile names the port instead of routing.
+TEST(TopologyFile, CompileRejectsZeroRouteCost) {
+  std::istringstream in(
+      "switch S1\nswitch S2\nhost H1\nhost H2\n"
+      "link H1 S1 10000000 0.0001 inf inf\n"
+      "link S1 S2 5e12 0 20 20\n"
+      "link H2 S2 10000000 0.0001 inf inf\n");
+  const TopoSpec spec = parse_topology(in);
+  Experiment exp;
+  try {
+    spec.topo.compile(exp);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "port S1->S2: route cost 0 ns is below 1 ns");
+  }
 }
 
 // ------------------------------------------------------------ equivalence

@@ -4,7 +4,13 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace tcpdyn::util {
 namespace {
@@ -177,6 +183,77 @@ TEST(DominantPeriod, AperiodicReturnsNullopt) {
   for (int i = 0; i < 100; ++i) xs.push_back(static_cast<double>(i));
   EXPECT_FALSE(dominant_period(detrend(xs)).has_value());
   EXPECT_FALSE(dominant_period(std::vector<double>{1.0, 2.0}).has_value());
+}
+
+// dominant_period computes only the lags its scan reads; it must return
+// exactly what the full scan over every lag in [min_lag, n/2] returns.
+std::optional<std::size_t> full_scan_period(std::span<const double> xs,
+                                            std::size_t min_lag,
+                                            double min_corr) {
+  const std::size_t n = xs.size();
+  if (n < 4 || min_lag + 1 >= n / 2) return std::nullopt;
+  const std::size_t max_lag = n / 2;
+  std::vector<double> ac(max_lag + 1, 0.0);
+  for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
+    ac[lag] = autocorrelation(xs, lag);
+  }
+  bool dipped = false;
+  for (std::size_t lag = min_lag + 1; lag < max_lag; ++lag) {
+    if (ac[lag] < min_corr) dipped = true;
+    if (dipped && ac[lag] >= min_corr && ac[lag] >= ac[lag - 1] &&
+        ac[lag] >= ac[lag + 1]) {
+      return lag;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(DominantPeriod, MatchesFullScan) {
+  std::vector<std::pair<std::string, std::vector<double>>> series;
+  std::vector<double> sine, square, noisy, ramp, late;
+  util::Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    sine.push_back(std::sin(2.0 * std::numbers::pi * i / 37.0));
+    square.push_back((i / 23) % 2 == 0 ? 1.0 : 0.0);
+    noisy.push_back(std::sin(2.0 * std::numbers::pi * i / 50.0) +
+                    rng.uniform(-1.5, 1.5));
+    ramp.push_back(static_cast<double>(i) + rng.uniform(-0.1, 0.1));
+    // One slow cycle: the first peak sits near the end of the scan.
+    late.push_back(std::cos(2.0 * std::numbers::pi * i / 480.0) +
+                   0.05 * std::sin(2.0 * std::numbers::pi * i / 7.0));
+  }
+  series.emplace_back("sine", sine);
+  series.emplace_back("square", square);
+  series.emplace_back("noisy", noisy);
+  series.emplace_back("noisy_detrended", detrend(noisy));
+  series.emplace_back("constant", std::vector<double>(300, 4.0));
+  series.emplace_back("too_short", std::vector<double>{1.0, 3.0, 2.0});
+  series.emplace_back("aperiodic", detrend(ramp));
+  series.emplace_back("late_peak", late);
+  std::vector<double> walk{0.0};
+  for (int i = 1; i < 700; ++i) {
+    walk.push_back(walk.back() + rng.uniform(-1.0, 1.0));
+  }
+  series.emplace_back("random_walk", walk);
+
+  std::size_t found = 0;
+  for (const auto& [name, xs] : series) {
+    for (const std::size_t min_lag : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{10}, xs.size() / 2}) {
+      for (const double min_corr : {-0.2, 0.0, 0.1, 0.5, 0.95}) {
+        const auto want = full_scan_period(xs, min_lag, min_corr);
+        EXPECT_EQ(dominant_period(xs, min_lag, min_corr), want)
+            << name << " min_lag=" << min_lag << " min_corr=" << min_corr;
+        found += want.has_value();
+      }
+    }
+  }
+  // The cases cover both outcomes, including the late peak.
+  EXPECT_GT(found, 10u);
+  EXPECT_EQ(dominant_period(late), full_scan_period(late, 2, 0.1));
+  ASSERT_TRUE(dominant_period(late).has_value());
+  EXPECT_GT(*dominant_period(late), 400u);
+  EXPECT_FALSE(dominant_period(std::vector<double>(300, 4.0)).has_value());
 }
 
 TEST(RunLengths, Empty) {
