@@ -59,7 +59,6 @@
 #include "core/topo_scenarios.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
-#include "sim/timer_wheel.h"
 #include "util/flags.h"
 
 using namespace tcpdyn;
@@ -215,11 +214,12 @@ WorkloadResult run_cc_matrix_small(double scale) {
 }
 
 // 100k-session datacenter incast: the million-flow-scale configuration —
-// timer wheel backend, streaming monitors, per-flow traces off — on a
-// 200-wide fan-in with open-loop Poisson session churn. Reports events/sec
-// (gated like the other workloads) plus bytes/flow: peak-RSS growth across
-// scenario construction divided by the session count, gated *upward* so a
-// regression that fattens per-flow state fails the baseline comparison.
+// ~100k pending timers staged on the wheel, streaming monitors, per-flow
+// traces off — on a 200-wide fan-in with open-loop Poisson session churn.
+// Reports events/sec (gated like the other workloads) plus bytes/flow:
+// peak-RSS growth across scenario construction divided by the session
+// count, gated *upward* so a regression that fattens per-flow state fails
+// the baseline comparison.
 // Construction is inside the timed region (as in topo512): instantiating
 // 100k flows is part of what the API costs.
 WorkloadResult run_incast100k(double scale) {
@@ -234,8 +234,6 @@ WorkloadResult run_incast100k(double scale) {
   p.duration_sec = 55.0 * scale;
   p.streaming = true;
   p.per_flow_traces = false;
-  const sim::TimerBackend saved = sim::default_timer_backend();
-  sim::set_default_timer_backend(sim::TimerBackend::kWheel);
   const long rss_before_kb = peak_rss_kb();
   const double t0 = now_sec();
   core::Scenario sc = core::incast_scenario(p);
@@ -250,7 +248,6 @@ WorkloadResult run_incast100k(double scale) {
   r.flows = flows;
   r.bytes_per_flow = static_cast<double>(rss_after_kb - rss_before_kb) *
                      1024.0 / static_cast<double>(flows);
-  sim::set_default_timer_backend(saved);
   return r;
 }
 
@@ -294,8 +291,7 @@ WorkloadResult run_sharded(const std::string& name, const core::TopoSpec& spec,
   r.name = name;
   r.gated = false;
   const double t0 = now_sec();
-  core::ShardedEngine engine(spec, shards, core::kDefaultAuditMode,
-                             sim::TimerBackend::kWheel);
+  core::ShardedEngine engine(spec, shards);
   core::ExperimentResult result = engine.run();
   r.wall_sec = now_sec() - t0;
   r.events = engine.events_executed();

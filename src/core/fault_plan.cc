@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,6 +30,17 @@ double to_double(const std::string& s, int lineno, const char* what) {
   } catch (const std::exception&) {
     fail(lineno, std::string("bad ") + what + " '" + s + "'");
   }
+}
+
+sim::Time to_time(const std::string& s, int lineno, const char* what) {
+  const std::optional<sim::Time> t =
+      sim::Time::checked_seconds(to_double(s, lineno, what));
+  if (!t) {
+    fail(lineno, std::string(what) +
+                     " must be finite seconds with |s| < 9.2e9, got '" + s +
+                     "'");
+  }
+  return *t;
 }
 
 double to_prob(const std::string& s, int lineno, const char* what) {
@@ -96,9 +108,8 @@ void parse_fault_directive(FaultPlan& plan, const std::vector<std::string>& in,
     want(args, 4, "down A B AT_SEC DUR_SEC [drain|discard] [dir=...]", lineno);
     LinkOutage o;
     o.link = {args[0], args[1], dir};
-    o.at = sim::Time::seconds(to_double(args[2], lineno, "outage time"));
-    o.duration =
-        sim::Time::seconds(to_double(args[3], lineno, "outage duration"));
+    o.at = to_time(args[2], lineno, "outage time");
+    o.duration = to_time(args[3], lineno, "outage duration");
     o.policy = policy;
     plan.add_outage(std::move(o));
     return;
@@ -107,7 +118,7 @@ void parse_fault_directive(FaultPlan& plan, const std::vector<std::string>& in,
     want(args, 4, "rate A B AT_SEC BPS [dir=...]", lineno);
     RateChange c;
     c.link = {args[0], args[1], dir};
-    c.at = sim::Time::seconds(to_double(args[2], lineno, "change time"));
+    c.at = to_time(args[2], lineno, "change time");
     c.bits_per_second = to_int64(args[3], lineno, "rate");
     if (c.bits_per_second <= 0) fail(lineno, "rate must be positive");
     plan.add_rate_change(std::move(c));
@@ -117,8 +128,8 @@ void parse_fault_directive(FaultPlan& plan, const std::vector<std::string>& in,
     want(args, 4, "delay A B AT_SEC SEC [dir=...]", lineno);
     DelayChange c;
     c.link = {args[0], args[1], dir};
-    c.at = sim::Time::seconds(to_double(args[2], lineno, "change time"));
-    c.delay = sim::Time::seconds(to_double(args[3], lineno, "delay"));
+    c.at = to_time(args[2], lineno, "change time");
+    c.delay = to_time(args[3], lineno, "delay");
     plan.add_delay_change(std::move(c));
     return;
   }
@@ -157,9 +168,10 @@ void parse_fault_directive(FaultPlan& plan, const std::vector<std::string>& in,
     LinkImpairment i;
     i.link = {args[0], args[1], dir};
     i.model.reorder = to_prob(args[2], lineno, "reorder probability");
-    const double max_sec = to_double(args[3], lineno, "reorder bound");
-    if (max_sec < 0) fail(lineno, "reorder bound must be non-negative");
-    i.model.reorder_max = sim::Time::seconds(max_sec);
+    i.model.reorder_max = to_time(args[3], lineno, "reorder bound");
+    if (i.model.reorder_max < sim::Time::zero()) {
+      fail(lineno, "reorder bound must be non-negative");
+    }
     plan.add_impairment(std::move(i));
     return;
   }

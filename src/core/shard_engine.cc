@@ -129,14 +129,14 @@ ShardPlan plan_shards(const Topology& topo, const FaultPlan& faults,
 // ----------------------------------------------------------------- engine
 
 ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
-                             AuditMode audit_mode, sim::TimerBackend backend)
+                             AuditMode audit_mode)
     : plan_(plan_shards(spec.topo, spec.faults, shards)),
       warmup_(spec.warmup),
       end_(spec.warmup + spec.duration) {
   const std::size_t n = plan_.shards;
   sims_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    sims_.push_back(std::make_unique<sim::Simulator>(backend));
+    sims_.push_back(std::make_unique<sim::Simulator>());
   }
 
   exp_ = std::make_unique<Experiment>();

@@ -27,8 +27,8 @@
 //    transmitting side would have used for a local delivery. Keys are a
 //    function of per-node event histories only, never of the partition, so
 //    the merged execution order is the serial run's at every shard count
-//    (shard_equivalence_test pins serial and 1/2/4 shards on both timer
-//    backends).
+//    (shard_equivalence_test pins serial and 1/2/4 shards, whose schedulers
+//    stage different shares of their events on the timer wheel).
 //
 //  * Audit: each shard keeps its own packet-lifecycle ledger; a crossing
 //    packet is handed between ledgers at the barrier (exactly-once
@@ -85,8 +85,7 @@ ShardPlan plan_shards(const Topology& topo, const FaultPlan& faults,
 class ShardedEngine {
  public:
   ShardedEngine(const TopoSpec& spec, std::size_t shards,
-                AuditMode audit_mode = kDefaultAuditMode,
-                sim::TimerBackend backend = sim::default_timer_backend());
+                AuditMode audit_mode = kDefaultAuditMode);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;

@@ -1,6 +1,8 @@
 #include "core/topology.h"
 
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -294,6 +296,31 @@ std::int64_t to_int(const std::string& tok, std::size_t line,
   return static_cast<std::int64_t>(v);
 }
 
+// A non-negative integer field of type T, at most `max` (the type's own
+// limit unless the field has a tighter one).
+template <typename T>
+T to_unsigned(const std::string& tok, std::size_t line,
+              const std::string& what,
+              std::uint64_t max = std::numeric_limits<T>::max()) {
+  const std::int64_t v = to_int(tok, line, what);
+  if (v < 0 || static_cast<std::uint64_t>(v) > max) {
+    parse_error(line, what + " must be in 0.." + std::to_string(max) +
+                          ", got '" + tok + "'");
+  }
+  return static_cast<T>(v);
+}
+
+sim::Time to_time(const std::string& tok, std::size_t line,
+                  const std::string& what) {
+  const std::optional<sim::Time> t =
+      sim::Time::checked_seconds(to_double(tok, line, what));
+  if (!t) {
+    parse_error(line, what + " must be finite seconds with |s| < 9.2e9, got '" +
+                          tok + "'");
+  }
+  return *t;
+}
+
 net::QueueLimit to_buffer(const std::string& tok, std::size_t line) {
   if (tok == "inf") return net::QueueLimit::infinite();
   const std::int64_t n = to_int(tok, line, "buffer");
@@ -347,7 +374,7 @@ TopoSpec parse_topology(std::istream& in) {
       if (!(delay_sec >= 0.0)) {
         parse_error(lineno, "link delay must be >= 0 s, got '" + args[3] + "'");
       }
-      l.delay = sim::Time::seconds(delay_sec);
+      l.delay = to_time(args[3], lineno, "link delay");
       l.buffer_ab = to_buffer(args[4], lineno);
       l.buffer_ba = to_buffer(args[5], lineno);
       if (args.size() > 6) {
@@ -386,14 +413,12 @@ TopoSpec parse_topology(std::istream& in) {
             const std::string key = args[i].substr(0, eq);
             const std::string val = args[i].substr(eq + 1);
             if (key == "min_th") {
-              q.red.min_th =
-                  static_cast<std::size_t>(to_int(val, lineno, key));
+              q.red.min_th = to_unsigned<std::size_t>(val, lineno, key);
             } else if (key == "max_th") {
-              q.red.max_th =
-                  static_cast<std::size_t>(to_int(val, lineno, key));
+              q.red.max_th = to_unsigned<std::size_t>(val, lineno, key);
             } else if (key == "wq_shift") {
-              q.red.wq_shift =
-                  static_cast<unsigned>(to_int(val, lineno, key));
+              // The EWMA weight is 2^-wq_shift of a 64-bit average.
+              q.red.wq_shift = to_unsigned<unsigned>(val, lineno, key, 63);
             } else if (key == "max_p") {
               const double p = to_double(val, lineno, key);
               if (p <= 0.0 || p > 1.0) {
@@ -402,8 +427,7 @@ TopoSpec parse_topology(std::istream& in) {
               q.red.max_p_65536 =
                   static_cast<std::uint32_t>(p * 65536.0 + 0.5);
             } else if (key == "quantum") {
-              q.drr.quantum_bytes =
-                  static_cast<std::size_t>(to_int(val, lineno, key));
+              q.drr.quantum_bytes = to_unsigned<std::size_t>(val, lineno, key);
             } else {
               parse_error(lineno, "unknown qdisc option '" + key + "'");
             }
@@ -433,7 +457,7 @@ TopoSpec parse_topology(std::istream& in) {
         const std::string key = args[i].substr(0, eq);
         const std::string val = args[i].substr(eq + 1);
         if (key == "count") {
-          c.count = static_cast<std::size_t>(to_int(val, lineno, key));
+          c.count = to_unsigned<std::size_t>(val, lineno, key);
         } else if (key == "kind") {
           // Full CcAlgorithm zoo, straight from the registry (with
           // did-you-mean errors tagged with the .topo line number).
@@ -443,23 +467,23 @@ TopoSpec parse_topology(std::istream& in) {
             parse_error(lineno, e.what());
           }
         } else if (key == "window") {
-          c.fixed_window = static_cast<std::uint32_t>(to_int(val, lineno, key));
+          c.fixed_window = to_unsigned<std::uint32_t>(val, lineno, key);
         } else if (key == "start") {
-          c.start_time = sim::Time::seconds(to_double(val, lineno, key));
+          c.start_time = to_time(val, lineno, key);
         } else if (key == "spread") {
-          c.start_spread = sim::Time::seconds(to_double(val, lineno, key));
+          c.start_spread = to_time(val, lineno, key);
         } else if (key == "stop") {
-          c.stop_time = sim::Time::seconds(to_double(val, lineno, key));
+          c.stop_time = to_time(val, lineno, key);
         } else if (key == "seed") {
           c.seed = static_cast<std::uint64_t>(to_int(val, lineno, key));
         } else if (key == "maxwnd") {
-          c.maxwnd = static_cast<std::uint32_t>(to_int(val, lineno, key));
+          c.maxwnd = to_unsigned<std::uint32_t>(val, lineno, key);
         } else if (key == "delayed_ack") {
           c.delayed_ack = to_int(val, lineno, key) != 0;
         } else if (key == "ecn") {
           c.ecn = to_int(val, lineno, key) != 0;
         } else if (key == "pacing") {
-          c.pacing_interval = sim::Time::seconds(to_double(val, lineno, key));
+          c.pacing_interval = to_time(val, lineno, key);
         } else if (key == "rate") {
           // Open-loop Poisson session arrivals (flows/sec); see ConnSpec.
           c.arrival_rate = to_double(val, lineno, key);
@@ -467,11 +491,11 @@ TopoSpec parse_topology(std::istream& in) {
             parse_error(lineno, "rate must be >= 0");
           }
         } else if (key == "session") {
-          c.session_time = sim::Time::seconds(to_double(val, lineno, key));
+          c.session_time = to_time(val, lineno, key);
         } else if (key == "data") {
-          c.data_bytes = static_cast<std::uint32_t>(to_int(val, lineno, key));
+          c.data_bytes = to_unsigned<std::uint32_t>(val, lineno, key);
         } else if (key == "ack") {
-          c.ack_bytes = static_cast<std::uint32_t>(to_int(val, lineno, key));
+          c.ack_bytes = to_unsigned<std::uint32_t>(val, lineno, key);
         } else {
           parse_error(lineno, "unknown flow option '" + key + "'");
         }
@@ -492,10 +516,10 @@ TopoSpec parse_topology(std::istream& in) {
       parse_fault_directive(spec.faults, args, static_cast<int>(lineno));
     } else if (word == "warmup") {
       want(1, "warmup SEC");
-      spec.warmup = sim::Time::seconds(to_double(args[0], lineno, word));
+      spec.warmup = to_time(args[0], lineno, word);
     } else if (word == "duration") {
       want(1, "duration SEC");
-      spec.duration = sim::Time::seconds(to_double(args[0], lineno, word));
+      spec.duration = to_time(args[0], lineno, word);
     } else if (word == "epoch_gap") {
       want(1, "epoch_gap SEC");
       spec.epoch_gap_sec = to_double(args[0], lineno, word);

@@ -28,7 +28,7 @@ EventHandle Scheduler::schedule_at(Time at, std::uint64_t seq,
   s.action = std::move(action);
   s.ctx = ctx;
   ++live_events_;
-  if (backend_ == TimerBackend::kWheel &&
+  if (live_events_ > kWheelStagingMin &&
       TimerWheelState::tick_of(at.ns()) >= wheel_.cursor) {
     s.at = at;
     s.seq = seq;
@@ -36,8 +36,8 @@ EventHandle Scheduler::schedule_at(Time at, std::uint64_t seq,
     wheel_insert(slot);
     ++wheel_.live;
   } else {
-    // Slab backend, or an event inside the already-consumed cursor range
-    // (at/below the current dispatch horizon): straight into the heap.
+    // Few events pending, or an event inside the already-consumed cursor
+    // range (at/below the current dispatch horizon): straight into the heap.
     heap_push(Entry{at, seq, det_tie, slot, s.generation});
   }
   return EventHandle(this, slot, s.generation);
@@ -61,13 +61,13 @@ void Scheduler::cancel(std::uint32_t slot, std::uint32_t generation) {
 }
 
 Time Scheduler::next_time() {
-  if (backend_ == TimerBackend::kWheel) wheel_settle();
+  if (wheel_.live != 0) wheel_settle();
   drop_dead_front();
   return heap_.empty() ? Time::max() : heap_.front().at;
 }
 
 Time Scheduler::run_next() {
-  if (backend_ == TimerBackend::kWheel) wheel_settle();
+  if (wheel_.live != 0) wheel_settle();
   drop_dead_front();
   assert(!heap_.empty());
   const Entry entry = heap_.front();
@@ -191,7 +191,9 @@ void Scheduler::wheel_settle() {
   // Merge wheel slots into the dispatch heap until the heap front is
   // strictly below the cursor (then nothing on the wheel can precede it) or
   // the wheel drains. Ties at the cursor boundary consume the slot first, so
-  // key order is resolved inside the heap, never by wheel layout.
+  // key order is resolved inside the heap, never by wheel layout. Heap
+  // entries at or past the cursor (inserted while few events were pending)
+  // need nothing more: the loop runs until the front is below the cursor.
   for (;;) {
     drop_dead_front();
     if (wheel_.live == 0) return;

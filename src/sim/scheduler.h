@@ -13,17 +13,17 @@
 // it surfaces, with a compaction sweep bounding tombstone build-up under
 // cancel-heavy workloads.
 //
-// Two backends share this slab (selected per instance, default process-wide
-// via sim::set_default_timer_backend):
-//   kSlab  — every event lives in the binary heap (the original layout).
-//   kWheel — far-future events are staged on a hierarchical timer wheel
-//            (O(1) arm/cancel, no tombstones) and are merged into the heap
-//            only when the wheel cursor reaches their slot. The heap uses
-//            the same key comparator either way and every entry is merged
-//            before it could become the minimum, so dispatch order is
-//            byte-identical between backends (ctest-gated).
+// While many events are pending, new ones are staged on a hierarchical
+// timer wheel (sim/timer_wheel.h: O(1) arm/cancel, no tombstones) and are
+// merged into the heap only when the wheel cursor reaches their slot; while
+// few are pending, every event goes straight into the heap. The choice is
+// made per insert from the live pending count (kWheelStagingMin), and it
+// never changes the order: the heap uses one key comparator, and every
+// wheel entry is merged before it could become the minimum, so a heap
+// entry past the cursor is as exact as one below it (DESIGN.md §13.1).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -70,10 +70,12 @@ class Scheduler {
  public:
   using Action = util::InlineAction<kActionInlineCapacity>;
 
-  explicit Scheduler(TimerBackend backend = default_timer_backend())
-      : backend_(backend) {}
-
-  TimerBackend backend() const { return backend_; }
+  // An insert is staged on the wheel when, counting it, more than this
+  // many events are pending and its tick is at or past the wheel cursor;
+  // every other insert goes into the heap. The paper's dumbbells stay
+  // below it (at most ~120 pending: heap only); meshes and incast churn
+  // hold a thousand to 200k pending events and stage nearly all of them.
+  static constexpr std::size_t kWheelStagingMin = 256;
 
   // Enqueues `action` to run at absolute time `at` (>= the time of the last
   // event popped), ordered by the key (at, seq, det_tie): seq is the event's
@@ -106,8 +108,8 @@ class Scheduler {
   // One slab slot. `generation` advances every time the slot's event is
   // cancelled or fired, invalidating outstanding handles and heap entries
   // that still reference the old incarnation. The wheel_* fields thread the
-  // slot into a timer-wheel bucket's doubly-linked list (kWheel backend
-  // only; `bucket == kNoBucket` means the event lives in the heap).
+  // slot into a timer-wheel bucket's doubly-linked list while the event is
+  // staged there; `bucket == kNoBucket` means the event lives in the heap.
   struct Slot {
     Action action;
     Time at;                    // wheel only: absolute firing time
@@ -155,7 +157,7 @@ class Scheduler {
   // O(1) per cancel, and order-preserving (the comparator is a total order).
   void maybe_compact();
 
-  // kWheel backend. Invariant between calls: every live event whose time is
+  // Wheel staging. Invariant between calls: every live event whose time is
   // below the wheel cursor is in the heap, so a heap front strictly below
   // the cursor is the global minimum.
   void wheel_insert(std::uint32_t slot);         // buckets slots_[slot] by its at
@@ -170,7 +172,6 @@ class Scheduler {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t live_events_ = 0;
-  TimerBackend backend_ = TimerBackend::kSlab;
   DetContext** active_ref_ = nullptr;
   TimerWheelState wheel_;
 };

@@ -38,10 +38,12 @@ EventHandle Simulator::insert(Time at, DetContext* dispatch,
 
 void Simulator::run_until(Time until) {
   stopped_ = false;
-  while (!stopped_ && !scheduler_.empty() && scheduler_.next_time() <= until) {
+  while (!stopped_ && !scheduler_.empty()) {
+    const Time next = scheduler_.next_time();
+    if (next > until) break;
     // Advance the clock before dispatching: the action must observe now()
     // equal to its own firing time (it schedules follow-up events off it).
-    now_ = scheduler_.next_time();
+    now_ = next;
     scheduler_.run_next();
     ++events_executed_;
   }
@@ -50,9 +52,10 @@ void Simulator::run_until(Time until) {
 
 void Simulator::run_before(Time horizon) {
   stopped_ = false;
-  while (!stopped_ && !scheduler_.empty() &&
-         scheduler_.next_time() < horizon) {
-    now_ = scheduler_.next_time();
+  while (!stopped_ && !scheduler_.empty()) {
+    const Time next = scheduler_.next_time();
+    if (next >= horizon) break;
+    now_ = next;
     scheduler_.run_next();
     ++events_executed_;
   }

@@ -15,15 +15,11 @@ namespace tcpdyn::sim {
 
 class Simulator {
  public:
-  explicit Simulator(TimerBackend backend = default_timer_backend())
-      : scheduler_(backend) {
-    scheduler_.bind_active_context(&ctx_);
-  }
+  Simulator() { scheduler_.bind_active_context(&ctx_); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   Time now() const { return now_; }
-  TimerBackend timer_backend() const { return scheduler_.backend(); }
 
   // Schedules `action` to run `delay` after now. Negative delays are clamped
   // to zero (runs at now(), after the same-time events already queued from

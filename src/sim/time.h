@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 
 namespace tcpdyn::sim {
@@ -20,6 +21,14 @@ class Time {
   }
   static constexpr Time seconds(double s) {
     return Time(static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5)));
+  }
+  // Seconds read from text (a file field or a flag), or nullopt where
+  // seconds() cannot represent them: NaN, +-inf and |s| >= 9.2e9, which
+  // overflow the int64 nanosecond count (an undefined conversion). Every
+  // text input that becomes a Time goes through here.
+  static constexpr std::optional<Time> checked_seconds(double s) {
+    if (!(s > -9.2e9 && s < 9.2e9)) return std::nullopt;
+    return seconds(s);
   }
   static constexpr Time zero() { return Time(0); }
   static constexpr Time max() { return Time(INT64_MAX); }

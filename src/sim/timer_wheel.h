@@ -1,4 +1,5 @@
-// Hierarchical timer wheel state for the scheduler's O(1) timer backend.
+// Hierarchical timer wheel state: the scheduler's staging area for events
+// while many are pending (see Scheduler::kWheelStagingMin).
 //
 // Six levels of 256 slots each over a 2^10 ns (~1 us) base tick cover ~9
 // simulated years. An event at tick T relative to the wheel cursor lives at
@@ -7,11 +8,11 @@
 // and cascades move entries only downward — arm and cancel are O(1), and an
 // entry cascades at most kLevels times over its lifetime.
 //
-// The wheel stages *far* events only. The scheduler keeps its binary heap
-// (same deterministic-key comparator as the slab backend) as a dispatch
-// buffer: before any pop, slots at or below the heap front are consumed into
-// the heap, so firing order is byte-identical to the slab path by
-// construction rather than by accident. See DESIGN.md §13.
+// The wheel only stages events. The scheduler's binary heap (one
+// deterministic-key comparator) stays the dispatch buffer: before any pop,
+// slots at or below the heap front are consumed into the heap, so firing
+// order is the key order by construction, whichever structure held an
+// event while it waited. See DESIGN.md §13.1.
 //
 // Nodes are intrusive: wheel buckets are doubly-linked lists threaded
 // through the scheduler's slab slots, so cancellation unlinks in O(1) and
@@ -20,27 +21,10 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace tcpdyn::sim {
-
-// Which data structure backs Scheduler's pending-event set. kSlab is the
-// binary-heap-over-slab baseline; kWheel is the hierarchical timer wheel.
-// Both produce byte-identical event order (ctest-gated).
-enum class TimerBackend : std::uint8_t { kSlab, kWheel };
-
-// Process-wide default used by newly constructed Scheduler/Simulator
-// instances that don't pass an explicit backend. Tools set this once from
-// --timer before building any experiment; it is not synchronized and must
-// not be flipped while simulations are running on other threads.
-TimerBackend default_timer_backend();
-void set_default_timer_backend(TimerBackend backend);
-
-// "slab" / "wheel" <-> enum. parse returns nullopt for unknown names.
-std::optional<TimerBackend> parse_timer_backend(std::string_view name);
-const char* to_string(TimerBackend backend);
 
 // POD wheel state: bucket heads, per-level occupancy bitmaps, cursor.
 // The bucket lists themselves are threaded through Scheduler's slab slots;

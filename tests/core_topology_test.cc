@@ -305,6 +305,82 @@ TEST(TopologyFile, RejectsNonPositiveRateAndNegativeDelay) {
   EXPECT_EQ(error_of("link S1 S2 50000 0 20 20"), "no error");
 }
 
+// Every field that becomes a sim::Time goes through one checked conversion:
+// NaN, +-inf and |s| >= 9.2e9 would overflow the nanosecond count.
+TEST(TopologyFile, TimeFieldsMustBeRepresentable) {
+  const auto error_of = [](const std::string& line) {
+    std::istringstream in("host H1\nhost H2\nlink H1 H2 50000 0.01 20 20\n" +
+                          line + "\n");
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string tail = " must be finite seconds with |s| < 9.2e9, got '";
+  EXPECT_EQ(error_of("warmup nan"),
+            "topology file line 4: warmup" + tail + "nan'");
+  EXPECT_EQ(error_of("duration 9.2e9"),
+            "topology file line 4: duration" + tail + "9.2e9'");
+  EXPECT_EQ(error_of("flow H1 H2 start=inf"),
+            "topology file line 4: start" + tail + "inf'");
+  EXPECT_EQ(error_of("flow H1 H2 spread=-inf"),
+            "topology file line 4: spread" + tail + "-inf'");
+  EXPECT_EQ(error_of("flow H1 H2 stop=1e300"),
+            "topology file line 4: stop" + tail + "1e300'");
+  EXPECT_EQ(error_of("flow H1 H2 rate=1 session=nan"),
+            "topology file line 4: session" + tail + "nan'");
+  EXPECT_EQ(error_of("flow H1 H2 pacing=-9.3e9"),
+            "topology file line 4: pacing" + tail + "-9.3e9'");
+  EXPECT_EQ(error_of("link H2 H1 50000 inf 20 20"),
+            "topology file line 4: link delay" + tail + "inf'");
+  EXPECT_EQ(error_of("flow H1 H2 start=9.1e9 stop=-9.1e9"), "no error");
+}
+
+// Unsigned fields are range-checked against their type, so a negative
+// value cannot wrap (count=-1 used to ask for 2^64 flows), and wq_shift is
+// limited to the 64-bit shift it feeds.
+TEST(TopologyFile, UnsignedFieldsMustFitTheirType) {
+  const auto error_of = [](const std::string& line) {
+    std::istringstream in("host H1\nhost H2\n" + line + "\n");
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string red = "link H1 H2 50000 0.01 20 20 red ";
+  EXPECT_EQ(error_of(red + "wq_shift=64"),
+            "topology file line 3: wq_shift must be in 0..63, got '64'");
+  EXPECT_EQ(error_of(red + "wq_shift=-1"),
+            "topology file line 3: wq_shift must be in 0..63, got '-1'");
+  EXPECT_EQ(error_of(red + "min_th=-1"),
+            "topology file line 3: min_th must be in 0..18446744073709551615,"
+            " got '-1'");
+  EXPECT_EQ(error_of(red + "max_th=-5"),
+            "topology file line 3: max_th must be in 0..18446744073709551615,"
+            " got '-5'");
+  EXPECT_EQ(error_of("link H1 H2 50000 0.01 20 20 drr quantum=-1"),
+            "topology file line 3: quantum must be in 0..18446744073709551615,"
+            " got '-1'");
+  EXPECT_EQ(error_of("flow H1 H2 count=-1"),
+            "topology file line 3: count must be in 0..18446744073709551615,"
+            " got '-1'");
+  EXPECT_EQ(error_of("flow H1 H2 window=4294967296"),
+            "topology file line 3: window must be in 0..4294967295,"
+            " got '4294967296'");
+  EXPECT_EQ(error_of("flow H1 H2 maxwnd=-2"),
+            "topology file line 3: maxwnd must be in 0..4294967295, got '-2'");
+  EXPECT_EQ(error_of("flow H1 H2 data=5e9"),
+            "topology file line 3: data must be in 0..4294967295, got '5e9'");
+  EXPECT_EQ(error_of("flow H1 H2 ack=-40"),
+            "topology file line 3: ack must be in 0..4294967295, got '-40'");
+  EXPECT_EQ(error_of(red + "wq_shift=63 min_th=0"), "no error");
+  EXPECT_EQ(error_of("flow H1 H2 window=4294967295"), "no error");
+}
+
 // A rate above 4e12 b/s with no delay truncates the route cost of a 500 B
 // reference packet to 0 ns; compile names the port instead of routing.
 TEST(TopologyFile, CompileRejectsZeroRouteCost) {

@@ -13,8 +13,6 @@ namespace tcpdyn::sim {
 
 class FifoScheduler : public Scheduler {
  public:
-  using Scheduler::Scheduler;
-
   EventHandle schedule_at(Time at, Action action, Time birth = Time::zero()) {
     return Scheduler::schedule_at(at, static_cast<std::uint64_t>(birth.ns()),
                                   next_tie_++, nullptr, std::move(action));

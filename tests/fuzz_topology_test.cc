@@ -27,7 +27,6 @@
 #include "net/fault.h"
 #include "net/port.h"
 #include "net/queue.h"
-#include "sim/timer_wheel.h"
 #include "util/rng.h"
 
 namespace tcpdyn::core {
@@ -232,8 +231,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTopology,
 // The same philosophy pointed at the sharded engine: a random TopoSpec
 // (chain topology, qdisc zoo, random flows) under a random declarative
 // fault plan (impairments, outages, rate and delay changes), run at a
-// random shard count on a random timer backend, must reproduce the
-// shards=1 run of the identical spec bit for bit — counters, cwnd
+// random shard count, must reproduce the shards=1 run of the identical
+// spec bit for bit — counters, cwnd
 // trajectories, drop log, and the merged conservation ledger, which must
 // also close with every drop attributed to exactly one cause.
 
@@ -435,25 +434,24 @@ TopoSpec random_spec(std::uint64_t seed) {
 
 class FuzzShardedTopology : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Draws only the shard count. The "backend" in the name is each shard
+// simulator's own heap/wheel mix, which it picks per insert from its
+// pending-set size.
 TEST_P(FuzzShardedTopology, ShardCountAndBackendInvariant) {
   const std::uint64_t seed = GetParam();
   // Harness draws come from an independent stream so the spec stays a pure
   // function of the seed.
   util::Rng harness(seed * 7919 + 13);
-  const sim::TimerBackend backend = harness.next_below(2) == 0
-                                        ? sim::TimerBackend::kSlab
-                                        : sim::TimerBackend::kWheel;
   const std::size_t shards = 2 + harness.next_below(3);  // 2..4
 
   const TopoSpec spec = random_spec(seed);
-  ShardedEngine ref_engine(spec, 1, AuditMode::kFull, backend);
+  ShardedEngine ref_engine(spec, 1, AuditMode::kFull);
   const ExperimentResult ref = ref_engine.run();
-  ShardedEngine engine(spec, shards, AuditMode::kFull, backend);
+  ShardedEngine engine(spec, shards, AuditMode::kFull);
   const ExperimentResult r = engine.run();
 
   EXPECT_EQ(outcome_string(r), outcome_string(ref))
-      << "seed " << seed << " shards " << shards << " backend "
-      << sim::to_string(backend);
+      << "seed " << seed << " shards " << shards;
   // The merged cross-shard ledger closes with single-cause attribution,
   // whatever the fault plan did.
   EXPECT_EQ(r.audit.drops_queue + r.audit.drops_down + r.audit.drops_fault,

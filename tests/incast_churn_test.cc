@@ -2,8 +2,9 @@
 // close the conservation ledger, Poisson arrivals must be a pure function of
 // the spec's seed (double-run identical, cross-seed different, jobs-count
 // invariant under the sweep runner), and the scale knobs — streaming
-// monitors, per-flow traces off, the wheel timer backend — must change only
-// what they claim to change, never the simulated packet sequence.
+// monitors, per-flow traces off — must change only what they claim to
+// change, never the simulated packet sequence. The churn run's digest is
+// pinned in timer_equivalence_test.cc.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +14,6 @@
 #include "core/sweep.h"
 #include "core/topo_scenarios.h"
 #include "core/topology.h"
-#include "sim/timer_wheel.h"
 
 namespace tcpdyn::core {
 namespace {
@@ -85,23 +85,6 @@ TEST(IncastChurn, DoubleRunIsIdenticalAndSeedMatters) {
   q.seed = p.seed + 1;
   Scenario c = incast_scenario(q);
   EXPECT_NE(ra.result.delivered, run_scenario(c).result.delivered);
-}
-
-TEST(IncastChurn, WheelBackendMatchesSlab) {
-  const IncastParams p = small_churn_params();
-  const auto run_with = [&](sim::TimerBackend backend) {
-    const sim::TimerBackend saved = sim::default_timer_backend();
-    sim::set_default_timer_backend(backend);
-    Scenario sc = incast_scenario(p);
-    sim::set_default_timer_backend(saved);
-    return run_scenario(sc);
-  };
-  const ScenarioSummary slab = run_with(sim::TimerBackend::kSlab);
-  const ScenarioSummary wheel = run_with(sim::TimerBackend::kWheel);
-  EXPECT_EQ(slab.result.delivered, wheel.result.delivered);
-  EXPECT_EQ(slab.result.drops.size(), wheel.result.drops.size());
-  EXPECT_EQ(slab.util_fwd, wheel.util_fwd);
-  EXPECT_EQ(slab.util_rev, wheel.util_rev);
 }
 
 TEST(IncastChurn, SweepOverSeedsIsDeterministicAcrossJobs) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fault_plan.h"
 #include "net/port.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -310,6 +311,40 @@ std::string run_transcript(const Impairment& model, std::uint64_t seed,
 }
 
 // Same seed + same model -> byte-identical transcript, for every model.
+// Fault-file times become sim::Time through the one checked conversion,
+// so NaN, +-inf and |s| >= 9.2e9 fail with the directive's line number
+// instead of overflowing the nanosecond count.
+TEST(FaultFile, TimesMustBeRepresentable) {
+  const auto error_of = [](const std::string& directive) {
+    std::istringstream words(directive);
+    std::vector<std::string> args;
+    for (std::string w; words >> w;) args.push_back(w);
+    core::FaultPlan plan;
+    try {
+      core::parse_fault_directive(plan, args, 7);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string tail = " must be finite seconds with |s| < 9.2e9, got '";
+  EXPECT_EQ(error_of("down S1 S2 nan 1"),
+            "fault directive, line 7: outage time" + tail + "nan'");
+  EXPECT_EQ(error_of("down S1 S2 1 inf"),
+            "fault directive, line 7: outage duration" + tail + "inf'");
+  EXPECT_EQ(error_of("rate S1 S2 1e10 50000"),
+            "fault directive, line 7: change time" + tail + "1e10'");
+  EXPECT_EQ(error_of("delay S1 S2 -inf 0.1"),
+            "fault directive, line 7: change time" + tail + "-inf'");
+  EXPECT_EQ(error_of("delay S1 S2 5 nan"),
+            "fault directive, line 7: delay" + tail + "nan'");
+  EXPECT_EQ(error_of("reorder S1 S2 0.1 inf"),
+            "fault directive, line 7: reorder bound" + tail + "inf'");
+  EXPECT_EQ(error_of("reorder S1 S2 0.1 -0.5"),
+            "fault directive, line 7: reorder bound must be non-negative");
+  EXPECT_EQ(error_of("down S1 S2 9.1e9 1 discard"), "no error");
+}
+
 TEST(FaultDeterminism, DoubleRunByteIdenticalPerModel) {
   std::vector<Impairment> models(4);
   models[0].loss = 0.2;

@@ -230,7 +230,7 @@ TEST(Simulator, TombstoneKeepsItsKeyWhenItsSlotIsReused) {
   // them. Cancelling a2 frees its slot, and d's first event takes it while
   // a2's tombstone is still in the heap; the tombstone must keep a2's key,
   // or c0 can sift past it to the front ahead of b0.
-  Simulator sim(TimerBackend::kSlab);
+  Simulator sim;
   DetContext a{1};
   DetContext b{2};
   DetContext c{3};

@@ -1,14 +1,16 @@
-// Tests for the hierarchical timer-wheel scheduler backend and the RAII
-// sim::Timer handle. The load-bearing property is byte-identical firing
-// order with the slab backend — the wheel only changes how pending events
-// are *stored*, never the key dispatch order — so most tests here
-// are differential: run the same workload on both backends and demand the
-// same trace. Larger end-to-end digests live in cc_equivalence_test.cc.
+// Tests for the scheduler's timer-wheel staging and the RAII sim::Timer
+// handle. The scheduler stages an insert on the wheel only while more than
+// Scheduler::kWheelStagingMin events are pending, so each wheel unit test
+// first arms that many far-future fillers (stage_on_wheel). The
+// load-bearing property is that staging never changes the firing order:
+// the randomized workloads compare the full firing trace against a
+// reference model, a std::set ordered by the scheduler's key. Larger
+// end-to-end digests live in timer_equivalence_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
-#include <string>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -21,14 +23,6 @@
 
 namespace tcpdyn::sim {
 namespace {
-
-TEST(TimerBackendParse, NamesRoundTrip) {
-  EXPECT_EQ(parse_timer_backend("slab"), TimerBackend::kSlab);
-  EXPECT_EQ(parse_timer_backend("wheel"), TimerBackend::kWheel);
-  EXPECT_EQ(parse_timer_backend("bogus"), std::nullopt);
-  EXPECT_EQ(std::string(to_string(TimerBackend::kSlab)), "slab");
-  EXPECT_EQ(std::string(to_string(TimerBackend::kWheel)), "wheel");
-}
 
 TEST(TimerWheelState, BucketSelection) {
   TimerWheelState w;  // cursor = 0
@@ -46,9 +40,19 @@ TEST(TimerWheelState, BucketSelection) {
   EXPECT_EQ(w.bucket_for(std::int64_t{1} << 50), TimerWheelState::kFarBucket);
 }
 
-// A deterministic xorshift generator so both backends see one identical
-// workload (std::mt19937 would also do, but this keeps the test obviously
-// seed-stable across library versions).
+// Arms kWheelStagingMin no-op events at distinct times an hour out, after
+// every test's own events, so the pending set is above the staging
+// threshold and the test's own inserts are staged on the wheel.
+void stage_on_wheel(FifoScheduler& sched) {
+  for (std::size_t i = 0; i < Scheduler::kWheelStagingMin; ++i) {
+    sched.schedule_at(
+        Time::seconds(3600.0) + Time::nanoseconds(static_cast<std::int64_t>(i)),
+        [] {});
+  }
+}
+
+// A deterministic xorshift generator, so a seed means the same workload
+// across library versions.
 struct Rng {
   std::uint64_t s;
   std::uint64_t next() {
@@ -59,18 +63,60 @@ struct Rng {
   }
 };
 
-// Drives one randomized schedule/cancel/fire workload against a Scheduler
-// and returns the full firing trace as (event id, fire time ns).
-std::vector<std::pair<int, std::int64_t>> run_workload(TimerBackend backend,
-                                                       std::uint64_t seed) {
-  FifoScheduler sched(backend);
-  Rng rng{seed};
-  std::vector<std::pair<int, std::int64_t>> trace;
-  std::vector<EventHandle> handles;
-  int next_id = 0;
+// A scheduler and a reference model of it, driven in lockstep. The model
+// is a std::set of (firing time, birth, tie) in the scheduler's key order,
+// with erase on cancel, so its front is the event that must fire next.
+// FifoScheduler draws ties in insertion order, so an event's id is its tie.
+class ModelCheck {
+ public:
+  // Arms an event in both; returns its id.
+  int arm(std::int64_t at_ns, Time birth = Time::zero()) {
+    const int id = static_cast<int>(keys_.size());
+    keys_.emplace_back(at_ns, birth.ns(), keys_.size());
+    model_.insert(keys_.back());
+    handles_.push_back(sched_.schedule_at(
+        Time::nanoseconds(at_ns), [this, id] { fired_.push_back(id); },
+        birth));
+    return id;
+  }
+  // Cancels event `id` in both if it is still pending.
+  void cancel(int id) {
+    EventHandle& h = handles_[static_cast<std::size_t>(id)];
+    if (!h.pending()) return;
+    h.cancel();
+    model_.erase(keys_[static_cast<std::size_t>(id)]);
+  }
+  // Fires the scheduler's next event; the model records the one it
+  // predicts.
+  Time step() {
+    expected_.push_back(static_cast<int>(std::get<2>(*model_.begin())));
+    model_.erase(model_.begin());
+    return sched_.run_next();
+  }
+  int armed() const { return static_cast<int>(keys_.size()); }
+  std::size_t pending() const { return sched_.size(); }
+  bool empty() const { return sched_.empty(); }
+  const std::vector<int>& fired() const { return fired_; }
+  const std::vector<int>& expected() const { return expected_; }
 
-  // Seed a batch of events across many time scales: same-tick ties,
-  // level-0 neighbours, mid-level spans, and far-future outliers.
+ private:
+  using Key = std::tuple<std::int64_t, std::int64_t, std::uint64_t>;
+  FifoScheduler sched_;
+  std::vector<Key> keys_;  // by id
+  std::set<Key> model_;
+  std::vector<EventHandle> handles_;
+  std::vector<int> fired_;
+  std::vector<int> expected_;
+};
+
+// 400 events across many time scales (same-tick ties, level-0
+// neighbours, mid-level spans, far-future outliers), every third cancelled,
+// then re-scheduling from inside the run. The first 256 inserts go to the
+// heap and the next 144 are staged on the wheel; once cancels and firing
+// drain the set below the threshold, re-arms go to the heap again while
+// staged events are still pending.
+void run_mixed_scales(ModelCheck& m, std::uint64_t seed) {
+  Rng rng{seed};
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t r = rng.next();
     std::int64_t at_ns = 0;
@@ -80,46 +126,71 @@ std::vector<std::pair<int, std::int64_t>> run_workload(TimerBackend backend,
       case 2: at_ns = static_cast<std::int64_t>(r % 40'000'000'000); break;  // deep levels
       default: at_ns = static_cast<std::int64_t>(r % (std::int64_t{1} << 60)); break;  // far
     }
-    const int id = next_id++;
-    handles.push_back(
-        sched.schedule_at(Time::nanoseconds(at_ns), [&trace, id, at_ns] {
-          trace.emplace_back(id, at_ns);
-        }));
+    m.arm(at_ns);
   }
-  // Cancel a deterministic subset before running (exercises wheel unlink).
-  for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
-
-  // Run, re-scheduling from inside events now and then (exercises inserting
-  // at/near the cursor while dispatching, and cascades mid-run).
+  for (int id = 0; id < 400; id += 3) m.cancel(id);
   int executed = 0;
-  while (!sched.empty()) {
-    const Time now = sched.run_next();
-    if (++executed % 17 == 0 && next_id < 600) {
-      const std::uint64_t r = rng.next();
-      const std::int64_t at_ns =
-          now.ns() + static_cast<std::int64_t>(r % 5'000'000);
-      const int id = next_id++;
-      sched.schedule_at(
-          Time::nanoseconds(at_ns),
-          [&trace, id, at_ns] { trace.emplace_back(id, at_ns); }, now);
+  while (!m.empty()) {
+    const Time now = m.step();
+    if (++executed % 17 == 0 && m.armed() < 600) {
+      m.arm(now.ns() + static_cast<std::int64_t>(rng.next() % 5'000'000), now);
     }
   }
-  return trace;
 }
 
-TEST(TimerWheel, FiringOrderMatchesSlab) {
-  for (std::uint64_t seed : {1u, 42u, 9001u}) {
-    const auto slab = run_workload(TimerBackend::kSlab, seed);
-    const auto wheel = run_workload(TimerBackend::kWheel, seed);
-    ASSERT_EQ(slab.size(), wheel.size()) << "seed " << seed;
-    EXPECT_EQ(slab, wheel) << "seed " << seed;
+// Keeps the pending count oscillating around kWheelStagingMin: each fired
+// event re-arms more events while below it and fewer while above, within a
+// dense few-millisecond window (many events per wheel block, exact ties),
+// and now and then cancels a random earlier event. Returns how many times
+// the count crossed the threshold upward.
+int run_oscillating(ModelCheck& m, std::uint64_t seed) {
+  constexpr std::size_t kMin = Scheduler::kWheelStagingMin;
+  Rng rng{seed};
+  for (std::size_t i = 0; i + 16 < kMin; ++i) {
+    m.arm(static_cast<std::int64_t>(rng.next() % 3'000'000));
   }
+  int crossings = 0;
+  bool above = false;
+  for (int executed = 0; executed < 20'000 && !m.empty(); ++executed) {
+    const Time now = m.step();
+    const std::uint64_t k = rng.next() % (m.pending() < kMin ? 4 : 2);
+    for (std::uint64_t j = 0; j < k; ++j) {
+      const std::uint64_t r = rng.next();
+      // One in four re-arms ties exactly with `now` (a same-time child).
+      const std::int64_t dt =
+          r % 4 == 0 ? 0 : static_cast<std::int64_t>(r % 3'000'000);
+      m.arm(now.ns() + dt, now);
+    }
+    if (rng.next() % 8 == 0) {
+      const std::uint64_t armed = static_cast<std::uint64_t>(m.armed());
+      m.cancel(static_cast<int>(rng.next() % armed));
+    }
+    if (!above && m.pending() > kMin) ++crossings;
+    above = m.pending() > kMin;
+  }
+  while (!m.empty()) m.step();
+  return crossings;
+}
+
+TEST(TimerWheel, FiringOrderMatchesReferenceModel) {
+  for (const std::uint64_t seed : {1u, 42u, 9001u}) {
+    ModelCheck m;
+    run_mixed_scales(m, seed);
+    // 400 armed, every third (134) cancelled, plus the re-arms.
+    EXPECT_GT(m.fired().size(), 266u) << "seed " << seed;
+    EXPECT_EQ(m.fired(), m.expected()) << "seed " << seed;
+  }
+  ModelCheck m;
+  EXPECT_GT(run_oscillating(m, 7), 10);
+  EXPECT_GT(m.fired().size(), 20'000u);
+  EXPECT_EQ(m.fired(), m.expected());
 }
 
 TEST(TimerWheel, SameTickDifferentTimesOrdered) {
   // Two events inside one wheel tick (1024 ns) must still fire in time
   // order: the wheel resolves sub-tick order through the dispatch heap.
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   std::vector<int> order;
   sched.schedule_at(Time::nanoseconds(700), [&] { order.push_back(2); });
   sched.schedule_at(Time::nanoseconds(300), [&] { order.push_back(1); });
@@ -128,7 +199,8 @@ TEST(TimerWheel, SameTickDifferentTimesOrdered) {
 }
 
 TEST(TimerWheel, SimultaneousEventsFifo) {
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sched.schedule_at(Time::seconds(1.0), [&order, i] { order.push_back(i); });
@@ -139,7 +211,8 @@ TEST(TimerWheel, SimultaneousEventsFifo) {
 }
 
 TEST(TimerWheel, CancelInBucketIsImmediate) {
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   int fired = 0;
   EventHandle h = sched.schedule_at(Time::seconds(5.0), [&] { ++fired; });
   sched.schedule_at(Time::seconds(1.0), [&] { ++fired; });
@@ -154,7 +227,8 @@ TEST(TimerWheel, CancelInBucketIsImmediate) {
 TEST(TimerWheel, CascadeAcrossLevels) {
   // An event far enough out to sit above level 0 must still fire exactly on
   // time after cascading down, including across a level-1 carry boundary.
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   std::vector<std::int64_t> fired_at;
   const std::int64_t kTick = 1 << 10;
   for (std::int64_t t : {255 * kTick, 256 * kTick, 257 * kTick,
@@ -179,7 +253,8 @@ TEST(TimerWheel, StaleBucketAtBlockEntryPreservesFifo) {
   // at the same tick then lands directly in level 0 of the new block; the
   // stale bucket must be cascaded before level 0 is consumed, or the pair
   // fires in reverse key order. Found via the paced-dumbbell digest diff.
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   const std::int64_t kTick = 1 << 10;
   std::vector<int> order;
   // E1 in the NEXT level-1 block (tick 352 -> bucket (1,1) at cursor 0).
@@ -198,7 +273,8 @@ TEST(TimerWheel, StaleBucketAtBlockEntryPreservesFifo) {
 TEST(TimerWheel, FarFutureEvents) {
   // Beyond the six-level horizon (2^48 ticks): the far bucket re-enters the
   // wheel via far_jump and still fires in order.
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   std::vector<int> order;
   const std::int64_t far = std::int64_t{1} << 59;
   sched.schedule_at(Time::nanoseconds(far + 5000), [&] { order.push_back(3); });
@@ -212,14 +288,15 @@ TEST(TimerWheel, HeavyRearmLeavesNoTombstones) {
   // The RTO pattern: cancel + re-schedule a far deadline on every "ACK".
   // Bucket unlink must reclaim the slot each time, so the scheduler never
   // accumulates dead entries (size() counts live events only).
-  FifoScheduler sched(TimerBackend::kWheel);
+  FifoScheduler sched;
+  stage_on_wheel(sched);
   EventHandle rto;
   int fired = 0;
   for (int i = 0; i < 10'000; ++i) {
     rto.cancel();
     rto = sched.schedule_at(Time::milliseconds(500 + i), [&] { ++fired; });
   }
-  EXPECT_EQ(sched.size(), 1u);
+  EXPECT_EQ(sched.size(), Scheduler::kWheelStagingMin + 1);
   while (!sched.empty()) sched.run_next();
   EXPECT_EQ(fired, 1);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "shared_options.h"
+
 namespace tcpdyn::util {
 namespace {
 
@@ -222,6 +224,34 @@ TEST(Flags, DeclarationErrors) {
   f.parse(std::vector<std::string>{});
   EXPECT_THROW(f.parse(std::vector<std::string>{}), std::logic_error);
   EXPECT_THROW(f.flag("late", "N", "after parse", 0), std::logic_error);
+}
+
+// The tools' shared option block: every flag given in seconds must convert
+// to a sim::Time, and the error names the flag.
+TEST(SharedFlags, SecondsFlagsMustConvertToTime) {
+  const auto error_of = [](const std::vector<std::string>& args) {
+    Flags f;
+    f.flag("shards", "N", "shard count", 1)
+        .flag("warmup", "SEC", "warmup", "")
+        .flag("duration", "SEC", "duration", "")
+        .flag("tau", "SEC", "propagation delay", 0.01)
+        .flag("pacing", "SEC", "pacing interval", 0.0)
+        .flag("session", "SEC", "session length", 5.0);
+    f.parse(args);
+    try {
+      tools::parse_shared_flags(f);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string tail = " must be finite seconds with |s| < 9.2e9, got '";
+  EXPECT_EQ(error_of({"--duration", "nan"}), "--duration" + tail + "nan'");
+  EXPECT_EQ(error_of({"--warmup=inf"}), "--warmup" + tail + "inf'");
+  EXPECT_EQ(error_of({"--tau", "-inf"}), "--tau" + tail + "-inf'");
+  EXPECT_EQ(error_of({"--pacing", "1e10"}), "--pacing" + tail + "1e10'");
+  EXPECT_EQ(error_of({"--session", "-9.2e9"}), "--session" + tail + "-9.2e9'");
+  EXPECT_EQ(error_of({"--duration", "9.1e9", "--tau", "0.5"}), "no error");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Registry<V>: the one named-thing lookup behind --cc/--qdisc/--timer. The
+// Registry<V>: the one named-thing lookup behind --cc and --qdisc. The
 // tests pin the lookup contract, the did-you-mean error text (which the CLI
 // and .topo parse errors surface verbatim), and the enumeration helpers the
 // --help strings are built from.

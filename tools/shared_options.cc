@@ -5,18 +5,23 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/timer_wheel.h"
+#include "sim/time.h"
 
 namespace tcpdyn::tools {
 
 SharedOptions parse_shared_flags(const util::Flags& flags) {
-  const std::optional<sim::TimerBackend> backend =
-      sim::parse_timer_backend(flags.get("timer"));
-  if (!backend) {
-    throw std::invalid_argument("unknown --timer '" + flags.get("timer") +
-                                "' (slab|wheel)");
+  // Every flag either tool reads in seconds; the value later becomes a
+  // sim::Time, whose conversion is undefined for NaN, inf and overflow.
+  for (const char* name : {"warmup", "duration", "tau", "pacing", "spread",
+                           "outage", "flap-period", "session"}) {
+    if (flags.has(name) &&
+        !sim::Time::checked_seconds(flags.get_double(name, 0.0))) {
+      throw std::invalid_argument(
+          std::string("--") + name +
+          " must be finite seconds with |s| < 9.2e9, got '" +
+          flags.get(name) + "'");
+    }
   }
-  sim::set_default_timer_backend(*backend);
 
   SharedOptions opts;
   // "--cc tahoe,cubic,vegas"; the registry throws on an unknown name with a

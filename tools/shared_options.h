@@ -1,7 +1,8 @@
 // The option parsing tcpdyn_run and tcpdyn_sweep share: --cc, --qdisc,
-// --audit, --timer and --shards are parsed and validated here once, so
-// their values and error messages cannot drift apart between the tools.
-// Each tool still declares the flags itself, with its own help wording.
+// --audit and --shards are parsed and validated here once, and so is every
+// flag given in seconds, so their values and error messages cannot drift
+// apart between the tools. Each tool still declares the flags itself, with
+// its own help wording.
 #pragma once
 
 #include <cstddef>
@@ -22,9 +23,8 @@ struct SharedOptions {
   std::size_t shards = 1;                 // > 1 runs core::ShardedEngine
 };
 
-// Parses and validates the shared flags, and installs --timer as the
-// process-default timer backend (every Simulator snapshots it at
-// construction, so call this before building any Experiment). Throws
+// Parses and validates the shared flags. A flag given in seconds (--warmup,
+// --duration, --tau, --pacing, ...) must convert to a sim::Time. Throws
 // std::invalid_argument with the message the tool prints above its usage.
 SharedOptions parse_shared_flags(const util::Flags& flags);
 

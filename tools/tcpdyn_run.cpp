@@ -88,10 +88,6 @@ void declare_flags(util::Flags& flags) {
       .flag("chart", "print ASCII queue charts", false)
       .flag("csv-dir", "DIR", "export raw traces as CSV here", "")
       .flag("audit", "off|counters|full", "conservation-check strength", "")
-      .flag("timer", "slab|wheel",
-            "scheduler timer backend (identical results; wheel is O(1) "
-            "arm/cancel for large flow counts)",
-            "slab")
       .flag("shards", "N",
             "partition the run across N shard simulators with conservative "
             "lookahead (identical results at any N; topology-backed "

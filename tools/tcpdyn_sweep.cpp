@@ -78,10 +78,6 @@ void declare_flags(util::Flags& flags) {
       .flag("outage", "SEC", "chaos trunk-flap duration", "")
       .flag("flap-period", "SEC", "chaos gap between trunk flaps", "")
       .flag("flaps", "N", "chaos trunk-flap count", "")
-      .flag("timer", "slab|wheel",
-            "scheduler timer backend (identical results; wheel is O(1) "
-            "arm/cancel for large flow counts)",
-            "slab")
       .flag("shards", "N",
             "run every point through the sharded engine on N shard "
             "simulators (identical results at any N; topology-backed "
@@ -269,8 +265,6 @@ int main(int argc, char** argv) {
   }
   const std::string which = flags.get("scenario");
 
-  // Before any worker builds an Experiment: this also installs --timer as
-  // the process-default backend, once, up front.
   SharedOptions shared;
   try {
     shared = tools::parse_shared_flags(flags);
