@@ -59,9 +59,11 @@ AckCompressionStats ack_compression(std::span<const double> ack_times,
   AckCompressionStats s;
   s.gaps = gaps.size();
   if (gaps.empty()) return s;
-  s.min_gap = *std::min_element(gaps.begin(), gaps.end());
-  s.p10_gap = util::percentile(gaps, 10.0);
-  s.median_gap = util::percentile(gaps, 50.0);
+  // One sort serves the minimum and both percentiles.
+  std::sort(gaps.begin(), gaps.end());
+  s.min_gap = gaps.front();
+  s.p10_gap = util::percentile_sorted(gaps, 10.0);
+  s.median_gap = util::percentile_sorted(gaps, 50.0);
   std::size_t compressed = 0;
   for (double g : gaps) {
     if (g < 0.5 * data_tx_time) ++compressed;
@@ -137,22 +139,25 @@ FluctuationStats rapid_fluctuations(const util::TimeSeries& queue, double from,
   const std::vector<double> samples = queue.resample(from, to, dt);
   const std::size_t w = 8;  // samples per window
   if (samples.size() <= w) return f;
+  // One pass: each window's w + 1 samples go through a branch-free
+  // min/max chain (std::min keeps the first smallest, std::max(x, mx) the
+  // last largest, as std::minmax_element would), and the burst rise reads
+  // the same window's ends.
   double range_sum = 0.0;
-  std::size_t windows = 0;
   for (std::size_t i = 0; i + w < samples.size(); ++i) {
-    const auto [mn, mx] =
-        std::minmax_element(samples.begin() + static_cast<std::ptrdiff_t>(i),
-                            samples.begin() + static_cast<std::ptrdiff_t>(i + w + 1));
-    const double range = *mx - *mn;
+    double mn = samples[i];
+    double mx = samples[i];
+    for (std::size_t j = i + 1; j <= i + w; ++j) {
+      mn = std::min(mn, samples[j]);
+      mx = std::max(samples[j], mx);
+    }
+    const double range = mx - mn;
     range_sum += range;
     f.max_range = std::max(f.max_range, range);
-    ++windows;
-  }
-  f.mean_range = range_sum / static_cast<double>(windows);
-  // Burst rise: largest net increase across one data transmission time.
-  for (std::size_t i = 0; i + w < samples.size(); ++i) {
+    // Burst rise: largest net increase across one data transmission time.
     f.max_burst_rise = std::max(f.max_burst_rise, samples[i + w] - samples[i]);
   }
+  f.mean_range = range_sum / static_cast<double>(samples.size() - w);
   return f;
 }
 

@@ -131,15 +131,15 @@ ExperimentResult Experiment::run(sim::Time warmup, sim::Time duration) {
     net_.set_observer(audit_.get());
   }
 
-  // Snapshot per-receiver delivery counts at the start of the measurement
-  // window so `delivered` covers only the window. Keyed by the engine
-  // context, as in the sharded engine: it sorts after every node's events
-  // at the same (firing, birth) time.
-  std::map<net::ConnId, std::uint64_t> delivered_at_warmup;
+  // Snapshot per-receiver delivery counts, in connection order, at the
+  // start of the measurement window so `delivered` covers only the window.
+  // Keyed by the engine context, as in the sharded engine: it sorts after
+  // every node's events at the same (firing, birth) time.
+  std::vector<std::uint64_t> delivered_at_warmup(conns_.size(), 0);
   sim_.activate_engine_context();
   sim_.schedule(warmup, [this, &delivered_at_warmup] {
-    for (auto& c : conns_) {
-      delivered_at_warmup[c->config().id] = c->receiver().next_expected();
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      delivered_at_warmup[i] = conns_[i]->receiver().next_expected();
     }
   });
 
@@ -175,7 +175,7 @@ void Experiment::close_audit(ExperimentResult& r, Audit* ledger,
 
 ExperimentResult Experiment::assemble_result(
     sim::Time warmup, sim::Time end,
-    const std::map<net::ConnId, std::uint64_t>& delivered_at_warmup) {
+    std::span<const std::uint64_t> delivered_at_warmup) {
   ExperimentResult r;
   r.t_start = warmup.sec();
   r.t_end = end.sec();
@@ -208,12 +208,15 @@ ExperimentResult Experiment::assemble_result(
   r.cwnd = std::move(cwnd_);
   r.ack_arrivals = std::move(ack_arrivals_);
   r.rtt_samples = std::move(rtt_samples_);
-  for (auto& c : conns_) {
-    const net::ConnId id = c->config().id;
-    r.senders[id] = c->sender().counters();
-    const auto base = delivered_at_warmup.find(id);
-    r.delivered[id] = c->receiver().next_expected() -
-                      (base != delivered_at_warmup.end() ? base->second : 0);
+  // Scenarios add connections in id order, so inserting at end() is O(1)
+  // and the tables build in linear time (any other order is still correct).
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    tcp::Connection& c = *conns_[i];
+    const net::ConnId id = c.config().id;
+    r.senders.insert_or_assign(r.senders.end(), id, c.sender().counters());
+    r.delivered.insert_or_assign(
+        r.delivered.end(), id,
+        c.receiver().next_expected() - delivered_at_warmup[i]);
   }
   return r;
 }

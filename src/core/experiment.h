@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -162,10 +163,11 @@ class Experiment {
 
   // Result assembly shared by run() and the sharded engine: port traces,
   // drops, per-connection series, and window-relative delivery counts.
-  // Leaves the audit section to close_audit.
+  // delivered_at_warmup[i] is conns_[i]'s delivery count at the start of
+  // the window. Leaves the audit section to close_audit.
   ExperimentResult assemble_result(
       sim::Time warmup, sim::Time end,
-      const std::map<net::ConnId, std::uint64_t>& delivered_at_warmup);
+      std::span<const std::uint64_t> delivered_at_warmup);
 
   // Closes the run's conservation books into r.audit, shared by run() and
   // the sharded engine: finalizes `ledger` at `end` when there is one, else

@@ -198,24 +198,26 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
   // Per-connection traces that serial runs create lazily at the first
   // sample would rehash their map concurrently here; pre-create every entry
   // (empty ones are erased after assembly to match serial output exactly),
-  // and snapshot warmup delivery counts shard-locally.
-  std::vector<std::vector<tcp::Connection*>> by_dst_shard(n);
-  for (auto& c : exp_->conns_) {
-    const net::ConnId id = c->config().id;
-    delivered_at_warmup_.emplace(id, 0);
+  // and snapshot warmup delivery counts shard-locally: each shard writes
+  // only its own connections' slots.
+  const auto& conns = exp_->conns_;
+  delivered_at_warmup_.assign(conns.size(), 0);
+  std::vector<std::vector<std::size_t>> by_dst_shard(n);
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    const tcp::ConnectionConfig& config = conns[i]->config();
     if (exp_->instrument_flows_) {
-      instrumented_conns_.push_back(id);
-      exp_->rtt_samples_.try_emplace(id);
+      instrumented_conns_.push_back(config.id);
+      exp_->rtt_samples_.try_emplace(config.id);
     }
-    by_dst_shard[plan_.shard_of.at(c->config().dst_host)].push_back(c.get());
+    by_dst_shard[plan_.shard_of.at(config.dst_host)].push_back(i);
   }
   for (std::size_t s = 0; s < n; ++s) {
     sims_[s]->activate_engine_context();
     sims_[s]->schedule_at(
-        warmup_, [this, conns = std::move(by_dst_shard[s])] {
-          for (tcp::Connection* c : conns) {
-            delivered_at_warmup_.find(c->config().id)->second =
-                c->receiver().next_expected();
+        warmup_, [this, indices = std::move(by_dst_shard[s])] {
+          for (const std::size_t i : indices) {
+            delivered_at_warmup_[i] =
+                exp_->conns_[i]->receiver().next_expected();
           }
         });
   }

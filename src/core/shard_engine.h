@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -135,7 +134,7 @@ class ShardedEngine {
   std::deque<Audit> audits_;  // per shard; empty unless kFull
   std::vector<std::vector<std::vector<MailEntry>>> mail_;  // [src][dst]
   std::vector<std::vector<DropEvent>> drop_bufs_;  // per monitored port
-  std::map<net::ConnId, std::uint64_t> delivered_at_warmup_;
+  std::vector<std::uint64_t> delivered_at_warmup_;  // by connection index
   std::vector<net::ConnId> instrumented_conns_;
 
   // Barrier-round state. H_ and done_ are written only by the barrier

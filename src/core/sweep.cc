@@ -102,6 +102,9 @@ std::string value_to_json(const SweepValue& v) {
   return '"' + json_escape(std::get<std::string>(v)) + '"';
 }
 
+// Largest grid a sweep expands, in points.
+constexpr std::size_t kMaxGridPoints = std::size_t{1} << 30;
+
 }  // namespace
 
 // --------------------------------------------------------------- parsing
@@ -134,14 +137,24 @@ SweepAxis parse_axis(const std::string& spec) {
   }
   const double lo = to_double(parts[0]);
   const double hi = to_double(parts[1]);
+  if (!std::isfinite(lo) || !std::isfinite(hi)) {
+    throw std::invalid_argument("sweep: range bounds must be finite: '" +
+                                spec + "'");
+  }
+  // A value count is checked as a double before the cast: NaN, inf or a
+  // count past the grid limit would make the cast undefined or the loop
+  // exhaust memory.
+  const auto too_many = [](double count) {
+    return !(count < static_cast<double>(kMaxGridPoints));
+  };
   if (parts[2].rfind("log", 0) == 0) {
     const std::string count = parts[2].substr(3);
     const double n_raw = to_double(count);
-    const auto n = static_cast<std::size_t>(n_raw);
-    if (n_raw != static_cast<double>(n) || n < 2) {
-      throw std::invalid_argument("sweep: logN needs integer N >= 2: '" +
-                                  spec + "'");
+    if (!(n_raw >= 2.0) || too_many(n_raw) || std::trunc(n_raw) != n_raw) {
+      throw std::invalid_argument(
+          "sweep: logN needs integer 2 <= N < 2^30: '" + spec + "'");
     }
+    const auto n = static_cast<std::size_t>(n_raw);
     if (lo <= 0.0 || hi <= lo) {
       throw std::invalid_argument("sweep: log axis needs 0 < lo < hi: '" +
                                   spec + "'");
@@ -156,11 +169,16 @@ SweepAxis parse_axis(const std::string& spec) {
     return axis;
   }
   const double step = to_double(parts[2]);
-  if (step <= 0.0 || hi < lo) {
+  if (!(step > 0.0) || hi < lo) {
     throw std::invalid_argument(
         "sweep: linear axis needs step > 0 and hi >= lo: '" + spec + "'");
   }
-  const auto n = static_cast<std::size_t>((hi - lo) / step + 1e-9) + 1;
+  const double steps = (hi - lo) / step + 1e-9;
+  if (too_many(steps + 1.0)) {
+    throw std::invalid_argument("sweep: axis has more than 2^30 values: '" +
+                                spec + "'");
+  }
+  const auto n = static_cast<std::size_t>(steps) + 1;
   for (std::size_t i = 0; i < n; ++i) {
     axis.values.push_back(lo + static_cast<double>(i) * step);
   }
@@ -193,7 +211,7 @@ SweepGrid::SweepGrid(std::vector<SweepAxis> axes) : axes_(std::move(axes)) {
       throw std::invalid_argument("sweep: axis '" + axis.name +
                                   "' has no values");
     }
-    if (axis.values.size() > (std::size_t{1} << 30) / size_) {
+    if (axis.values.size() > kMaxGridPoints / size_) {
       throw std::invalid_argument("sweep: grid too large");
     }
     size_ *= axis.values.size();

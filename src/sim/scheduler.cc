@@ -106,32 +106,41 @@ void Scheduler::release_slot(std::uint32_t slot) {
 }
 
 void Scheduler::heap_push(Entry entry) {
+  // Hole-based sift-up: each displaced parent is written once, one level
+  // down, and the new entry once, into the final hole.
   heap_.push_back(entry);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!entry_before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+  std::size_t hole = heap_.size() - 1;
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kHeapArity;
+    if (!entry_before(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
   }
+  heap_[hole] = entry;
 }
 
 void Scheduler::heap_pop_front() {
   assert(!heap_.empty());
-  heap_.front() = heap_.back();
+  const Entry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) heap_sift_down(0, last);
+}
+
+void Scheduler::heap_sift_down(std::size_t hole, Entry entry) {
   const std::size_t n = heap_.size();
-  std::size_t i = 0;
   for (;;) {
-    const std::size_t left = 2 * i + 1;
-    if (left >= n) break;
-    const std::size_t right = left + 1;
-    std::size_t smallest = left;
-    if (right < n && entry_before(heap_[right], heap_[left])) smallest = right;
-    if (!entry_before(heap_[smallest], heap_[i])) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    const std::size_t first = kHeapArity * hole + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kHeapArity, n);
+    std::size_t smallest = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (entry_before(heap_[c], heap_[smallest])) smallest = c;
+    }
+    if (!entry_before(heap_[smallest], entry)) break;
+    heap_[hole] = heap_[smallest];
+    hole = smallest;
   }
+  heap_[hole] = entry;
 }
 
 void Scheduler::drop_dead_front() {
@@ -153,9 +162,12 @@ void Scheduler::maybe_compact() {
     return slots_[e.slot].generation != e.generation;
   };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
-  std::make_heap(
-      heap_.begin(), heap_.end(),
-      [](const Entry& a, const Entry& b) { return entry_before(b, a); });
+  // Heapify: sift every parent down, from the last one (the parent of the
+  // last entry) back to the root.
+  if (heap_.size() < 2) return;
+  for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {
+    heap_sift_down(i, heap_[i]);
+  }
 }
 
 void Scheduler::wheel_insert(std::uint32_t slot) {

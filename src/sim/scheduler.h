@@ -1,4 +1,4 @@
-// Event scheduler: a binary min-heap of deterministic keys (firing time,
+// Event scheduler: a 4-ary min-heap of deterministic keys (firing time,
 // birth time, det tie — see sim/det_context.h) over a slab of
 // generation-counted event slots. The key is a strict total order, so
 // simultaneous events always fire in the same order, and it is a function
@@ -7,7 +7,8 @@
 //
 // Steady-state operation is allocation-free: actions are stored in a
 // small-buffer callable inside slab slots that are recycled through a free
-// list, heap entries are 32-byte PODs, and cancellation is an O(1)
+// list, heap entries are 32-byte PODs that a sift writes once per level
+// (into a moving hole, never by swapping), and cancellation is an O(1)
 // generation bump — no per-event shared_ptr, no std::function heap traffic.
 // Cancelled events leave a tombstone in the heap that is dropped lazily when
 // it surfaces, with a compaction sweep bounding tombstone build-up under
@@ -149,8 +150,14 @@ class Scheduler {
   // Invalidates handles, releases the action, and recycles the slot.
   void release_slot(std::uint32_t slot);
 
+  // The dispatch heap is 4-ary: half the depth of a binary heap, and a
+  // node's four 32-byte children sit in 128 contiguous bytes.
+  static constexpr std::size_t kHeapArity = 4;
+
   void heap_push(Entry entry);
   void heap_pop_front();
+  // Fills the hole at `hole` with `entry`, moving smaller children up.
+  void heap_sift_down(std::size_t hole, Entry entry);
   // Drops tombstones (entries whose slot generation moved on) off the top.
   void drop_dead_front();
   // Removes all tombstones when they outnumber live entries; O(n), amortized

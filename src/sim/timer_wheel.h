@@ -8,7 +8,7 @@
 // and cascades move entries only downward — arm and cancel are O(1), and an
 // entry cascades at most kLevels times over its lifetime.
 //
-// The wheel only stages events. The scheduler's binary heap (one
+// The wheel only stages events. The scheduler's 4-ary heap (one
 // deterministic-key comparator) stays the dispatch buffer: before any pop,
 // slots at or below the heap front are consumed into the heap, so firing
 // order is the key order by construction, whichever structure held an

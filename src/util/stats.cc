@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -36,9 +37,13 @@ double mean(std::span<const double> xs) {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
@@ -137,33 +142,52 @@ LaggedCorrelation peak_cross_correlation(std::span<const double> a,
 
 namespace {
 
-// The two sums of the normalized autocorrelation. autocorrelation() and
-// dominant_period() share them so every lag comes out bit for bit the same.
-double centered_sum_sq(std::span<const double> xs, double m) {
-  double sum = 0.0;
-  for (double x : xs) {
-    const double d = x - m;
-    sum += d * d;
-  }
-  return sum;
+// Lags the period search computes per pass over the series.
+constexpr std::size_t kLagBlock = 8;
+
+std::vector<double> centered(std::span<const double> xs) {
+  const double m = mean(xs);
+  std::vector<double> c(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) c[i] = xs[i] - m;
+  return c;
 }
 
-double lagged_sum(std::span<const double> xs, double m, std::size_t lag) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i + lag < xs.size(); ++i) {
-    sum += (xs[i] - m) * (xs[i + lag] - m);
+// The one summation path of the autocorrelation: sums[k] is the sum of
+// c[i] * c[i + first + k] over i, for kLags consecutive lags of the
+// centred series c. The lags share each pass over c, so their independent
+// sums overlap, and each lag still adds its terms in index order, so
+// every lag's bits are the same whatever block it is computed in. Lag 0
+// is the denominator.
+template <std::size_t kLags>
+std::array<double, kLags> lagged_sums(std::span<const double> c,
+                                      std::size_t first) {
+  const std::size_t n = c.size();
+  std::array<double, kLags> sums{};
+  // Terms every lag in the block has: i + first + kLags - 1 < n.
+  const std::size_t last = first + kLags - 1;
+  const std::size_t shared = n > last ? n - last : 0;
+  for (std::size_t i = 0; i < shared; ++i) {
+    const double x = c[i];
+    const double* y = c.data() + i + first;
+    for (std::size_t k = 0; k < kLags; ++k) sums[k] += x * y[k];
   }
-  return sum;
+  // The shorter lags' remaining terms, continuing in index order.
+  for (std::size_t k = 0; k + 1 < kLags; ++k) {
+    for (std::size_t i = shared; i + first + k < n; ++i) {
+      sums[k] += c[i] * c[i + first + k];
+    }
+  }
+  return sums;
 }
 
 }  // namespace
 
 double autocorrelation(std::span<const double> xs, std::size_t lag) {
   if (lag >= xs.size()) return 0.0;
-  const double m = mean(xs);
-  const double denom = centered_sum_sq(xs, m);
+  const std::vector<double> c = centered(xs);
+  const double denom = lagged_sums<1>(c, 0)[0];
   if (denom <= 0.0) return 0.0;
-  return lagged_sum(xs, m, lag) / denom;
+  return lagged_sums<1>(c, lag)[0] / denom;
 }
 
 std::optional<std::size_t> dominant_period(std::span<const double> xs,
@@ -175,16 +199,27 @@ std::optional<std::size_t> dominant_period(std::span<const double> xs,
   // The mean and denominator do not depend on the lag. A constant series
   // has autocorrelation 0 at every lag, which can never both dip below and
   // reach min_corr.
-  const double m = mean(xs);
-  const double denom = centered_sum_sq(xs, m);
+  const std::vector<double> c = centered(xs);
+  const double denom = lagged_sums<1>(c, 0)[0];
   if (denom <= 0.0) return std::nullopt;
+  // The scan reads lags in increasing order; each block read computes the
+  // next kLagBlock of them.
+  std::array<double, kLagBlock> block{};
+  std::size_t block_first = 0;
+  std::size_t block_end = 0;
   const auto ac = [&](std::size_t lag) {
-    return lagged_sum(xs, m, lag) / denom;
+    if (lag >= block_end) {
+      block = lagged_sums<kLagBlock>(c, lag);
+      block_first = lag;
+      block_end = lag + kLagBlock;
+    }
+    return block[lag - block_first] / denom;
   };
   // First local maximum above the threshold: a lag whose autocorrelation
   // exceeds both neighbours. Skip the initial decay from lag 0 by requiring
   // the function to have dipped below min_corr at least once first. Lags
-  // are computed only as far as the scan reads: the returned lag + 1.
+  // are computed only as far as the block holding the last lag the scan
+  // reads (the returned lag + 1): at most kLagBlock - 1 lags past it.
   bool dipped = false;
   double prev = ac(min_lag);
   double cur = ac(min_lag + 1);

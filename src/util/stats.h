@@ -35,6 +35,10 @@ double mean(std::span<const double> xs);
 // ranks. Empty input returns 0.0.
 double percentile(std::span<const double> xs, double p);
 
+// percentile() of a sample already sorted ascending, without the copy and
+// sort: several percentiles of one sample can share a single sort.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 // Pearson correlation with an explicit degeneracy signal: a constant
 // (zero-variance) series has no defined correlation, and callers that
 // classify by rho must be able to tell "uncorrelated" (rho near 0) from
@@ -78,7 +82,8 @@ double autocorrelation(std::span<const double> xs, std::size_t lag);
 // Estimates the dominant oscillation period of a series, in samples, as the
 // lag of the first local maximum of the autocorrelation function that exceeds
 // `min_corr`. Searches lags in [min_lag, xs.size()/2]. Returns nullopt when
-// no such peak exists (aperiodic or too-short series).
+// no such peak exists (aperiodic or too-short series). Every lag it reads
+// has the bits autocorrelation(xs, lag) returns.
 std::optional<std::size_t> dominant_period(std::span<const double> xs,
                                            std::size_t min_lag = 2,
                                            double min_corr = 0.1);

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <numbers>
+#include <vector>
 
 namespace tcpdyn::core {
 namespace {
@@ -122,6 +125,26 @@ TEST(AckCompression, EmptyAndWindowed) {
   EXPECT_EQ(s.gaps, 1u);  // only the 5.0 -> 5.1 gap lies in the window
 }
 
+// The sorted path (one sort, then percentile_sorted) must give what
+// util::percentile gives on the unsorted gaps, with repeated gaps and for
+// odd and even counts.
+TEST(AckCompression, SortedPercentilesMatchPercentile) {
+  const double steps[] = {0.08, 0.008, 0.008, 0.02, 0.08, 0.001, 0.008};
+  for (const std::size_t n_gaps : {1u, 2u, 9u, 10u, 49u, 50u}) {
+    std::vector<double> times{0.0};
+    std::vector<double> gaps;
+    for (std::size_t i = 0; i < n_gaps; ++i) {
+      times.push_back(times.back() + steps[(i * 3) % 7]);
+      gaps.push_back(times.back() - times[times.size() - 2]);
+    }
+    const AckCompressionStats s = ack_compression(times, 0.0, 100.0, 0.08);
+    ASSERT_EQ(s.gaps, n_gaps);
+    EXPECT_EQ(s.min_gap, *std::min_element(gaps.begin(), gaps.end()));
+    EXPECT_EQ(s.p10_gap, util::percentile(gaps, 10.0)) << n_gaps;
+    EXPECT_EQ(s.median_gap, util::percentile(gaps, 50.0)) << n_gaps;
+  }
+}
+
 TEST(Epochs, GroupsByGap) {
   std::vector<DropEvent> drops = {
       {10.0, 0, true, 1, "q"}, {10.1, 0, true, 2, "q"},
@@ -208,6 +231,63 @@ TEST(Fluctuations, DegenerateInputs) {
   EXPECT_DOUBLE_EQ(f.mean_range, 0.0);
   const FluctuationStats g = rapid_fluctuations(q, 0.0, 10.0, 0.0);
   EXPECT_DOUBLE_EQ(g.mean_range, 0.0);
+}
+
+// The windowed std::minmax_element scan that rapid_fluctuations replaced,
+// kept as its oracle.
+FluctuationStats reference_fluctuations(const util::TimeSeries& queue,
+                                        double from, double to,
+                                        double data_tx_time) {
+  FluctuationStats f;
+  if (data_tx_time <= 0.0 || to <= from) return f;
+  const double dt = data_tx_time / 8.0;
+  const std::vector<double> samples = queue.resample(from, to, dt);
+  const std::size_t w = 8;
+  if (samples.size() <= w) return f;
+  double range_sum = 0.0;
+  std::size_t windows = 0;
+  for (std::size_t i = 0; i + w < samples.size(); ++i) {
+    const auto [mn, mx] = std::minmax_element(
+        samples.begin() + static_cast<std::ptrdiff_t>(i),
+        samples.begin() + static_cast<std::ptrdiff_t>(i + w + 1));
+    const double range = *mx - *mn;
+    range_sum += range;
+    f.max_range = std::max(f.max_range, range);
+    ++windows;
+  }
+  f.mean_range = range_sum / static_cast<double>(windows);
+  for (std::size_t i = 0; i + w < samples.size(); ++i) {
+    f.max_burst_rise = std::max(f.max_burst_rise, samples[i + w] - samples[i]);
+  }
+  return f;
+}
+
+// Step series with plateaus (ties inside a window) and one-sample spikes
+// up and down, over w, w + 1 and w + 2 samples (no window, one, two; w is
+// 8) and a long run: every field must equal the oracle's exactly.
+TEST(Fluctuations, OnePassMatchesMinmaxScan) {
+  const double tx = 0.08;
+  const double dt = tx / 8.0;
+  util::TimeSeries q;
+  const double levels[] = {5.0, 5.0, 13.0, 5.0, 5.0, 6.0, 0.0, 6.0, 7.0};
+  for (int i = 0; i < 900; ++i) {
+    // Plateaus three samples long, with every seventh sample a spike.
+    const double base = levels[(i / 3) % 9] + 0.25 * (i / 27);
+    const double v = i % 7 == 3 ? base + 9.0 : i % 11 == 5 ? 0.0 : base;
+    q.record(i * dt, v);
+  }
+  for (const std::size_t n : {8u, 9u, 10u, 900u}) {
+    // Midway between sample times, so the resample has exactly n samples.
+    const double to = (static_cast<double>(n) - 0.5) * dt;
+    ASSERT_EQ(q.resample(0.0, to, dt).size(), n);
+    const FluctuationStats got = rapid_fluctuations(q, 0.0, to, tx);
+    const FluctuationStats want = reference_fluctuations(q, 0.0, to, tx);
+    EXPECT_EQ(got.mean_range, want.mean_range) << n;
+    EXPECT_EQ(got.max_range, want.max_range) << n;
+    EXPECT_EQ(got.max_burst_rise, want.max_burst_rise) << n;
+  }
+  // The spikes are in the data: a window spans a full spike.
+  EXPECT_GT(reference_fluctuations(q, 0.0, 899.5 * dt, tx).max_range, 9.0);
 }
 
 TEST(OscillationPeriod, RecoversKnownPeriod) {

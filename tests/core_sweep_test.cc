@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -67,6 +70,18 @@ TEST(SweepParse, MalformedSpecsThrow) {
   EXPECT_THROW(parse_axis("x=2:1:0.5"), std::invalid_argument);   // hi < lo
   EXPECT_THROW(parse_axis("x=1:2:-1"), std::invalid_argument);
   EXPECT_THROW(parse_axis("x=1;two;3"), std::invalid_argument);
+}
+
+// Range bounds, steps and counts that would reach an undefined cast
+// (NaN, inf, past size_t) or a loop that exhausts memory.
+TEST(SweepParse, NonFiniteAndHugeRangesThrow) {
+  for (const char* spec :
+       {"x=0:nan:1", "x=nan:1:0.1", "x=0:inf:1", "x=-inf:0:1", "x=0:1:nan",
+        "x=0:1e300:1e-300", "x=0:1e12:1", "x=1:2:lognan", "x=1:2:loginf",
+        "x=1:2:log1e300", "x=1:2:log2.5", "x=1:inf:log3"}) {
+    EXPECT_THROW(parse_axis(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_EQ(parse_axis("x=0:1e6:1").values.size(), 1'000'001u);
 }
 
 TEST(SweepParse, GridSplitsAxesAndRejectsDuplicates) {
@@ -262,6 +277,38 @@ TEST(SweepScenarioTest, RealGridIsDeterministicAcrossJobs) {
     EXPECT_GT(row.number("util_fwd"), 0.0);
     EXPECT_FALSE(row.text("queue_sync_mode").empty());
   }
+}
+
+// Golden: the summary rows of a small paper grid, which run the analysis
+// kernels (period search, fluctuation windows, ACK-gap statistics, sync
+// correlations) on real traces. FNV-1a over the JSON of both tables. The
+// digest is that of the per-lag and std::minmax_element kernels the fast
+// ones replaced; any output bit a kernel moves changes it.
+TEST(AnalysisGolden, PaperGridSummaryRows) {
+  const auto table_json = [](auto make, std::vector<double> taus) {
+    const SweepGrid grid({{"tau", std::move(taus)}, {"buffer", {10, 40}}});
+    return SweepRunner(grid, {.jobs = 1, .seed = 1})
+        .run([&](const SweepPoint& pt) {
+          Scenario sc = make(pt.value("tau"),
+                             static_cast<std::size_t>(pt.value("buffer")));
+          sc.warmup = sim::Time::seconds(20.0);
+          sc.duration = sim::Time::seconds(300.0);
+          return summary_row(pt, run_scenario(sc));
+        })
+        .to_json();
+  };
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::string& json :
+       {table_json(fig4_twoway, {0.01, 0.05}),
+        table_json(fig6_twoway, {0.5, 1.0})}) {
+    for (const unsigned char c : json) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  }
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016" PRIx64, h);
+  EXPECT_EQ(std::string(digest), "98474ba9eba9feb7");
 }
 
 }  // namespace

@@ -172,6 +172,38 @@ int run_oscillating(ModelCheck& m, std::uint64_t seed) {
   return crossings;
 }
 
+// Heap only, cancel-heavy: each round tops the pending set up to 200 (below
+// kWheelStagingMin, so nothing is staged), cancels random events until 50
+// remain, arms 70 more, then fires 20. The cancels leave at least twice as
+// many heap entries as live events, with 64 or more entries, at 100 and
+// again at 50 live, so compaction and its heapify run twice per round. The
+// arms that follow bury the rebuilt heap's last parent under fresh entries
+// instead of letting pops move its children to the root, so a parent the
+// heapify left out of order still fires out of order.
+void run_cancel_heavy(ModelCheck& m, std::uint64_t seed) {
+  Rng rng{seed};
+  std::int64_t now = 0;
+  const auto arm_until = [&](std::size_t pending) {
+    while (m.pending() < pending) {
+      const std::uint64_t r = rng.next();
+      // One in four lands in the first 64 ns, where times tie.
+      const std::int64_t at =
+          now + static_cast<std::int64_t>(r % 4 == 0 ? r % 64 : r % 10'000'000);
+      m.arm(at, Time::nanoseconds(now));
+    }
+  };
+  for (int round = 0; round < 60; ++round) {
+    arm_until(200);
+    while (m.pending() > 50) {
+      m.cancel(static_cast<int>(rng.next() % static_cast<std::uint64_t>(
+                                                  m.armed())));
+    }
+    arm_until(120);
+    for (int i = 0; i < 20; ++i) now = m.step().ns();
+  }
+  while (!m.empty()) m.step();
+}
+
 TEST(TimerWheel, FiringOrderMatchesReferenceModel) {
   for (const std::uint64_t seed : {1u, 42u, 9001u}) {
     ModelCheck m;
@@ -184,6 +216,13 @@ TEST(TimerWheel, FiringOrderMatchesReferenceModel) {
   EXPECT_GT(run_oscillating(m, 7), 10);
   EXPECT_GT(m.fired().size(), 20'000u);
   EXPECT_EQ(m.fired(), m.expected());
+  for (const std::uint64_t seed : {5u, 77u}) {
+    ModelCheck heap_only;
+    run_cancel_heavy(heap_only, seed);
+    // 60 rounds fire 20 each; the last round's other 100 then drain.
+    EXPECT_EQ(heap_only.fired().size(), 60u * 20u + 100u) << "seed " << seed;
+    EXPECT_EQ(heap_only.fired(), heap_only.expected()) << "seed " << seed;
+  }
 }
 
 TEST(TimerWheel, SameTickDifferentTimesOrdered) {

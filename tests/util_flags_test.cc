@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/sweep.h"
 #include "shared_options.h"
 
 namespace tcpdyn::util {
@@ -252,6 +257,87 @@ TEST(SharedFlags, SecondsFlagsMustConvertToTime) {
   EXPECT_EQ(error_of({"--pacing", "1e10"}), "--pacing" + tail + "1e10'");
   EXPECT_EQ(error_of({"--session", "-9.2e9"}), "--session" + tail + "-9.2e9'");
   EXPECT_EQ(error_of({"--duration", "9.1e9", "--tau", "0.5"}), "no error");
+}
+
+// Every count flag must be a whole number its type holds: a negative,
+// NaN, fractional or too large value would wrap in the cast (--hops -1
+// would crash, --buffer -1 would never finish) or make it undefined.
+TEST(SharedFlags, CountFlagsMustBeWholeNumbersInRange) {
+  const auto declare = [](Flags& f) {
+    f.flag("shards", "N", "shard count", 1)
+        .flag("buffer", "PKTS", "buffer", 20)
+        .flag("conns", "N", "connections", 2)
+        .flag("hops", "N", "hops", 4)
+        .flag("switches", "N", "switches", 0)
+        .flag("senders", "N", "senders", 64)
+        .flag("jobs", "N", "workers", 0)
+        .flag("w1", "PKTS", "window", 30);
+  };
+  const auto error_of = [&](const std::vector<std::string>& args) {
+    Flags f;
+    declare(f);
+    f.parse(args);
+    try {
+      tools::parse_shared_flags(f);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string size =
+      " must be a whole number from 0 to 18446744073709551615, got '";
+  const std::string u32 = " must be a whole number from 0 to 4294967295, got '";
+  EXPECT_EQ(error_of({"--hops", "-1"}), "--hops" + size + "-1'");
+  EXPECT_EQ(error_of({"--buffer", "-1"}), "--buffer" + size + "-1'");
+  EXPECT_EQ(error_of({"--switches", "-1"}), "--switches" + size + "-1'");
+  EXPECT_EQ(error_of({"--senders", "-1"}), "--senders" + size + "-1'");
+  EXPECT_EQ(error_of({"--conns", "-1"}), "--conns" + size + "-1'");
+  EXPECT_EQ(error_of({"--jobs", "-1"}), "--jobs" + size + "-1'");
+  EXPECT_EQ(error_of({"--conns", "nan"}), "--conns" + size + "nan'");
+  EXPECT_EQ(error_of({"--buffer", "2.5"}), "--buffer" + size + "2.5'");
+  EXPECT_EQ(error_of({"--buffer", "1.8446744073709552e19"}),
+            "--buffer" + size + "1.8446744073709552e19'");
+  EXPECT_EQ(error_of({"--w1", "4294967296"}), "--w1" + u32 + "4294967296'");
+  EXPECT_EQ(error_of({"--w1", "4294967295", "--buffer", "0", "--hops", "1e3"}),
+            "no error");
+
+  Flags f;
+  declare(f);
+  f.parse(std::vector<std::string>{"--w1", "4294967295", "--hops", "1e3"});
+  EXPECT_EQ(tools::count_flag<std::uint32_t>(f, "w1"), 4294967295u);
+  EXPECT_EQ(tools::count_flag<std::size_t>(f, "hops"), 1000u);
+  EXPECT_EQ(tools::count_flag<std::size_t>(f, "buffer"), 20u);  // default
+}
+
+// Grid axes get the checks of the flag of the same name, before any point
+// runs ("tau=nan" would reach the int64 cast in sim::Time); axes no
+// scenario reads as a count or as seconds are left alone.
+TEST(SharedFlags, GridAxesAreCheckedByName) {
+  const auto error_of = [](const std::string& grid) {
+    try {
+      tools::check_grid_axes(core::parse_grid(grid));
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(error_of("buffer=-1"),
+            "grid axis 'buffer' must be a whole number from 0 to "
+            "18446744073709551615, got '-1'");
+  EXPECT_EQ(error_of("tau=0.01,conns=2;2.5"),
+            "grid axis 'conns' must be a whole number from 0 to "
+            "18446744073709551615, got '2.5'");
+  EXPECT_EQ(error_of("w2=4294967296"),
+            "grid axis 'w2' must be a whole number from 0 to 4294967295, "
+            "got '4294967296'");
+  EXPECT_EQ(error_of("tau=nan"),
+            "grid axis 'tau' must be finite seconds with |s| < 9.2e9, got "
+            "'nan'");
+  EXPECT_EQ(error_of("tau=1e300"),
+            "grid axis 'tau' must be finite seconds with |s| < 9.2e9, got "
+            "'1e+300'");
+  EXPECT_EQ(error_of("buffer=10:80:10,tau=0.01:1:log5,rep=-1;0.5"),
+            "no error");
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <optional>
 #include <span>
@@ -185,8 +187,29 @@ TEST(DominantPeriod, AperiodicReturnsNullopt) {
   EXPECT_FALSE(dominant_period(std::vector<double>{1.0, 2.0}).has_value());
 }
 
-// dominant_period computes only the lags its scan reads; it must return
-// exactly what the full scan over every lag in [min_lag, n/2] returns.
+// The per-lag loop that the blocked autocorrelation kernel replaced, kept
+// here as its oracle: the mean, the centred sum of squares, then each
+// lag's sum on its own, every sum in index order.
+double reference_autocorrelation(std::span<const double> xs,
+                                 std::size_t lag) {
+  if (lag >= xs.size()) return 0.0;
+  const double m = mean(xs);
+  double denom = 0.0;
+  for (const double x : xs) {
+    const double d = x - m;
+    denom += d * d;
+  }
+  if (denom <= 0.0) return 0.0;
+  double sum = 0.0;
+  for (std::size_t i = 0; i + lag < xs.size(); ++i) {
+    sum += (xs[i] - m) * (xs[i + lag] - m);
+  }
+  return sum / denom;
+}
+
+// dominant_period computes only the lags its scan reads, in blocks; it
+// must return exactly what the full scan over every lag in
+// [min_lag, n/2] of the reference values returns.
 std::optional<std::size_t> full_scan_period(std::span<const double> xs,
                                             std::size_t min_lag,
                                             double min_corr) {
@@ -195,7 +218,7 @@ std::optional<std::size_t> full_scan_period(std::span<const double> xs,
   const std::size_t max_lag = n / 2;
   std::vector<double> ac(max_lag + 1, 0.0);
   for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
-    ac[lag] = autocorrelation(xs, lag);
+    ac[lag] = reference_autocorrelation(xs, lag);
   }
   bool dipped = false;
   for (std::size_t lag = min_lag + 1; lag < max_lag; ++lag) {
@@ -207,6 +230,8 @@ std::optional<std::size_t> full_scan_period(std::span<const double> xs,
   }
   return std::nullopt;
 }
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(DominantPeriod, MatchesFullScan) {
   std::vector<std::pair<std::string, std::vector<double>>> series;
@@ -235,16 +260,56 @@ TEST(DominantPeriod, MatchesFullScan) {
     walk.push_back(walk.back() + rng.uniform(-1.0, 1.0));
   }
   series.emplace_back("random_walk", walk);
+  // The kernel computes 8 lags per pass, and a lag's last terms come after
+  // the pass the whole block shares. Lengths 8k + 1 ... 8k + 7 cut those
+  // tails at every offset. Periods 24, 31, 32 and 39 put the peak at lags
+  // = 0 and 7 (mod 8); blocks start at min_lag, so min_lag 7 and 8 make
+  // the peak the first lag of a block for one pair and the last (its right
+  // neighbour in the next block) for the other.
+  for (std::size_t r = 1; r <= 7; ++r) {
+    for (const double period : {24.0, 31.0, 32.0, 39.0}) {
+      std::vector<double> xs;
+      for (std::size_t i = 0; i < 200 + r; ++i) {
+        xs.push_back(std::sin(2.0 * std::numbers::pi *
+                              static_cast<double>(i) / period) +
+                     rng.uniform(-0.3, 0.3));
+      }
+      series.emplace_back("len" + std::to_string(xs.size()) + "_period" +
+                              std::to_string(static_cast<int>(period)),
+                          xs);
+    }
+  }
+  // A first peak within 8 lags of n/2 (at 95 of 101): from min_lag 7 the
+  // block that holds it runs past the end of the scan.
+  std::vector<double> edge;
+  for (int i = 0; i < 203; ++i) {
+    edge.push_back(std::cos(2.0 * std::numbers::pi * i / 99.0));
+  }
+  series.emplace_back("edge_peak", edge);
 
   std::size_t found = 0;
   for (const auto& [name, xs] : series) {
-    for (const std::size_t min_lag : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{10}, xs.size() / 2}) {
+    // Every lag, bit for bit, including past n/2 and past the end.
+    for (std::size_t lag = 0; lag <= xs.size() + 1; ++lag) {
+      ASSERT_EQ(bits(autocorrelation(xs, lag)),
+                bits(reference_autocorrelation(xs, lag)))
+          << name << " lag=" << lag;
+    }
+    for (const std::size_t min_lag :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
+          std::size_t{10}, xs.size() / 2}) {
       for (const double min_corr : {-0.2, 0.0, 0.1, 0.5, 0.95}) {
         const auto want = full_scan_period(xs, min_lag, min_corr);
         EXPECT_EQ(dominant_period(xs, min_lag, min_corr), want)
             << name << " min_lag=" << min_lag << " min_corr=" << min_corr;
         found += want.has_value();
+        if (!want) continue;
+        // A threshold equal to the peak's own value: one ulp less from the
+        // blocked kernel and the scan would pass the peak by.
+        const double edge_corr = reference_autocorrelation(xs, *want);
+        EXPECT_EQ(dominant_period(xs, min_lag, edge_corr),
+                  full_scan_period(xs, min_lag, edge_corr))
+            << name << " min_lag=" << min_lag << " at the peak's value";
       }
     }
   }
@@ -253,6 +318,9 @@ TEST(DominantPeriod, MatchesFullScan) {
   EXPECT_EQ(dominant_period(late), full_scan_period(late, 2, 0.1));
   ASSERT_TRUE(dominant_period(late).has_value());
   EXPECT_GT(*dominant_period(late), 400u);
+  const auto edge_peak = dominant_period(edge);
+  ASSERT_TRUE(edge_peak.has_value());
+  EXPECT_GT(*edge_peak + 8, edge.size() / 2);
   EXPECT_FALSE(dominant_period(std::vector<double>(300, 4.0)).has_value());
 }
 

@@ -1,7 +1,10 @@
 #include "shared_options.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -9,17 +12,87 @@
 
 namespace tcpdyn::tools {
 
+namespace {
+
+// How the tools read each numeric flag or grid axis that a cast or a
+// sim::Time conversion could get wrong: NaN, inf and |s| >= 9.2e9 seconds
+// overflow Time's int64 nanoseconds, and a negative, fractional or too
+// large count wraps or is undefined when cast to an unsigned type.
+enum class Kind { kSeconds, kSize, kU32 };
+
+struct Param {
+  const char* name;
+  Kind kind;
+};
+
+constexpr Param kParams[] = {
+    {"warmup", Kind::kSeconds},        {"duration", Kind::kSeconds},
+    {"tau", Kind::kSeconds},           {"pacing", Kind::kSeconds},
+    {"spread", Kind::kSeconds},        {"outage", Kind::kSeconds},
+    {"flap-period", Kind::kSeconds},   {"session", Kind::kSeconds},
+    {"buffer", Kind::kSize},           {"conns", Kind::kSize},
+    {"hops", Kind::kSize},             {"long-flows", Kind::kSize},
+    {"cross-per-hop", Kind::kSize},    {"switches", Kind::kSize},
+    {"flaps", Kind::kSize},            {"senders", Kind::kSize},
+    {"flows-per-sender", Kind::kSize}, {"jobs", Kind::kSize},
+    {"w1", Kind::kU32},                {"w2", Kind::kU32},
+    {"maxwnd", Kind::kU32},
+};
+
+std::invalid_argument bad_value(const std::string& what,
+                                const std::string& rule,
+                                const std::string& got) {
+  return std::invalid_argument(what + " must be " + rule + ", got '" + got +
+                               "'");
+}
+
+// The shortest text that reads back as `value`.
+std::string shortest(double value) {
+  char text[32];
+  const auto end = std::to_chars(text, text + sizeof(text), value).ptr;
+  return std::string(text, end);
+}
+
+// `value` as a T, or throws naming `what` and quoting `got`.
+template <class T>
+T checked_count(double value, const std::string& what,
+                const std::string& got) {
+  // 2^digits is the first value above T's range, exact as a double. NaN
+  // fails both comparisons.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= 0.0 && value < limit) || std::trunc(value) != value) {
+    throw bad_value(what,
+                    "a whole number from 0 to " +
+                        std::to_string(std::numeric_limits<T>::max()),
+                    got);
+  }
+  return static_cast<T>(value);
+}
+
+void check(const Param& param, double value, const std::string& what,
+           const std::string& got) {
+  switch (param.kind) {
+    case Kind::kSeconds:
+      if (!sim::Time::checked_seconds(value)) {
+        throw bad_value(what, "finite seconds with |s| < 9.2e9", got);
+      }
+      return;
+    case Kind::kSize:
+      checked_count<std::size_t>(value, what, got);
+      return;
+    case Kind::kU32:
+      checked_count<std::uint32_t>(value, what, got);
+      return;
+  }
+}
+
+}  // namespace
+
 SharedOptions parse_shared_flags(const util::Flags& flags) {
-  // Every flag either tool reads in seconds; the value later becomes a
-  // sim::Time, whose conversion is undefined for NaN, inf and overflow.
-  for (const char* name : {"warmup", "duration", "tau", "pacing", "spread",
-                           "outage", "flap-period", "session"}) {
-    if (flags.has(name) &&
-        !sim::Time::checked_seconds(flags.get_double(name, 0.0))) {
-      throw std::invalid_argument(
-          std::string("--") + name +
-          " must be finite seconds with |s| < 9.2e9, got '" +
-          flags.get(name) + "'");
+  for (const Param& param : kParams) {
+    if (flags.has(param.name)) {
+      check(param, flags.get_double(param.name, 0.0),
+            std::string("--") + param.name, flags.get(param.name));
     }
   }
 
@@ -56,5 +129,28 @@ SharedOptions parse_shared_flags(const util::Flags& flags) {
   opts.shards = static_cast<std::size_t>(shards);
   return opts;
 }
+
+void check_grid_axes(std::span<const core::SweepAxis> axes) {
+  for (const core::SweepAxis& axis : axes) {
+    const auto param =
+        std::find_if(std::begin(kParams), std::end(kParams),
+                     [&](const Param& p) { return axis.name == p.name; });
+    if (param == std::end(kParams)) continue;
+    for (const double v : axis.values) {
+      check(*param, v, "grid axis '" + axis.name + "'", shortest(v));
+    }
+  }
+}
+
+template <class T>
+T count_flag(const util::Flags& flags, const std::string& name) {
+  return checked_count<T>(flags.get_double(name), "--" + name,
+                          flags.get(name));
+}
+
+template std::size_t count_flag<std::size_t>(const util::Flags&,
+                                             const std::string&);
+template std::uint32_t count_flag<std::uint32_t>(const util::Flags&,
+                                                 const std::string&);
 
 }  // namespace tcpdyn::tools

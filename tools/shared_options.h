@@ -1,15 +1,18 @@
 // The option parsing tcpdyn_run and tcpdyn_sweep share: --cc, --qdisc,
 // --audit and --shards are parsed and validated here once, and so is every
-// flag given in seconds, so their values and error messages cannot drift
-// apart between the tools. Each tool still declares the flags itself, with
-// its own help wording.
+// flag given in seconds and every count, so their values and error messages
+// cannot drift apart between the tools. Each tool still declares the flags
+// itself, with its own help wording.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/audit.h"
+#include "core/sweep.h"
 #include "net/queue.h"
 #include "tcp/congestion_control.h"
 #include "util/flags.h"
@@ -23,9 +26,22 @@ struct SharedOptions {
   std::size_t shards = 1;                 // > 1 runs core::ShardedEngine
 };
 
-// Parses and validates the shared flags. A flag given in seconds (--warmup,
-// --duration, --tau, --pacing, ...) must convert to a sim::Time. Throws
-// std::invalid_argument with the message the tool prints above its usage.
+// Parses and validates the shared flags. Every flag either tool reads in
+// seconds (--warmup, --duration, --tau, --pacing, ...) must convert to a
+// sim::Time, and every count flag (--buffer, --conns, --hops, --w1, ...)
+// must be a whole number its type holds. Throws std::invalid_argument with
+// the message the tool prints above its usage.
 SharedOptions parse_shared_flags(const util::Flags& flags);
+
+// Applies the same checks to the values of the grid axes that name those
+// parameters, before any point runs; the message names the axis.
+void check_grid_axes(std::span<const core::SweepAxis> axes);
+
+// Count flag `name` (its value, or its declared default) as a T, which is
+// std::size_t or std::uint32_t. Throws std::invalid_argument naming the
+// flag when the value is negative, NaN, not a whole number or above T's
+// maximum: the cast would then wrap or be undefined.
+template <class T>
+T count_flag(const util::Flags& flags, const std::string& name);
 
 }  // namespace tcpdyn::tools

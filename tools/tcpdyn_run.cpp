@@ -106,7 +106,7 @@ core::Scenario custom_dumbbell(const util::Flags& flags,
                                const SharedOptions& opts, bool two_way) {
   core::DumbbellParams p;
   p.tau = sim::Time::seconds(flags.get_double("tau"));
-  const auto buffer = static_cast<std::size_t>(flags.get_int("buffer"));
+  const auto buffer = tools::count_flag<std::size_t>(flags, "buffer");
   p.buffer_fwd = net::QueueLimit::of(buffer);
   p.buffer_rev = net::QueueLimit::of(buffer);
   if (flags.get_bool("random-drop")) {
@@ -114,7 +114,7 @@ core::Scenario custom_dumbbell(const util::Flags& flags,
   }
   p.bottleneck_qdisc = opts.qdisc;
 
-  const auto n = static_cast<std::size_t>(flags.get_int("conns"));
+  const auto n = tools::count_flag<std::size_t>(flags, "conns");
   const std::string sender = flags.get("sender");
   // --cc overrides --sender and may mix algorithms across the flows.
   std::vector<core::ConnSpec> conns(n);
@@ -150,7 +150,7 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
                                          const util::Flags& flags,
                                          const SharedOptions& opts) {
   const auto size = [&](const std::string& name) {
-    return static_cast<std::size_t>(flags.get_int(name));
+    return tools::count_flag<std::size_t>(flags, name);
   };
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   if (which == "ring") {
@@ -252,7 +252,7 @@ core::Scenario build(const std::string& which, const util::Flags& flags,
     return core::make_topo_scenario(*spec);
   }
   const auto size = [&](const std::string& name) {
-    return static_cast<std::size_t>(flags.get_int(name));
+    return tools::count_flag<std::size_t>(flags, name);
   };
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   if (which == "fig2") {
@@ -275,8 +275,8 @@ core::Scenario build(const std::string& which, const util::Flags& flags,
     return core::fig8_fixed_window(
         flags.has("tau") ? flags.get_double("tau")
                          : (which == "fig9" ? 1.0 : 0.01),
-        static_cast<std::uint32_t>(flags.get_int("w1")),
-        static_cast<std::uint32_t>(flags.get_int("w2")));
+        tools::count_flag<std::uint32_t>(flags, "w1"),
+        tools::count_flag<std::uint32_t>(flags, "w2"));
   }
   if (which == "chain") {
     return core::four_switch_chain(flags.has("conns") ? size("conns") : 50,
@@ -321,13 +321,13 @@ int main(int argc, char** argv) {
     if (!opts.cc.empty()) p.algos = opts.cc;
     if (flags.has("tau")) p.tau_sec = flags.get_double("tau");
     if (flags.has("buffer")) {
-      p.buffer = static_cast<std::size_t>(flags.get_int("buffer"));
+      p.buffer = tools::count_flag<std::size_t>(flags, "buffer");
     }
     if (flags.has("conns")) {
-      p.flows_per_algo = static_cast<std::size_t>(flags.get_int("conns"));
+      p.flows_per_algo = tools::count_flag<std::size_t>(flags, "conns");
     }
     if (flags.has("w1")) {
-      p.fixed_window = static_cast<std::uint32_t>(flags.get_int("w1"));
+      p.fixed_window = tools::count_flag<std::uint32_t>(flags, "w1");
     }
     if (flags.has("warmup")) p.warmup_sec = flags.get_double("warmup");
     if (flags.has("duration")) p.duration_sec = flags.get_double("duration");

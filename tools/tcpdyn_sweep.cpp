@@ -275,13 +275,16 @@ int main(int argc, char** argv) {
   core::SweepGrid grid;
   try {
     grid = core::SweepGrid(core::parse_grid(flags.get("grid")));
+    // Count and seconds flags were checked by parse_shared_flags, so the
+    // builders' casts above see only valid values.
+    tools::check_grid_axes(grid.axes());
   } catch (const std::exception& e) {
     return usage(flags, e.what());
   }
 
   core::SweepOptions opts;
   try {
-    opts.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
+    opts.jobs = tools::count_flag<std::size_t>(flags, "jobs");
     opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
     opts.progress = flags.get_bool("progress");
   } catch (const std::exception& e) {
