@@ -13,30 +13,8 @@
 //   bench_perf_core --out BENCH_core.json              # measure
 //   bench_perf_core --baseline BENCH_core.json         # measure + gate
 //
-// Flags:
-//   --out FILE        write the JSON report (default: stdout)
-//   --baseline FILE   compare against a committed report; exit 1 when any
-//                     gated workload regresses by more than --threshold
-//   --threshold F     allowed fractional events/sec regression [0.15]
-//   --scale F         multiply simulated durations (0.1 = quick smoke) [1]
-//   --reps N          repetitions per gated workload, best-of reported [3]
-//   --jobs N          worker threads for the sweep workload [1, pinned]
-//   --audit-overhead-max F
-//                     also run fig6 with the conservation audit fully off
-//                     and fail if the default audit mode costs more than
-//                     fraction F of events/sec (same-run comparison, so it
-//                     is far less noisy than a cross-run baseline)
-//   --shard-scaling   also run the sharded-scaling tier: the incast100k
-//                     churn spec and a 1000-node Waxman mesh through
-//                     core::ShardedEngine at shards = 1/2/4 (events/sec
-//                     per shard count lands in the report). Off by default
-//                     because the pinned perf leg cannot exercise
-//                     parallelism; the unpinned shard-scaling CI leg turns
-//                     it on.
-//   --shard-speedup-min F
-//                     implies --shard-scaling; fail unless the Waxman
-//                     workload reaches F x events/sec at 4 shards over 1
-//                     shard (the scaling acceptance gate; needs >= 4 cores)
+// Run with --help for the flags; an unknown flag exits 2, so a typo in a
+// CI invocation cannot silently weaken a gate.
 //
 // The committed baseline lives at the repo root as BENCH_core.json; refresh
 // it by re-running on the reference machine (see README "Benchmarking").
@@ -148,7 +126,7 @@ WorkloadResult run_queue_micro(double scale) {
   // threshold even on shared CI cores.
   const int rounds = static_cast<int>(1'200'000 * scale);
   net::DropTailQueue fifo(net::QueueLimit::of(64));
-  net::DropTailQueue rdrop(net::QueueLimit::of(20), net::DropPolicy::kRandomDrop,
+  net::DropTailQueue rdrop(net::QueueLimit::of(20), /*random_drop=*/true,
                            /*seed=*/7);
   net::Packet p;
   p.size_bytes = 500;
@@ -461,11 +439,49 @@ WorkloadResult best_of(int reps, MakeResult make) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  const double scale = flags.get_double("scale", 1.0);
-  const double threshold = flags.get_double("threshold", 0.15);
-  const int reps = std::max(1, static_cast<int>(flags.get_int("reps", 3)));
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+  util::Flags flags;
+  flags.flag("out", "FILE", "write the JSON report here (- = stdout)", "-")
+      .flag("baseline", "FILE",
+            "compare against a committed report; exit 1 when any gated "
+            "workload regresses by more than --threshold",
+            "")
+      .flag("threshold", "F", "allowed fractional events/sec regression",
+            0.15)
+      .flag("scale", "F",
+            "multiply simulated durations (0.1 = quick smoke)", 1.0)
+      .flag("reps", "N", "repetitions per gated workload, best-of reported",
+            3)
+      .flag("jobs", "N", "worker threads for the sweep workload", 1)
+      .flag("audit-overhead-max", "F",
+            "also run fig6 with the conservation audit fully off and fail "
+            "if the default audit mode costs more than fraction F of "
+            "events/sec (a same-run comparison, far less noisy than a "
+            "cross-run baseline)",
+            "")
+      .flag("shard-scaling",
+            "also run the incast100k churn spec and a 1000-node Waxman mesh "
+            "through core::ShardedEngine at shards 1/2/4 (off by default: "
+            "the pinned perf leg cannot exercise parallelism)",
+            false)
+      .flag("shard-speedup-min", "F",
+            "implies --shard-scaling; fail unless the Waxman workload "
+            "reaches F x events/sec at 4 shards over 1 (needs >= 4 cores)",
+            "");
+  try {
+    flags.parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "bench_perf_core: " << e.what() << "\n"
+              << flags.usage("bench_perf_core");
+    return 2;
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.usage("bench_perf_core");
+    return 0;
+  }
+  const double scale = flags.get_double("scale");
+  const double threshold = flags.get_double("threshold");
+  const int reps = std::max(1, static_cast<int>(flags.get_int("reps")));
+  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs"));
 
   std::vector<WorkloadResult> results;
   results.push_back(best_of(reps, [&] { return run_sched_micro(scale); }));
@@ -541,7 +557,7 @@ int main(int argc, char** argv) {
   const bool gate_shard_speedup = flags.has("shard-speedup-min");
   const double shard_speedup_min =
       flags.get_double("shard-speedup-min", 0.0);
-  if (flags.has("shard-scaling") || gate_shard_speedup) {
+  if (flags.get_bool("shard-scaling") || gate_shard_speedup) {
     // Best-of across shard counts would hide barrier-round variance, which
     // is exactly what the scaling numbers exist to surface — so each point
     // runs best-of like the serial workloads, shard count outermost.
@@ -558,7 +574,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string out = flags.get("out", "-");
+  const std::string out = flags.get("out");
   if (out == "-") {
     write_report(std::cout, results);
   } else {
@@ -578,7 +594,7 @@ int main(int argc, char** argv) {
     };
     const WorkloadResult* with = find("fig6");
     const WorkloadResult* without = find("fig6_noaudit");
-    const double max_overhead = flags.get_double("audit-overhead-max", 0.02);
+    const double max_overhead = flags.get_double("audit-overhead-max", 0.0);
     const double overhead =
         1.0 - with->events_per_sec() / without->events_per_sec();
     std::fprintf(stderr,

@@ -52,10 +52,10 @@ BumpOutcome run_bump(double tau, std::size_t buffer) {
 
   std::vector<core::ConnSpec> conns(2);
   conns[0].forward = true;
-  conns[0].kind = tcp::SenderKind::kFixedWindow;
+  conns[0].kind = tcp::CcAlgorithm::kFixedWindow;
   conns[0].fixed_window = 1;
   conns[1].forward = false;
-  conns[1].kind = tcp::SenderKind::kFixedWindow;
+  conns[1].kind = tcp::CcAlgorithm::kFixedWindow;
   conns[1].fixed_window = 1;
   conns[1].start_time = sim::Time::seconds(1.7);
   core::add_dumbbell_connections(exp, h, conns);
@@ -121,10 +121,10 @@ CounterfactualOutcome run_counterfactual() {
   const core::DumbbellHandles h = core::build_dumbbell(exp, p);
   std::vector<core::ConnSpec> conns(2);
   conns[0].forward = true;
-  conns[0].kind = tcp::SenderKind::kFixedWindow;
+  conns[0].kind = tcp::CcAlgorithm::kFixedWindow;
   conns[0].fixed_window = 30;
   conns[1].forward = false;
-  conns[1].kind = tcp::SenderKind::kFixedWindow;
+  conns[1].kind = tcp::CcAlgorithm::kFixedWindow;
   conns[1].fixed_window = 25;
   conns[1].start_time = sim::Time::seconds(1.7);
   core::add_dumbbell_connections(exp, h, conns);

@@ -154,7 +154,7 @@ Scenario ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
                                : algos[i % algos.size()];
     cs[i].forward = i < (conns + 1) / 2;
     cs[i].start_time = sim::Time::seconds(rng.uniform(0.0, 5.0));
-    if (cs[i].kind != tcp::SenderKind::kFixedWindow) ++s.tahoe_connections;
+    if (cs[i].kind != tcp::CcAlgorithm::kFixedWindow) ++s.tahoe_connections;
   }
   add_dumbbell_connections(*s.exp, h, cs);
   return s;

@@ -13,7 +13,7 @@
 
 namespace tcpdyn::core {
 
-struct ConnSpec {
+struct ConnSpec : tcp::CcConfig {
   // --- endpoints -------------------------------------------------------
   // Topology traffic addresses endpoints by node name, resolved when the
   // matrix is instantiated against a compiled topology. Builders that
@@ -27,8 +27,8 @@ struct ConnSpec {
   bool forward = true;
 
   // --- per-connection knobs -----------------------------------------
-  tcp::SenderKind kind = tcp::SenderKind::kTahoe;
-  std::uint32_t fixed_window = 10;
+  // The controller (kind, fixed window, parameter blocks) is the
+  // tcp::CcConfig base.
   bool delayed_ack = false;
   bool ecn = false;  // both endpoints negotiate ECT/ECE/CWR
   std::uint32_t maxwnd = 1000;
@@ -37,12 +37,6 @@ struct ConnSpec {
   sim::Time pacing_interval = sim::Time::zero();
   sim::Time start_time = sim::Time::zero();
   sim::Time stop_time = sim::Time::zero();  // zero = transmit forever
-  tcp::TahoeParams tahoe;      // only for kTahoe
-  tcp::RenoParams reno;        // only for kReno
-  tcp::NewRenoParams newreno;  // only for kNewReno
-  tcp::CubicParams cubic;      // only for kCubic
-  tcp::VegasParams vegas;      // only for kVegas
-  tcp::BbrParams bbr;          // only for kBbr
 
   // --- flow schedule (TrafficMatrix only) ------------------------------
   // The spec expands to `count` flows; flow j starts at start_time plus a
@@ -60,12 +54,11 @@ struct ConnSpec {
   double arrival_rate = 0.0;  // flows per second; 0 = closed population
   sim::Time session_time = sim::Time::zero();
 
-  // Copies the per-connection knobs (not endpoints or schedule) onto a
-  // ConnectionConfig.
+  // Copies the controller and the per-connection knobs (not endpoints or
+  // schedule) onto a ConnectionConfig.
   tcp::ConnectionConfig to_config() const {
     tcp::ConnectionConfig cfg;
-    cfg.kind = kind;
-    cfg.fixed_window = fixed_window;
+    static_cast<tcp::CcConfig&>(cfg) = *this;
     cfg.data_bytes = data_bytes;
     cfg.ack_bytes = ack_bytes;
     cfg.maxwnd = maxwnd;
@@ -74,12 +67,6 @@ struct ConnSpec {
     cfg.pacing_interval = pacing_interval;
     cfg.start_time = start_time;
     cfg.stop_time = stop_time;
-    cfg.tahoe = tahoe;
-    cfg.reno = reno;
-    cfg.newreno = newreno;
-    cfg.cubic = cubic;
-    cfg.vegas = vegas;
-    cfg.bbr = bbr;
     return cfg;
   }
 };

@@ -16,7 +16,6 @@ Topology dumbbell_topology(const DumbbellParams& p) {
   bottleneck.delay = p.tau;
   bottleneck.buffer_ab = p.buffer_fwd;
   bottleneck.buffer_ba = p.buffer_rev;
-  bottleneck.policy = p.bottleneck_policy;
   bottleneck.qdisc = p.bottleneck_qdisc;
   t.add_link(bottleneck);
   t.add_link(s2, h2, p.access_bps, p.access_delay, p.access_buffer);
@@ -48,7 +47,6 @@ MultiHostHandles build_multihost_dumbbell(
   bottleneck.delay = p.tau;
   bottleneck.buffer_ab = p.buffer_fwd;
   bottleneck.buffer_ba = p.buffer_rev;
-  bottleneck.policy = p.bottleneck_policy;
   bottleneck.qdisc = p.bottleneck_qdisc;
   t.add_link(bottleneck);
   std::vector<std::string> sources, sinks;

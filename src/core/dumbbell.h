@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/conn_spec.h"
@@ -24,14 +23,10 @@ struct DumbbellParams {
   std::int64_t access_bps = 10'000'000;
   sim::Time access_delay = sim::Time::microseconds(100);
   net::QueueLimit access_buffer = net::QueueLimit::infinite();
-  // Discard discipline at the bottleneck (drop-tail in the paper; random
-  // drop reproduces the gateway discipline of the studies it cites).
-  net::DropPolicy bottleneck_policy = net::DropPolicy::kDropTail;
-  // Full discipline config (RED, DRR, ...): when set, both bottleneck
-  // directions run it (with buffer_fwd/buffer_rev as limits) and
-  // bottleneck_policy is ignored. Unset keeps the historic path byte for
-  // byte.
-  std::optional<net::QdiscConfig> bottleneck_qdisc;
+  // Discipline of both bottleneck directions, with buffer_fwd/buffer_rev as
+  // their limits: drop-tail in the paper; random drop reproduces the gateway
+  // discipline of the studies it cites; RED and DRR extend the zoo.
+  net::QdiscConfig bottleneck_qdisc;
 
   // Pipe size P = mu * tau / M in data packets (paper §2.2).
   double pipe_size(std::uint32_t data_bytes = 500) const {

@@ -37,7 +37,7 @@ Scenario make_dumbbell_scenario(std::string name, const DumbbellParams& params,
     conns[i].start_time = starts[i];
     // Adaptive (unit-acceleration) connections, for the drops-per-epoch
     // prediction; Reno's window also grows by one per epoch in avoidance.
-    if (conns[i].kind != tcp::SenderKind::kFixedWindow) {
+    if (conns[i].kind != tcp::CcAlgorithm::kFixedWindow) {
       ++s.tahoe_connections;
     }
   }
@@ -157,10 +157,10 @@ Scenario fig8_fixed_window(double tau_sec, std::uint32_t w1,
   p.buffer_rev = net::QueueLimit::infinite();
   std::vector<ConnSpec> cs(2);
   cs[0].forward = true;
-  cs[0].kind = tcp::SenderKind::kFixedWindow;
+  cs[0].kind = tcp::CcAlgorithm::kFixedWindow;
   cs[0].fixed_window = w1;
   cs[1].forward = false;
-  cs[1].kind = tcp::SenderKind::kFixedWindow;
+  cs[1].kind = tcp::CcAlgorithm::kFixedWindow;
   cs[1].fixed_window = w2;
   return make_dumbbell_scenario(
       tau_sec < 0.5 ? "fig8-fixed-window" : "fig9-fixed-window", p,
@@ -175,11 +175,11 @@ Scenario zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec) {
   p.buffer_rev = net::QueueLimit::infinite();
   std::vector<ConnSpec> cs(2);
   cs[0].forward = true;
-  cs[0].kind = tcp::SenderKind::kFixedWindow;
+  cs[0].kind = tcp::CcAlgorithm::kFixedWindow;
   cs[0].fixed_window = w1;
   cs[0].ack_bytes = 0;
   cs[1].forward = false;
-  cs[1].kind = tcp::SenderKind::kFixedWindow;
+  cs[1].kind = tcp::CcAlgorithm::kFixedWindow;
   cs[1].fixed_window = w2;
   cs[1].ack_bytes = 0;
   return make_dumbbell_scenario("zero-ack-fixed", p, std::move(cs),
@@ -247,7 +247,7 @@ Scenario reno_twoway(double tau_sec, std::size_t buffer) {
   std::vector<ConnSpec> cs(2);
   cs[0].forward = true;
   cs[1].forward = false;
-  for (auto& c : cs) c.kind = tcp::SenderKind::kReno;
+  for (auto& c : cs) c.kind = tcp::CcAlgorithm::kReno;
   return make_dumbbell_scenario("reno-twoway", p, std::move(cs),
                                 sim::Time::seconds(100.0),
                                 sim::Time::seconds(400.0),
@@ -259,7 +259,7 @@ Scenario random_drop_twoway(double tau_sec, std::size_t buffer) {
   p.tau = sim::Time::seconds(tau_sec);
   p.buffer_fwd = net::QueueLimit::of(buffer);
   p.buffer_rev = net::QueueLimit::of(buffer);
-  p.bottleneck_policy = net::DropPolicy::kRandomDrop;
+  p.bottleneck_qdisc.kind = net::QdiscKind::kRandomDrop;
   std::vector<ConnSpec> cs(2);
   cs[0].forward = true;
   cs[1].forward = false;

@@ -70,20 +70,6 @@ void Topology::add_link(const LinkSpec& link) {
 
 void Topology::add_link(std::size_t a, std::size_t b,
                         std::int64_t bits_per_second, sim::Time delay,
-                        net::QueueLimit buffer, net::DropPolicy policy) {
-  LinkSpec l;
-  l.a = a;
-  l.b = b;
-  l.bits_per_second = bits_per_second;
-  l.delay = delay;
-  l.buffer_ab = buffer;
-  l.buffer_ba = buffer;
-  l.policy = policy;
-  add_link(l);
-}
-
-void Topology::add_link(std::size_t a, std::size_t b,
-                        std::int64_t bits_per_second, sim::Time delay,
                         net::QueueLimit buffer,
                         const net::QdiscConfig& qdisc) {
   LinkSpec l;
@@ -174,13 +160,8 @@ CompiledTopology Topology::compile(Experiment& exp,
     out.by_name[d.name] = id;
   }
   for (const LinkSpec& l : links_) {
-    if (l.qdisc.has_value()) {
-      net.connect(out.node_ids[l.a], out.node_ids[l.b], l.bits_per_second,
-                  l.delay, l.buffer_ab, l.buffer_ba, *l.qdisc);
-    } else {
-      net.connect(out.node_ids[l.a], out.node_ids[l.b], l.bits_per_second,
-                  l.delay, l.buffer_ab, l.buffer_ba, l.policy);
-    }
+    net.connect(out.node_ids[l.a], out.node_ids[l.b], l.bits_per_second,
+                l.delay, l.buffer_ab, l.buffer_ba, l.qdisc);
   }
   net.compute_routes(route_ref_bytes);
   for (const auto& [a, b] : monitors_) {
@@ -208,7 +189,7 @@ std::size_t TrafficMatrix::flow_count() const {
 std::size_t TrafficMatrix::adaptive_flow_count() const {
   std::size_t n = 0;
   for (const ConnSpec& s : specs_) {
-    if (s.kind != tcp::SenderKind::kFixedWindow) n += s.count;
+    if (s.kind != tcp::CcAlgorithm::kFixedWindow) n += s.count;
   }
   return n;
 }
@@ -378,61 +359,74 @@ TopoSpec parse_topology(std::istream& in) {
       l.buffer_ab = to_buffer(args[4], lineno);
       l.buffer_ba = to_buffer(args[5], lineno);
       if (args.size() > 6) {
-        std::optional<net::QdiscKind> kind;
-        bool ecn = false;
+        net::QdiscConfig& q = l.qdisc;
         // The registry supplies the did-you-mean error text; tag it with
         // the .topo line number.
         try {
           const net::QdiscChoice& choice =
               net::qdisc_registry().require(args[6], "queue discipline");
-          kind = choice.kind;
-          ecn = choice.ecn;
+          q.kind = choice.kind;
+          q.red.ecn = choice.ecn;
         } catch (const std::invalid_argument& e) {
           parse_error(lineno, e.what());
         }
-        if (*kind == net::QdiscKind::kDropTail ||
-            *kind == net::QdiscKind::kRandomDrop) {
-          // Historic pair: stay on the drop-policy path (byte-identical to
-          // pre-qdisc files).
-          if (*kind == net::QdiscKind::kRandomDrop) {
-            l.policy = net::DropPolicy::kRandomDrop;
+        const bool red = q.kind == net::QdiscKind::kRed;
+        const bool drr = q.kind == net::QdiscKind::kDrr;
+        if (!red && !drr && args.size() > 7) {
+          parse_error(lineno, "'" + args[6] + "' takes no options");
+        }
+        // Each option belongs to one discipline; naming it on another would
+        // be accepted and then ignored.
+        const auto owned_by = [&](bool owner, const std::string& key,
+                                  const char* discipline) {
+          if (!owner) {
+            parse_error(lineno, "'" + key + "' is a " + discipline +
+                                    " option, but the link runs '" +
+                                    args[6] + "'");
           }
-          if (args.size() > 7) {
-            parse_error(lineno, "'" + args[6] + "' takes no options");
+        };
+        for (std::size_t i = 7; i < args.size(); ++i) {
+          const auto eq = args[i].find('=');
+          if (eq == std::string::npos) {
+            parse_error(lineno, "qdisc options are key=value, got '" +
+                                    args[i] + "'");
           }
-        } else {
-          net::QdiscConfig q;
-          q.kind = *kind;
-          q.red.ecn = ecn;
-          for (std::size_t i = 7; i < args.size(); ++i) {
-            const auto eq = args[i].find('=');
-            if (eq == std::string::npos) {
-              parse_error(lineno, "qdisc options are key=value, got '" +
-                                      args[i] + "'");
+          const std::string key = args[i].substr(0, eq);
+          const std::string val = args[i].substr(eq + 1);
+          if (key == "min_th") {
+            owned_by(red, key, "RED");
+            q.red.min_th = to_unsigned<std::size_t>(val, lineno, key);
+          } else if (key == "max_th") {
+            owned_by(red, key, "RED");
+            q.red.max_th = to_unsigned<std::size_t>(val, lineno, key);
+          } else if (key == "wq_shift") {
+            owned_by(red, key, "RED");
+            // The EWMA weight is 2^-wq_shift of a 64-bit average.
+            q.red.wq_shift = to_unsigned<unsigned>(val, lineno, key, 63);
+          } else if (key == "max_p") {
+            owned_by(red, key, "RED");
+            const double p = to_double(val, lineno, key);
+            if (p <= 0.0 || p > 1.0) {
+              parse_error(lineno, "max_p must be in (0, 1]");
             }
-            const std::string key = args[i].substr(0, eq);
-            const std::string val = args[i].substr(eq + 1);
-            if (key == "min_th") {
-              q.red.min_th = to_unsigned<std::size_t>(val, lineno, key);
-            } else if (key == "max_th") {
-              q.red.max_th = to_unsigned<std::size_t>(val, lineno, key);
-            } else if (key == "wq_shift") {
-              // The EWMA weight is 2^-wq_shift of a 64-bit average.
-              q.red.wq_shift = to_unsigned<unsigned>(val, lineno, key, 63);
-            } else if (key == "max_p") {
-              const double p = to_double(val, lineno, key);
-              if (p <= 0.0 || p > 1.0) {
-                parse_error(lineno, "max_p must be in (0, 1]");
-              }
-              q.red.max_p_65536 =
-                  static_cast<std::uint32_t>(p * 65536.0 + 0.5);
-            } else if (key == "quantum") {
-              q.drr.quantum_bytes = to_unsigned<std::size_t>(val, lineno, key);
-            } else {
-              parse_error(lineno, "unknown qdisc option '" + key + "'");
+            q.red.max_p_65536 = static_cast<std::uint32_t>(p * 65536.0 + 0.5);
+          } else if (key == "quantum") {
+            owned_by(drr, key, "DRR");
+            q.drr.quantum_bytes = to_unsigned<std::size_t>(val, lineno, key);
+            if (q.drr.quantum_bytes == 0) {
+              parse_error(lineno, "quantum must be >= 1 byte, got '" + val +
+                                      "'");
             }
+          } else {
+            parse_error(lineno, "unknown qdisc option '" + key + "'");
           }
-          l.qdisc = q;
+        }
+        // min_th >= max_th leaves RED no probabilistic band: every arrival
+        // at an average of max_th or more is force-dropped.
+        if (red && q.red.min_th >= q.red.max_th) {
+          parse_error(lineno, "RED needs min_th < max_th, got min_th=" +
+                                  std::to_string(q.red.min_th) + " max_th=" +
+                                  std::to_string(q.red.max_th));
         }
       }
       spec.topo.add_link(l);

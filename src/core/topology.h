@@ -1,7 +1,7 @@
 // Topology + TrafficMatrix: the general scenario-building layer.
 //
 // A Topology is a declarative description of an arbitrary network graph —
-// named hosts and switches, duplex links with rate/delay/buffer/drop-policy,
+// named hosts and switches, duplex links with rate/delay/buffer/discipline,
 // and which transmit ports to monitor. compile() materializes it onto an
 // Experiment: nodes are created in declaration order (so the topology index
 // IS the net::NodeId), links in declaration order, static shortest-path
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,11 +40,9 @@ struct LinkSpec {
   sim::Time delay = sim::Time::microseconds(100);
   net::QueueLimit buffer_ab = net::QueueLimit::infinite();
   net::QueueLimit buffer_ba = net::QueueLimit::infinite();
-  net::DropPolicy policy = net::DropPolicy::kDropTail;
-  // Full discipline zoo (RED, DRR, ...): when set, both directions get this
-  // config (each with its own buffer limit above) and `policy` is ignored.
-  // Unset keeps the historic drop-policy path, byte for byte.
-  std::optional<net::QdiscConfig> qdisc;
+  // Both directions run this discipline, each with its own buffer limit
+  // above (the config's own limit is not read).
+  net::QdiscConfig qdisc;
 };
 
 // The result of compiling a Topology: topology node index -> net::NodeId
@@ -69,15 +66,11 @@ class Topology {
   // appear in at most one link (its access link). The rate must be > 0 b/s
   // and the delay >= 0.
   void add_link(const LinkSpec& link);
-  // Convenience: symmetric buffers.
+  // Convenience: symmetric buffers, drop-tail unless `qdisc` says otherwise.
   void add_link(std::size_t a, std::size_t b, std::int64_t bits_per_second,
                 sim::Time delay,
                 net::QueueLimit buffer = net::QueueLimit::infinite(),
-                net::DropPolicy policy = net::DropPolicy::kDropTail);
-  // Convenience: symmetric buffers with a full discipline config.
-  void add_link(std::size_t a, std::size_t b, std::int64_t bits_per_second,
-                sim::Time delay, net::QueueLimit buffer,
-                const net::QdiscConfig& qdisc);
+                const net::QdiscConfig& qdisc = {});
 
   // Marks the transmit port a->b for monitoring; ExperimentResult ports are
   // ordered by monitor() call order. The link must exist.
@@ -176,7 +169,9 @@ struct TopoSpec {
 //        [droptail|randomdrop|red|red-ecn|drr]
 //        [min_th=N] [max_th=N] [wq_shift=N] [max_p=P] [quantum=BYTES]
 //                              BUF is packets or "inf"; the key=value
-//                              options tune RED (red/red-ecn) or DRR
+//                              options tune RED (red/red-ecn, with
+//                              min_th < max_th) or DRR (quantum >= 1);
+//                              an option of another discipline is an error
 //   monitor A B                trace the A->B transmit port
 //   flow SRC DST [count=N] [kind=tahoe|reno|fixed] [window=W] [start=SEC]
 //        [spread=SEC] [stop=SEC] [seed=N] [maxwnd=W] [delayed_ack=0|1]

@@ -44,16 +44,6 @@ Switch& Network::switch_node(NodeId id) {
 
 void Network::connect(NodeId a, NodeId b, std::int64_t bits_per_second,
                       sim::Time propagation_delay, QueueLimit queue_a_to_b,
-                      QueueLimit queue_b_to_a, DropPolicy policy) {
-  QdiscConfig qdisc;
-  qdisc.kind = policy == DropPolicy::kRandomDrop ? QdiscKind::kRandomDrop
-                                                 : QdiscKind::kDropTail;
-  connect(a, b, bits_per_second, propagation_delay, queue_a_to_b,
-          queue_b_to_a, qdisc);
-}
-
-void Network::connect(NodeId a, NodeId b, std::int64_t bits_per_second,
-                      sim::Time propagation_delay, QueueLimit queue_a_to_b,
                       QueueLimit queue_b_to_a, const QdiscConfig& qdisc) {
   const auto reject = [&](const std::string& what) {
     throw std::invalid_argument("link " + nodes_.at(a).node->name() + "-" +

@@ -39,22 +39,15 @@ class Network {
   NodeId add_switch(std::string name);
 
   // Creates a duplex link between a and b: one output port on each side,
-  // with independent buffers (paper: no buffer sharing between lines) and a
-  // shared discard discipline. A host may have at most one link (its access
-  // link). Throws std::invalid_argument for a rate <= 0 b/s or a negative
+  // with independent buffers (paper: no buffer sharing between lines). Both
+  // directions run the shared discipline config (drop-tail by default) with
+  // their own buffer limit and a per-port RNG seed derived from the
+  // endpoint ids. A host may have at most one link (its access link).
+  // Throws std::invalid_argument for a rate <= 0 b/s or a negative
   // propagation delay.
   void connect(NodeId a, NodeId b, std::int64_t bits_per_second,
                sim::Time propagation_delay, QueueLimit queue_a_to_b,
-               QueueLimit queue_b_to_a,
-               DropPolicy policy = DropPolicy::kDropTail);
-
-  // General variant: both directions get the shared discipline config with
-  // per-direction buffer limits. The per-port RNG seed derivation is the
-  // same as the policy overload's, so droptail/randomdrop configs reproduce
-  // those runs byte for byte.
-  void connect(NodeId a, NodeId b, std::int64_t bits_per_second,
-               sim::Time propagation_delay, QueueLimit queue_a_to_b,
-               QueueLimit queue_b_to_a, const QdiscConfig& qdisc);
+               QueueLimit queue_b_to_a, const QdiscConfig& qdisc = {});
 
   // Populates every switch's routing table with shortest-path next hops
   // toward every host: Dijkstra over per-link cost = serialization time of

@@ -1,4 +1,4 @@
-// OutputPort: a drop-tail queue feeding a simplex transmitter. Models
+// OutputPort: a queue discipline feeding a simplex transmitter. Models
 // store-and-forward serialization at `bits_per_second` followed by a fixed
 // propagation delay to the peer node. Transmission is error-free by default
 // (paper §2.2); the fault-injection layer can perturb a port at runtime —
@@ -37,14 +37,8 @@ struct BusyInterval {
 
 class OutputPort {
  public:
-  // Historic construction surface: drop-tail / random-drop by policy enum.
-  OutputPort(sim::Simulator& sim, std::string name,
-             std::int64_t bits_per_second, sim::Time propagation_delay,
-             QueueLimit limit, DropPolicy policy = DropPolicy::kDropTail,
-             std::uint64_t drop_seed = 1);
-
-  // General surface: any discipline in the zoo via QdiscConfig. `drop_seed`
-  // seeds the discipline's RNG stream (random-drop victims, RED lottery).
+  // Any discipline in the zoo via QdiscConfig. `drop_seed` seeds the
+  // discipline's RNG stream (random-drop victims, RED lottery).
   OutputPort(sim::Simulator& sim, std::string name,
              std::int64_t bits_per_second, sim::Time propagation_delay,
              const QdiscConfig& qdisc, std::uint64_t drop_seed = 1);

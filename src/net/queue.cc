@@ -11,7 +11,7 @@ EnqueueResult DropTailQueue::offer(Packet pkt, bool protect_front) {
   count_arrival(pkt);
   EnqueueResult result;
   if (!limit_.is_infinite() && packets_.size() >= *limit_.packets) {
-    if (policy_ == DropPolicy::kDropTail) {
+    if (!random_drop_) {
       count_drop(pkt);
       result.accepted = false;
       result.dropped = std::move(pkt);
@@ -292,11 +292,9 @@ std::unique_ptr<QueueDiscipline> make_qdisc(const QdiscConfig& config,
                                             std::uint64_t seed) {
   switch (config.kind) {
     case QdiscKind::kDropTail:
-      return std::make_unique<DropTailQueue>(config.limit,
-                                             DropPolicy::kDropTail, seed);
     case QdiscKind::kRandomDrop:
-      return std::make_unique<DropTailQueue>(config.limit,
-                                             DropPolicy::kRandomDrop, seed);
+      return std::make_unique<DropTailQueue>(
+          config.limit, config.kind == QdiscKind::kRandomDrop, seed);
     case QdiscKind::kRed:
       return std::make_unique<RedQueue>(config.limit, config.red, seed);
     case QdiscKind::kDrr:

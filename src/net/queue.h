@@ -49,13 +49,6 @@
 
 namespace tcpdyn::net {
 
-// What to discard when a packet arrives at a full buffer (the historic
-// pre-QueueDiscipline selector, kept for the original construction surface).
-enum class DropPolicy : std::uint8_t {
-  kDropTail,    // discard the arriving packet (paper default)
-  kRandomDrop,  // discard a uniformly random occupant; admit the arrival
-};
-
 // Buffer capacity in packets; nullopt means infinite (used for the
 // fixed-window experiments, Figs. 8-9).
 struct QueueLimit {
@@ -186,16 +179,16 @@ class QueueDiscipline {
   QueueCounters counters_;
 };
 
-// Drop-tail / random-drop FIFO: the original discipline pair, now the first
-// QueueDiscipline implementation. Behavior is bit-identical to the
-// pre-interface DropTailQueue (locked by the cc_equivalence digests).
+// Drop-tail / random-drop FIFO. At a full buffer drop-tail discards the
+// arrival (paper default); with `random_drop` a uniformly random occupant
+// is discarded instead and the arrival admitted. Behavior is locked by the
+// cc_equivalence digests.
 class DropTailQueue final : public QueueDiscipline {
  public:
-  explicit DropTailQueue(QueueLimit limit,
-                         DropPolicy policy = DropPolicy::kDropTail,
+  explicit DropTailQueue(QueueLimit limit, bool random_drop = false,
                          std::uint64_t seed = 1)
       : QueueDiscipline(limit),
-        policy_(policy),
+        random_drop_(random_drop),
         rng_(seed),
         // Bounded queues never exceed their limit, so sizing the ring up
         // front makes every subsequent operation allocation-free.
@@ -210,13 +203,11 @@ class DropTailQueue final : public QueueDiscipline {
   std::size_t length() const override { return packets_.size(); }
   std::size_t length_bytes() const override { return bytes_; }
   const char* name() const override {
-    return policy_ == DropPolicy::kRandomDrop ? "randomdrop" : "droptail";
+    return random_drop_ ? "randomdrop" : "droptail";
   }
 
-  DropPolicy policy() const { return policy_; }
-
  private:
-  DropPolicy policy_;
+  bool random_drop_;
   util::Rng rng_;
   PacketRing packets_;  // ring buffer: allocation-free once at working size
   std::size_t bytes_ = 0;

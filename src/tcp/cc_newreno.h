@@ -27,9 +27,7 @@ namespace tcpdyn::tcp {
 
 class NewRenoCc final : public TahoeCc {
  public:
-  explicit NewRenoCc(NewRenoParams params = {})
-      : TahoeCc(TahoeParams{params.initial_cwnd, params.initial_ssthresh,
-                            params.modified_ca_increment}) {}
+  explicit NewRenoCc(TahoeParams params = {}) : TahoeCc(params) {}
 
   const char* name() const override { return "newreno"; }
   CcAlgorithm algorithm() const override { return CcAlgorithm::kNewReno; }

@@ -71,13 +71,13 @@ void CongestionControl::pump() {
 
 std::unique_ptr<CongestionControl> make_congestion_control(
     const CcConfig& config) {
-  switch (config.algo) {
+  switch (config.kind) {
     case CcAlgorithm::kTahoe:
       return std::make_unique<TahoeCc>(config.tahoe);
     case CcAlgorithm::kReno:
-      return std::make_unique<RenoCc>(config.reno);
+      return std::make_unique<RenoCc>(config.tahoe);
     case CcAlgorithm::kNewReno:
-      return std::make_unique<NewRenoCc>(config.newreno);
+      return std::make_unique<NewRenoCc>(config.tahoe);
     case CcAlgorithm::kCubic:
       return std::make_unique<CubicCc>(config.cubic);
     case CcAlgorithm::kVegas:

@@ -54,10 +54,6 @@ enum class CcAlgorithm : std::uint8_t {
   kFixedWindow,
 };
 
-// Historic name, kept so existing call sites (SenderKind::kTahoe, ...) read
-// unchanged.
-using SenderKind = CcAlgorithm;
-
 const char* to_string(CcAlgorithm algo);
 
 // The single name<->algorithm table: powers the --cc flags, .topo `kind=`
@@ -202,23 +198,13 @@ class CongestionControl {
 
 // --- the zoo's parameter blocks -----------------------------------------
 
+// Tahoe's block, shared by Reno and NewReno: they are Tahoe with a
+// different loss recovery and start and grow the same way.
 struct TahoeParams {
   double initial_cwnd = 1.0;
   std::uint32_t initial_ssthresh = UINT32_MAX;  // effectively unbounded
   // Paper §2.1: use cwnd += 1/⌊cwnd⌋ instead of 1/cwnd in congestion
   // avoidance, so that the window grows by one packet per epoch exactly.
-  bool modified_ca_increment = true;
-};
-
-struct RenoParams {
-  double initial_cwnd = 1.0;
-  std::uint32_t initial_ssthresh = UINT32_MAX;
-  bool modified_ca_increment = true;
-};
-
-struct NewRenoParams {
-  double initial_cwnd = 1.0;
-  std::uint32_t initial_ssthresh = UINT32_MAX;
   bool modified_ca_increment = true;
 };
 
@@ -254,19 +240,19 @@ struct BbrParams {
   sim::Time probe_rtt_duration = sim::Time::milliseconds(200);
 };
 
-// Factory: builds the controller for `algo`. fixed_window is only read for
-// kFixedWindow.
+// The controller choice, declared once: tcp::ConnectionConfig and
+// core::ConnSpec derive from it, so a flow spec, a connection and the
+// factory read the same fields. Each block is read only by its kind.
 struct CcConfig {
-  CcAlgorithm algo = CcAlgorithm::kTahoe;
-  std::uint32_t fixed_window = 10;
-  TahoeParams tahoe;
-  RenoParams reno;
-  NewRenoParams newreno;
-  CubicParams cubic;
-  VegasParams vegas;
-  BbrParams bbr;
+  CcAlgorithm kind = CcAlgorithm::kTahoe;
+  std::uint32_t fixed_window = 10;  // kFixedWindow
+  TahoeParams tahoe;                // kTahoe, kReno, kNewReno
+  CubicParams cubic;                // kCubic
+  VegasParams vegas;                // kVegas
+  BbrParams bbr;                    // kBbr
 };
 
+// Builds the controller `config.kind` names.
 std::unique_ptr<CongestionControl> make_congestion_control(
     const CcConfig& config);
 

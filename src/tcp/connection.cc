@@ -18,18 +18,9 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
   auto& src = network.host(config.src_host);
   auto& dst = network.host(config.dst_host);
 
-  CcConfig cc;
-  cc.algo = config.kind;
-  cc.fixed_window = config.fixed_window;
-  cc.tahoe = config.tahoe;
-  cc.reno = config.reno;
-  cc.newreno = config.newreno;
-  cc.cubic = config.cubic;
-  cc.vegas = config.vegas;
-  cc.bbr = config.bbr;
   sender_ = std::make_unique<WindowSender>(network.sim_for(config.src_host),
                                            src, sp,
-                                           make_congestion_control(cc));
+                                           make_congestion_control(config));
 
   ReceiverParams rp;
   rp.conn = config.id;
@@ -59,43 +50,43 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
 }
 
 TahoeCc* Connection::tahoe() {
-  return config_.kind == SenderKind::kTahoe
+  return config_.kind == CcAlgorithm::kTahoe
              ? static_cast<TahoeCc*>(&sender_->cc())
              : nullptr;
 }
 
 RenoCc* Connection::reno() {
-  return config_.kind == SenderKind::kReno
+  return config_.kind == CcAlgorithm::kReno
              ? static_cast<RenoCc*>(&sender_->cc())
              : nullptr;
 }
 
 NewRenoCc* Connection::newreno() {
-  return config_.kind == SenderKind::kNewReno
+  return config_.kind == CcAlgorithm::kNewReno
              ? static_cast<NewRenoCc*>(&sender_->cc())
              : nullptr;
 }
 
 CubicCc* Connection::cubic() {
-  return config_.kind == SenderKind::kCubic
+  return config_.kind == CcAlgorithm::kCubic
              ? static_cast<CubicCc*>(&sender_->cc())
              : nullptr;
 }
 
 VegasCc* Connection::vegas() {
-  return config_.kind == SenderKind::kVegas
+  return config_.kind == CcAlgorithm::kVegas
              ? static_cast<VegasCc*>(&sender_->cc())
              : nullptr;
 }
 
 BbrCc* Connection::bbr() {
-  return config_.kind == SenderKind::kBbr
+  return config_.kind == CcAlgorithm::kBbr
              ? static_cast<BbrCc*>(&sender_->cc())
              : nullptr;
 }
 
 FixedWindowCc* Connection::fixed() {
-  return config_.kind == SenderKind::kFixedWindow
+  return config_.kind == CcAlgorithm::kFixedWindow
              ? static_cast<FixedWindowCc*>(&sender_->cc())
              : nullptr;
 }

@@ -2,8 +2,8 @@
 // another, per the paper's model of pre-established TCP connections with an
 // infinite amount of data to send (no SYN/FIN exchange is simulated).
 //
-// The congestion-control algorithm is a ConnectionConfig field (the
-// CcAlgorithm zoo: tahoe|reno|newreno|cubic|vegas|bbr|fixed);
+// The congestion controller is the CcConfig a ConnectionConfig derives from
+// (the CcAlgorithm zoo: tahoe|reno|newreno|cubic|vegas|bbr|fixed);
 // mixed-algorithm experiments just add connections with different kinds to
 // one Experiment.
 #pragma once
@@ -19,16 +19,15 @@
 #include "tcp/fixed_window.h"
 #include "tcp/receiver.h"
 #include "tcp/reno.h"
+#include "tcp/sender.h"
 #include "tcp/tahoe.h"
 
 namespace tcpdyn::tcp {
 
-struct ConnectionConfig {
+struct ConnectionConfig : CcConfig {
   net::ConnId id = 0;
   net::NodeId src_host = net::kInvalidNode;  // data source
   net::NodeId dst_host = net::kInvalidNode;  // data sink / ACK source
-  SenderKind kind = SenderKind::kTahoe;
-  std::uint32_t fixed_window = 10;           // only for kFixedWindow
   std::uint32_t data_bytes = 500;            // paper: 500-byte data packets
   std::uint32_t ack_bytes = 50;              // paper: 50-byte ACKs
   std::uint32_t maxwnd = 1000;               // paper: never binding
@@ -40,12 +39,6 @@ struct ConnectionConfig {
   sim::Time pacing_interval = sim::Time::zero();
   sim::Time start_time = sim::Time::zero();
   sim::Time stop_time = sim::Time::zero();   // zero = transmit forever
-  TahoeParams tahoe;
-  RenoParams reno;
-  NewRenoParams newreno;
-  CubicParams cubic;
-  VegasParams vegas;
-  BbrParams bbr;
   RttParams rtt;
 };
 

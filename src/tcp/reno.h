@@ -18,9 +18,7 @@ namespace tcpdyn::tcp {
 
 class RenoCc : public TahoeCc {
  public:
-  explicit RenoCc(RenoParams params = {})
-      : TahoeCc(TahoeParams{params.initial_cwnd, params.initial_ssthresh,
-                            params.modified_ca_increment}) {}
+  explicit RenoCc(TahoeParams params = {}) : TahoeCc(params) {}
 
   const char* name() const override { return "reno"; }
   CcAlgorithm algorithm() const override { return CcAlgorithm::kReno; }
@@ -65,21 +63,6 @@ class RenoCc : public TahoeCc {
 
  protected:
   bool in_fast_recovery_ = false;
-};
-
-// Convenience sender owning a RenoCc (historic construction surface).
-class RenoSender final : public WindowSender {
- public:
-  RenoSender(sim::Simulator& sim, net::Host& host, SenderParams params,
-             RenoParams reno = {})
-      : WindowSender(sim, host, params, std::make_unique<RenoCc>(reno)) {}
-
-  RenoCc& reno_cc() { return static_cast<RenoCc&>(cc()); }
-  const RenoCc& reno_cc() const { return static_cast<const RenoCc&>(cc()); }
-
-  double cwnd() const { return reno_cc().cwnd(); }
-  std::uint32_t ssthresh() const { return reno_cc().ssthresh(); }
-  bool in_fast_recovery() const { return reno_cc().in_fast_recovery(); }
 };
 
 }  // namespace tcpdyn::tcp

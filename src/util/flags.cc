@@ -6,14 +6,6 @@
 
 namespace tcpdyn::util {
 
-Flags::Flags(int argc, const char* const* argv) {
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  parse_args(args);
-}
-
-Flags::Flags(const std::vector<std::string>& args) { parse_args(args); }
-
 Flags& Flags::add_spec(Spec spec) {
   if (parsed_) {
     throw std::logic_error("flag --" + spec.name + " declared after parse()");
@@ -69,12 +61,7 @@ void Flags::parse(int argc, const char* const* argv) {
 
 void Flags::parse(const std::vector<std::string>& args) {
   if (parsed_) throw std::logic_error("Flags::parse called twice");
-  parse_args(args);
-}
-
-void Flags::parse_args(const std::vector<std::string>& args) {
   parsed_ = true;
-  const bool registered = !specs_.empty();
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg.rfind("--", 0) != 0) {
@@ -84,43 +71,28 @@ void Flags::parse_args(const std::vector<std::string>& args) {
     const std::string body = arg.substr(2);
     const std::size_t eq = body.find('=');
     const std::string name = eq == std::string::npos ? body : body.substr(0, eq);
-    if (registered) {
-      if (name == "help") {
-        help_requested_ = true;
-        continue;
-      }
-      const Spec* spec = find_spec(name);
-      if (spec == nullptr) {
-        throw std::invalid_argument("unknown flag --" + name +
-                                    " (see --help)");
-      }
-      if (eq != std::string::npos) {
-        values_[name] = body.substr(eq + 1);
-      } else if (spec->boolean) {
-        // A registered boolean never consumes the next token.
-        values_[name] = "true";
-      } else if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
-        values_[name] = args[i + 1];
-        ++i;
-      } else {
-        throw std::invalid_argument("flag --" + name + " requires a " +
-                                    (spec->value_name.empty()
-                                         ? std::string("value")
-                                         : spec->value_name) +
-                                    " value");
-      }
+    if (name == "help") {
+      help_requested_ = true;
       continue;
+    }
+    const Spec* spec = find_spec(name);
+    if (spec == nullptr) {
+      throw std::invalid_argument("unknown flag --" + name + " (see --help)");
     }
     if (eq != std::string::npos) {
       values_[name] = body.substr(eq + 1);
-      continue;
-    }
-    // "--name value" if the next token is not itself a flag; else boolean.
-    if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
+    } else if (spec->boolean) {
+      // A boolean never consumes the next token.
+      values_[name] = "true";
+    } else if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
       values_[name] = args[i + 1];
       ++i;
     } else {
-      values_[name] = "true";
+      throw std::invalid_argument("flag --" + name + " requires a " +
+                                  (spec->value_name.empty()
+                                       ? std::string("value")
+                                       : spec->value_name) +
+                                  " value");
     }
   }
 }
@@ -235,13 +207,6 @@ std::int64_t Flags::get_int(const std::string& name) const {
 bool Flags::get_bool(const std::string& name) const {
   const Spec* s = find_spec(name);
   return get_bool(name, s != nullptr && s->default_value == "true");
-}
-
-std::vector<std::string> Flags::names() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
 }
 
 }  // namespace tcpdyn::util

@@ -1,20 +1,16 @@
-// Command-line flag parsing for the tools.
+// Command-line flag parsing for the tools and benches.
 //
-// Two modes:
-//  - Immediate: construct from argv; callers pull typed values with
-//    fallbacks. No registration, no unknown-flag rejection (kept for tests
-//    and benches that assemble argument lists ad hoc).
-//  - Registered: default-construct, declare every flag with flag(...) —
-//    name, value placeholder, help text, default — then parse(). Unknown
-//    flags are rejected with std::invalid_argument, usage()/--help text is
-//    generated from the declarations, and the declared default backs the
-//    single-argument accessors.
+// Declare every flag with flag(...) — name, value placeholder, help text,
+// default — then parse(). Unknown flags are rejected with
+// std::invalid_argument, usage()/--help text is generated from the
+// declarations, and the declared default backs the single-argument
+// accessors.
 //
-// Syntax in both modes: --name=value, --name value, bare boolean --name,
-// plus positional arguments. A registered boolean never consumes the next
-// token, so "--trace --csv out" parses as two flags. Repeated flags keep
-// the last value (last-wins). Malformed numeric values throw
-// std::invalid_argument naming the flag and the offending value.
+// Syntax: --name=value, --name value, bare boolean --name, plus positional
+// arguments. A boolean never consumes the next token, so "--trace --csv
+// out" parses as two flags. Repeated flags keep the last value
+// (last-wins). Malformed numeric values throw std::invalid_argument naming
+// the flag and the offending value.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +22,6 @@ namespace tcpdyn::util {
 
 class Flags {
  public:
-  // Immediate mode: parse now, accept anything.
-  Flags(int argc, const char* const* argv);
-  explicit Flags(const std::vector<std::string>& args);
-
-  // Registered mode: declare flags, then call parse().
-  Flags() = default;
-
   // Declares a value flag. `value_name` is the placeholder in the usage
   // text (e.g. "N", "SEC", "PATH"); the default is also the fallback for
   // the one-argument accessors and is shown in --help. Returns *this so
@@ -84,9 +73,6 @@ class Flags {
   bool get_bool(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-  // All flag names seen on the command line, for unknown-flag validation in
-  // immediate mode.
-  std::vector<std::string> names() const;
 
  private:
   struct Spec {
@@ -100,7 +86,6 @@ class Flags {
   Flags& add_spec(Spec spec);
   const Spec* find_spec(const std::string& name) const;
   const Spec& require_spec(const std::string& name) const;
-  void parse_args(const std::vector<std::string>& args);
 
   std::vector<Spec> specs_;  // declaration order, for usage()
   std::map<std::string, std::size_t> spec_index_;

@@ -14,9 +14,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 
+#include "core/cc_matrix.h"
 #include "core/scenarios.h"
+#include "core/topo_scenarios.h"
 
 namespace tcpdyn::core {
 namespace {
@@ -162,6 +165,69 @@ TEST(CcEquivalence, DelayedAckTwoWay) {
             "p1 arr=1444 dep=1413 drop=15 ddrop=13 adrop=2 max=20 qn=2756\n"
             "drops=30 cwnd_hash=1c83a6d51bc4f505 created=2826 delivered=2779"
             " dropped=30\n");
+}
+
+// The next three pin the paths that the single queue-discipline and
+// controller construction surfaces replaced; they were captured by building
+// this test on the tree that still had the old surfaces. They cover random
+// drop on the DumbbellParams bottleneck, NewReno and Reno reading Tahoe's
+// parameter block next to CUBIC, Vegas and BBR, and the .topo parser's
+// randomdrop and RED stanzas.
+TEST(CcEquivalence, RandomDropTwoWay) {
+  EXPECT_EQ(run_digest(random_drop_twoway(0.01, 20), 20.0, 80.0),
+            "c0 sent=713 retx=24 acks=688 dup=7 to=4 dlv=606\n"
+            "c1 sent=999 retx=18 acks=966 dup=8 to=3 dlv=776\n"
+            "p0 arr=1687 dep=1661 drop=22 ddrop=16 adrop=6 max=20 qn=3241\n"
+            "p1 arr=1694 dep=1662 drop=17 ddrop=12 adrop=5 max=20 qn=3183\n"
+            "drops=39 cwnd_hash=a5f55a5f4bc2db10 created=3381 delivered=3323"
+            " dropped=39\n");
+}
+
+TEST(CcEquivalence, CcMixTwoWay) {
+  EXPECT_EQ(run_digest(ccmix_twoway({tcp::CcAlgorithm::kNewReno,
+                                     tcp::CcAlgorithm::kCubic,
+                                     tcp::CcAlgorithm::kVegas,
+                                     tcp::CcAlgorithm::kBbr},
+                                    4, 0.01, 20),
+                       20.0, 80.0),
+            "c0 sent=924 retx=63 acks=870 dup=13 to=1 dlv=740\n"
+            "c1 sent=282 retx=75 acks=222 dup=10 to=10 dlv=138\n"
+            "c2 sent=454 retx=25 acks=427 dup=5 to=5 dlv=393\n"
+            "c3 sent=400 retx=182 acks=250 dup=9 to=6 dlv=136\n"
+            "p0 arr=1889 dep=1775 drop=106 ddrop=106 adrop=0 max=20 qn=3484\n"
+            "p1 arr=1952 dep=1775 drop=170 ddrop=170 adrop=0 max=20 qn=3384\n"
+            "drops=276 cwnd_hash=c6f2de750409f852 created=3841 delivered=3550"
+            " dropped=276\n");
+}
+
+TEST(CcEquivalence, TopoFileZoo) {
+  std::istringstream text(
+      "host A1\nhost A2\nhost B1\nhost B2\n"
+      "switch S1\nswitch S2\nswitch S3\n"
+      "link A1 S1 10000000 0.0001 inf inf\n"
+      "link A2 S1 10000000 0.0001 inf inf\n"
+      "link S1 S2 100000 0.005 20 20 randomdrop\n"
+      "link S2 S3 100000 0.005 20 20 red min_th=3 max_th=12\n"
+      "link S3 B1 10000000 0.0001 inf inf\n"
+      "link S3 B2 10000000 0.0001 inf inf\n"
+      "monitor S1 S2\nmonitor S2 S3\nmonitor S3 S2\nmonitor S2 S1\n"
+      "flow A1 B1 kind=newreno start=0.3\n"
+      "flow A2 B2 kind=cubic start=0.9\n"
+      "flow B1 A1 kind=vegas start=1.4\n"
+      "flow B2 A2 kind=bbr start=0.6\n"
+      "flow A2 B1 kind=reno start=1.1\n");
+  EXPECT_EQ(run_digest(make_topo_scenario(parse_topology(text)), 20.0, 80.0),
+            "c0 sent=860 retx=73 acks=791 dup=23 to=7 dlv=676\n"
+            "c1 sent=713 retx=50 acks=657 dup=20 to=10 dlv=526\n"
+            "c2 sent=785 retx=24 acks=716 dup=5 to=5 dlv=667\n"
+            "c3 sent=433 retx=196 acks=233 dup=11 to=5 dlv=104\n"
+            "c4 sent=917 retx=29 acks=862 dup=17 to=8 dlv=685\n"
+            "p0 arr=3516 dep=3304 drop=193 ddrop=121 adrop=72 max=20 qn=6590\n"
+            "p1 arr=3304 dep=3303 drop=0 ddrop=0 adrop=0 max=11 qn=4259\n"
+            "p2 arr=3572 dep=3337 drop=235 ddrop=192 adrop=43 max=20 qn=6215\n"
+            "p3 arr=3337 dep=3337 drop=0 ddrop=0 adrop=0 max=11 qn=5660\n"
+            "drops=428 cwnd_hash=384a7df6efbeb5f8 created=7088 delivered=6639"
+            " dropped=428\n");
 }
 
 }  // namespace

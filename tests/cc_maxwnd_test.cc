@@ -24,7 +24,7 @@ std::vector<CcAlgorithm> all_algorithms() {
 
 std::unique_ptr<CongestionControl> make(CcAlgorithm algo) {
   CcConfig cfg;
-  cfg.algo = algo;
+  cfg.kind = algo;
   cfg.fixed_window = kMaxwnd;  // the fixed window honors maxwnd by config
   return make_congestion_control(cfg);
 }

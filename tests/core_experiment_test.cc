@@ -79,7 +79,7 @@ TEST(Experiment, NoCwndTraceForFixedWindow) {
   Experiment exp;
   const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
   tcp::ConnectionConfig cfg = forward_conn(h);
-  cfg.kind = tcp::SenderKind::kFixedWindow;
+  cfg.kind = tcp::CcAlgorithm::kFixedWindow;
   cfg.fixed_window = 5;
   exp.add_connection(cfg);
   const ExperimentResult r =

@@ -278,6 +278,59 @@ TEST(TopologyFile, ErrorsNameTheLine) {
   EXPECT_NE(line_of("").find("no nodes"), std::string::npos);
 }
 
+// Every .topo discipline option belongs to one discipline and is checked
+// against it: an option on another discipline, a RED band with no width
+// and a zero DRR quantum would otherwise be accepted and then ignored,
+// force-drop every arrival, or be clamped.
+TEST(TopologyFile, DisciplineOptionsMustMatchTheirDiscipline) {
+  const auto error_of = [](const std::string& stanza) {
+    std::istringstream in("switch S1\nswitch S2\nlink S1 S2 50000 0.01 20 20 " +
+                          stanza + "\n");
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(error_of("drr min_th=5"),
+            "topology file line 3: 'min_th' is a RED option, but the link "
+            "runs 'drr'");
+  EXPECT_EQ(error_of("red quantum=100"),
+            "topology file line 3: 'quantum' is a DRR option, but the link "
+            "runs 'red'");
+  EXPECT_EQ(error_of("red min_th=15 max_th=5"),
+            "topology file line 3: RED needs min_th < max_th, got min_th=15 "
+            "max_th=5");
+  EXPECT_EQ(error_of("red-ecn min_th=15"),
+            "topology file line 3: RED needs min_th < max_th, got min_th=15 "
+            "max_th=15");
+  EXPECT_EQ(error_of("drr quantum=0"),
+            "topology file line 3: quantum must be >= 1 byte, got '0'");
+  EXPECT_EQ(error_of("droptail min_th=3"),
+            "topology file line 3: 'droptail' takes no options");
+  EXPECT_EQ(error_of("randomdrop quantum=5"),
+            "topology file line 3: 'randomdrop' takes no options");
+
+  std::istringstream in(
+      "switch S1\nswitch S2\nswitch S3\nswitch S4\n"
+      "link S1 S2 50000 0.01 20 20\n"
+      "link S2 S3 50000 0.01 20 20 randomdrop\n"
+      "link S3 S4 50000 0.01 20 20 red-ecn min_th=3 max_th=12 wq_shift=4\n"
+      "link S4 S1 50000 0.01 20 20 drr quantum=100\n");
+  const std::vector<LinkSpec> links = parse_topology(in).topo.links();
+  ASSERT_EQ(links.size(), 4u);
+  EXPECT_EQ(links[0].qdisc.kind, net::QdiscKind::kDropTail);
+  EXPECT_EQ(links[1].qdisc.kind, net::QdiscKind::kRandomDrop);
+  EXPECT_EQ(links[2].qdisc.kind, net::QdiscKind::kRed);
+  EXPECT_TRUE(links[2].qdisc.red.ecn);
+  EXPECT_EQ(links[2].qdisc.red.min_th, 3u);
+  EXPECT_EQ(links[2].qdisc.red.max_th, 12u);
+  EXPECT_EQ(links[2].qdisc.red.wq_shift, 4u);
+  EXPECT_EQ(links[3].qdisc.kind, net::QdiscKind::kDrr);
+  EXPECT_EQ(links[3].qdisc.drr.quantum_bytes, 100u);
+}
+
 TEST(TopologyFile, RejectsNonPositiveRateAndNegativeDelay) {
   const auto error_of = [](const std::string& link) {
     std::istringstream in("switch S1\nswitch S2\n" + link + "\n");
@@ -450,7 +503,7 @@ TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
     net.connect(h1, s1, p.access_bps, p.access_delay, p.access_buffer,
                 p.access_buffer);
     net.connect(s1, s2, p.bottleneck_bps, p.tau, p.buffer_fwd, p.buffer_rev,
-                p.bottleneck_policy);
+                p.bottleneck_qdisc);
     net.connect(s2, h2, p.access_bps, p.access_delay, p.access_buffer,
                 p.access_buffer);
     net.compute_routes();
@@ -488,7 +541,7 @@ TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
     const auto s1 = net.add_switch("S1");
     const auto s2 = net.add_switch("S2");
     net.connect(s1, s2, p.bottleneck_bps, p.tau, p.buffer_fwd, p.buffer_rev,
-                p.bottleneck_policy);
+                p.bottleneck_qdisc);
     std::vector<net::NodeId> sources, sinks;
     for (std::size_t i = 0; i < delays.size(); ++i) {
       const std::string n = std::to_string(i + 1);

@@ -170,9 +170,9 @@ FuzzOutcome run_fuzz(std::uint64_t seed) {
     cfg.src_host = hosts[a];
     cfg.dst_host = hosts[b];
     const std::uint64_t kind = rng.next_below(4);
-    cfg.kind = kind == 0   ? tcp::SenderKind::kReno
-               : kind == 1 ? tcp::SenderKind::kFixedWindow
-                           : tcp::SenderKind::kTahoe;
+    cfg.kind = kind == 0   ? tcp::CcAlgorithm::kReno
+               : kind == 1 ? tcp::CcAlgorithm::kFixedWindow
+                           : tcp::CcAlgorithm::kTahoe;
     cfg.fixed_window = 2 + static_cast<std::uint32_t>(rng.next_below(12));
     cfg.delayed_ack = rng.next_below(3) == 0;
     // ECT traffic exercises the RED-ECN mark path on fuzzed red trunks; the
@@ -418,9 +418,9 @@ TopoSpec random_spec(std::uint64_t seed) {
     cs.src = hosts[a];
     cs.dst = hosts[b];
     const std::uint64_t kind = rng.next_below(4);
-    cs.kind = kind == 0   ? tcp::SenderKind::kReno
-              : kind == 1 ? tcp::SenderKind::kFixedWindow
-                          : tcp::SenderKind::kTahoe;
+    cs.kind = kind == 0   ? tcp::CcAlgorithm::kReno
+              : kind == 1 ? tcp::CcAlgorithm::kFixedWindow
+                          : tcp::CcAlgorithm::kTahoe;
     cs.fixed_window = 2 + static_cast<std::uint32_t>(rng.next_below(12));
     cs.delayed_ack = rng.next_below(3) == 0;
     cs.ecn = rng.next_below(3) == 0;

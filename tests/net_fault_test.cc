@@ -36,7 +36,8 @@ class FaultPortTest : public ::testing::Test {
  protected:
   FaultPortTest()
       : sink(sim),
-        port(sim, "p", 50'000, sim::Time::seconds(0.01), QueueLimit::of(20)) {
+        port(sim, "p", 50'000, sim::Time::seconds(0.01),
+             QdiscConfig::drop_tail(QueueLimit::of(20))) {
     port.set_peer(&sink);
     port.enable_busy_record();
   }
@@ -278,7 +279,7 @@ std::string run_transcript(const Impairment& model, std::uint64_t seed,
   sim::Simulator sim;
   RecordingSink sink(sim);
   OutputPort port(sim, "p", 50'000, sim::Time::seconds(0.01),
-                  QueueLimit::of(8));
+                  QdiscConfig::drop_tail(QueueLimit::of(8)));
   port.set_peer(&sink);
   port.enable_busy_record();
   if (model.any()) port.attach_impairment(model, seed);

@@ -18,7 +18,7 @@ Packet pkt(std::uint32_t seq, PacketKind kind = PacketKind::kData) {
 }
 
 TEST(RandomDrop, AdmitsArrivalWhenVictimIsQueued) {
-  DropTailQueue q(QueueLimit::of(3), DropPolicy::kRandomDrop, 42);
+  DropTailQueue q(QueueLimit::of(3), /*random_drop=*/true, 42);
   for (std::uint32_t i = 0; i < 3; ++i) ASSERT_TRUE(q.offer(pkt(i)).accepted);
   // Offer packets into a full queue: every offer drops exactly one packet
   // (arrival or victim) and the queue stays at capacity.
@@ -31,7 +31,7 @@ TEST(RandomDrop, AdmitsArrivalWhenVictimIsQueued) {
 }
 
 TEST(RandomDrop, SometimesDropsArrivalSometimesVictim) {
-  DropTailQueue q(QueueLimit::of(5), DropPolicy::kRandomDrop, 7);
+  DropTailQueue q(QueueLimit::of(5), /*random_drop=*/true, 7);
   for (std::uint32_t i = 0; i < 5; ++i) ASSERT_TRUE(q.offer(pkt(i)).accepted);
   int arrival_dropped = 0, victim_dropped = 0;
   for (std::uint32_t i = 5; i < 200; ++i) {
@@ -50,7 +50,7 @@ TEST(RandomDrop, SometimesDropsArrivalSometimesVictim) {
 }
 
 TEST(RandomDrop, ProtectFrontSparesHead) {
-  DropTailQueue q(QueueLimit::of(2), DropPolicy::kRandomDrop, 3);
+  DropTailQueue q(QueueLimit::of(2), /*random_drop=*/true, 3);
   ASSERT_TRUE(q.offer(pkt(100)).accepted);
   ASSERT_TRUE(q.offer(pkt(101)).accepted);
   for (std::uint32_t i = 0; i < 100; ++i) {
@@ -61,7 +61,7 @@ TEST(RandomDrop, ProtectFrontSparesHead) {
 }
 
 TEST(RandomDrop, ByteAccountingAfterVictimRemoval) {
-  DropTailQueue q(QueueLimit::of(2), DropPolicy::kRandomDrop, 9);
+  DropTailQueue q(QueueLimit::of(2), /*random_drop=*/true, 9);
   q.offer(pkt(0));                    // 500 B data
   q.offer(pkt(1, PacketKind::kAck));  // 50 B ACK
   // Churn a full queue with mixed sizes; the byte count must always equal
@@ -88,7 +88,7 @@ TEST(RandomDrop, DropTailPolicyUnchangedByDefault) {
 
 TEST(RandomDrop, DeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
-    DropTailQueue q(QueueLimit::of(4), DropPolicy::kRandomDrop, seed);
+    DropTailQueue q(QueueLimit::of(4), /*random_drop=*/true, seed);
     std::vector<std::uint32_t> dropped;
     for (std::uint32_t i = 0; i < 50; ++i) {
       const EnqueueResult r = q.offer(pkt(i));
@@ -128,8 +128,8 @@ class RecordingObserver : public PacketObserver {
 
 TEST(RandomDropPort, VictimDropsReachHookAndObserver) {
   sim::Simulator sim;
-  OutputPort port(sim, "p", 50'000, sim::Time::zero(), QueueLimit::of(3),
-                  DropPolicy::kRandomDrop, 7);
+  OutputPort port(sim, "p", 50'000, sim::Time::zero(),
+                  QdiscConfig::random_drop(QueueLimit::of(3)), 7);
   RecordingObserver obs;
   port.set_observer(&obs);
   int hook_drops = 0;
@@ -155,8 +155,8 @@ TEST(RandomDropPort, VictimDropsReachHookAndObserver) {
 
 TEST(RandomDropPort, DropHookSeesVictim) {
   sim::Simulator sim;
-  OutputPort port(sim, "p", 50'000, sim::Time::zero(), QueueLimit::of(3),
-                  DropPolicy::kRandomDrop, 11);
+  OutputPort port(sim, "p", 50'000, sim::Time::zero(),
+                  QdiscConfig::random_drop(QueueLimit::of(3)), 11);
   int drops = 0;
   port.on_drop = [&](sim::Time, const Packet&) { ++drops; };
   int changes = 0;

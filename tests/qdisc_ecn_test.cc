@@ -35,10 +35,8 @@ struct EventLog {
 std::unique_ptr<tcp::CongestionControl> make_cc(tcp::CcAlgorithm algo,
                                                 EventLog* log) {
   tcp::CcConfig cfg;
-  cfg.algo = algo;
+  cfg.kind = algo;
   cfg.tahoe.initial_cwnd = 16.0;
-  cfg.reno.initial_cwnd = 16.0;
-  cfg.newreno.initial_cwnd = 16.0;
   cfg.cubic.initial_cwnd = 16;
   cfg.vegas.initial_cwnd = 16.0;
   cfg.bbr.initial_cwnd = 16;
@@ -153,7 +151,7 @@ TransportRun run_transport(bool ecn_qdisc, bool ecn_conn) {
   cfg.id = 0;
   cfg.src_host = a;
   cfg.dst_host = b;
-  cfg.kind = tcp::SenderKind::kTahoe;
+  cfg.kind = tcp::CcAlgorithm::kTahoe;
   cfg.ecn = ecn_conn;
   exp.add_connection(cfg);
 
@@ -239,9 +237,9 @@ std::string run_chain_digest(const net::QdiscConfig& qdisc) {
   exp.set_audit_mode(AuditMode::kFull);
 
   // Mixed controllers, two-way traffic, ECT where the conn supports it.
-  const tcp::SenderKind kinds[] = {tcp::SenderKind::kNewReno,
-                                   tcp::SenderKind::kCubic,
-                                   tcp::SenderKind::kBbr};
+  const tcp::CcAlgorithm kinds[] = {tcp::CcAlgorithm::kNewReno,
+                                    tcp::CcAlgorithm::kCubic,
+                                    tcp::CcAlgorithm::kBbr};
   const net::NodeId srcs[] = {a, b, c};
   const net::NodeId dsts[] = {b, a, b};
   for (net::ConnId i = 0; i < 3; ++i) {

@@ -311,7 +311,7 @@ std::string bbr_dumbbell_digest() {
   cs[0].forward = true;
   cs[1].forward = false;
   cs[1].start_time = sim::Time::seconds(2.0);
-  for (auto& c : cs) c.kind = tcp::SenderKind::kBbr;
+  for (auto& c : cs) c.kind = tcp::CcAlgorithm::kBbr;
   core::add_dumbbell_connections(exp, h, cs);
   const core::ExperimentResult r =
       exp.run(sim::Time::seconds(20.0), sim::Time::seconds(120.0));

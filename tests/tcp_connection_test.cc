@@ -23,7 +23,7 @@ TEST_F(ConnectionTest, TahoeKindAccessors) {
   cfg.id = 0;
   cfg.src_host = handles_.host1;
   cfg.dst_host = handles_.host2;
-  cfg.kind = SenderKind::kTahoe;
+  cfg.kind = CcAlgorithm::kTahoe;
   Connection conn(exp_.network(), cfg);
   EXPECT_NE(conn.tahoe(), nullptr);
   EXPECT_EQ(conn.fixed(), nullptr);
@@ -35,7 +35,7 @@ TEST_F(ConnectionTest, FixedKindAccessors) {
   cfg.id = 1;
   cfg.src_host = handles_.host2;
   cfg.dst_host = handles_.host1;
-  cfg.kind = SenderKind::kFixedWindow;
+  cfg.kind = CcAlgorithm::kFixedWindow;
   cfg.fixed_window = 7;
   Connection conn(exp_.network(), cfg);
   EXPECT_EQ(conn.tahoe(), nullptr);

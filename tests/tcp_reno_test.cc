@@ -1,11 +1,13 @@
-// RenoSender: fast recovery (inflate/deflate), timeout slow start, and the
-// contrast with Tahoe's collapse-to-one response.
+// WindowSender running RenoCc: fast recovery (inflate/deflate), timeout
+// slow start, and the contrast with Tahoe's collapse-to-one response.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "net/network.h"
 #include "tcp/reno.h"
+#include "tcp/sender.h"
 #include "tcp/tahoe.h"
 
 namespace tcpdyn::tcp {
@@ -15,6 +17,9 @@ class NullSink : public net::PacketSink {
  public:
   void deliver(const net::Packet&) override {}
 };
+
+// The controller a sender under test runs.
+RenoCc& reno_cc(WindowSender& s) { return static_cast<RenoCc&>(s.cc()); }
 
 class RenoTest : public ::testing::Test {
  protected:
@@ -60,44 +65,44 @@ class RenoTest : public ::testing::Test {
 };
 
 TEST_F(RenoTest, SlowStartMatchesTahoe) {
-  RenoParams rp;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  TahoeParams rp;
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   ack(s, 1);
   ack(s, 2);
   ack(s, 3);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 4.0);
-  EXPECT_FALSE(s.in_fast_recovery());
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 4.0);
+  EXPECT_FALSE(reno_cc(s).in_fast_recovery());
 }
 
 TEST_F(RenoTest, FastRecoveryInflatesInsteadOfCollapsing) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 12.0;
   rp.initial_ssthresh = 100;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);
-  EXPECT_TRUE(s.in_fast_recovery());
-  EXPECT_EQ(s.ssthresh(), 6u);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 9.0);  // ssthresh + 3, NOT 1 (Tahoe)
+  EXPECT_TRUE(reno_cc(s).in_fast_recovery());
+  EXPECT_EQ(reno_cc(s).ssthresh(), 6u);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 9.0);  // ssthresh + 3, NOT 1 (Tahoe)
 }
 
 TEST_F(RenoTest, DupAcksInflateDuringRecovery) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 12.0;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);
-  const double during = s.cwnd();
+  const double during = s.cc().cwnd();
   ack(s, 0);  // 4th dup
   ack(s, 0);  // 5th dup
-  EXPECT_DOUBLE_EQ(s.cwnd(), during + 2.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), during + 2.0);
 }
 
 TEST_F(RenoTest, InflationClocksOutNewData) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 6.0;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   ASSERT_EQ(sent_.size(), 6u);
   for (int i = 0; i < 3; ++i) ack(s, 0);  // recovery: cwnd = 3+3 = 6
@@ -110,60 +115,61 @@ TEST_F(RenoTest, InflationClocksOutNewData) {
 }
 
 TEST_F(RenoTest, NewAckDeflatesToSsthresh) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 12.0;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);
-  ASSERT_TRUE(s.in_fast_recovery());
+  ASSERT_TRUE(reno_cc(s).in_fast_recovery());
   ack(s, 12);  // recovery ACK
-  EXPECT_FALSE(s.in_fast_recovery());
-  EXPECT_DOUBLE_EQ(s.cwnd(), 6.0);  // deflated to ssthresh
+  EXPECT_FALSE(reno_cc(s).in_fast_recovery());
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 6.0);  // deflated to ssthresh
 }
 
 TEST_F(RenoTest, TimeoutStillSlowStartsFromOne) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 8.0;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   sim_.run_until(sim::Time::seconds(4.0));  // initial RTO
-  EXPECT_DOUBLE_EQ(s.cwnd(), 1.0);
-  EXPECT_FALSE(s.in_fast_recovery());
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 1.0);
+  EXPECT_FALSE(reno_cc(s).in_fast_recovery());
   EXPECT_GE(s.counters().timeout_losses, 1u);
 }
 
 TEST_F(RenoTest, TimeoutDuringRecoveryExitsRecovery) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 8.0;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);
-  ASSERT_TRUE(s.in_fast_recovery());
+  ASSERT_TRUE(reno_cc(s).in_fast_recovery());
   sim_.run_until(sim::Time::seconds(10.0));  // RTO fires
-  EXPECT_FALSE(s.in_fast_recovery());
-  EXPECT_DOUBLE_EQ(s.cwnd(), 1.0);
+  EXPECT_FALSE(reno_cc(s).in_fast_recovery());
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 1.0);
 }
 
 TEST_F(RenoTest, CongestionAvoidanceAfterRecovery) {
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 8.0;
   rp.initial_ssthresh = 100;
-  RenoSender s(sim_, net_.host(h1_), params(), rp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<RenoCc>(rp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);
   ack(s, 8);  // exit recovery: cwnd = ssthresh = 4
-  ASSERT_DOUBLE_EQ(s.cwnd(), 4.0);
+  ASSERT_DOUBLE_EQ(s.cc().cwnd(), 4.0);
   // Now in congestion avoidance (cwnd == ssthresh): next ACK adds 1/4.
   ack(s, 9);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 4.25);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 4.25);
 }
 
 TEST_F(RenoTest, RenoVsTahoeRecoverySpeed) {
   // Same loss pattern; Reno keeps a larger window afterwards.
-  RenoParams rp;
+  TahoeParams rp;
   rp.initial_cwnd = 16.0;
   rp.initial_ssthresh = 100;
-  RenoSender reno(sim_, net_.host(h1_), params(), rp);
+  WindowSender reno(sim_, net_.host(h1_), params(),
+                    std::make_unique<RenoCc>(rp));
   attach(reno);
   for (int i = 0; i < 3; ++i) ack(reno, 0);
   ack(reno, 16);
@@ -174,7 +180,7 @@ TEST_F(RenoTest, RenoVsTahoeRecoverySpeed) {
   TahoeParams tp;
   tp.initial_cwnd = 16.0;
   tp.initial_ssthresh = 100;
-  TahoeSender tahoe(sim_, net_.host(h1_), p2, tp);
+  WindowSender tahoe(sim_, net_.host(h1_), p2, std::make_unique<TahoeCc>(tp));
   tahoe.start(sim_.now());
   sim_.run_until(sim_.now());
   for (int i = 0; i < 3; ++i) {
@@ -190,9 +196,9 @@ TEST_F(RenoTest, RenoVsTahoeRecoverySpeed) {
   a.ack = 16;
   tahoe.deliver(a);
 
-  EXPECT_DOUBLE_EQ(reno.cwnd(), 8.0);   // halved
-  EXPECT_DOUBLE_EQ(tahoe.cwnd(), 2.0);  // slow-starting back from 1
-  EXPECT_GT(reno.cwnd(), tahoe.cwnd());
+  EXPECT_DOUBLE_EQ(reno.cc().cwnd(), 8.0);   // halved
+  EXPECT_DOUBLE_EQ(tahoe.cc().cwnd(), 2.0);  // slow-starting back from 1
+  EXPECT_GT(reno.cc().cwnd(), tahoe.cc().cwnd());
 }
 
 }  // namespace

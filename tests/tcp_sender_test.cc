@@ -1,5 +1,5 @@
-// Unit tests for WindowSender/TahoeSender/FixedWindowSender: the congestion
-// window arithmetic of paper §2.1, dup-ACK fast retransmit, timeout
+// Unit tests for WindowSender running TahoeCc and FixedWindowCc: the
+// congestion window arithmetic of paper §2.1, dup-ACK fast retransmit, timeout
 // go-back-N, Karn's rule, and pacing. ACKs are injected directly via
 // deliver(), so every transition is exercised deterministically.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "net/network.h"
 #include "tcp/fixed_window.h"
+#include "tcp/sender.h"
 #include "tcp/tahoe.h"
 
 namespace tcpdyn::tcp {
@@ -21,6 +22,12 @@ class NullSink : public net::PacketSink {
  public:
   void deliver(const net::Packet&) override {}
 };
+
+// The controller a sender under test runs.
+TahoeCc& tahoe_cc(WindowSender& s) { return static_cast<TahoeCc&>(s.cc()); }
+FixedWindowCc& fixed_cc(WindowSender& s) {
+  return static_cast<FixedWindowCc&>(s.cc());
+}
 
 // Host pair joined by a fat, instant link; the sender's transmissions are
 // recorded via its on_send hook and the peer host discards them.
@@ -69,7 +76,7 @@ class SenderTest : public ::testing::Test {
 };
 
 TEST_F(SenderTest, StartSendsInitialWindow) {
-  TahoeSender s(sim_, net_.host(h1_), params());
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>());
   attach(s);
   ASSERT_EQ(sent_.size(), 1u);  // cwnd = 1
   EXPECT_EQ(sent_[0].seq, 0u);
@@ -78,33 +85,33 @@ TEST_F(SenderTest, StartSendsInitialWindow) {
 }
 
 TEST_F(SenderTest, SlowStartDoublesPerEpoch) {
-  TahoeSender s(sim_, net_.host(h1_), params());
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>());
   attach(s);
   // Epoch 1: ack packet 0 -> cwnd 2, sends 1 and 2.
   ack(s, 1);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 2.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 2.0);
   EXPECT_EQ(sent_.size(), 3u);
   // Epoch 2: ack 2 and 3 -> cwnd 4.
   ack(s, 2);
   ack(s, 3);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 4.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 4.0);
   EXPECT_EQ(s.snd_nxt(), 7u);  // 3 acked + window 4 outstanding
-  EXPECT_TRUE(s.in_slow_start());
+  EXPECT_TRUE(tahoe_cc(s).in_slow_start());
 }
 
 TEST_F(SenderTest, ModifiedCongestionAvoidanceIncrement) {
   TahoeParams tp;
   tp.initial_cwnd = 4.0;
   tp.initial_ssthresh = 4;  // start in congestion avoidance
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
-  EXPECT_FALSE(s.in_slow_start());
+  EXPECT_FALSE(tahoe_cc(s).in_slow_start());
   // Paper: cwnd += 1/floor(cwnd); after 4 ACKs cwnd reaches exactly 5.
   for (std::uint32_t i = 1; i <= 4; ++i) ack(s, i);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 5.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 5.0);
   // Next epoch needs 5 ACKs to reach 6 (no floor anomaly).
   for (std::uint32_t i = 5; i <= 9; ++i) ack(s, i);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 6.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 6.0);
 }
 
 TEST_F(SenderTest, OriginalIncrementShowsAnomaly) {
@@ -114,18 +121,18 @@ TEST_F(SenderTest, OriginalIncrementShowsAnomaly) {
   tp.initial_cwnd = 4.0;
   tp.initial_ssthresh = 4;
   tp.modified_ca_increment = false;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   for (std::uint32_t i = 1; i <= 4; ++i) ack(s, i);
-  EXPECT_LT(s.cwnd(), 5.0);
-  EXPECT_GT(s.cwnd(), 4.5);
+  EXPECT_LT(s.cc().cwnd(), 5.0);
+  EXPECT_GT(s.cc().cwnd(), 4.5);
 }
 
 TEST_F(SenderTest, LossHalvesSsthreshAndResetsCwnd) {
   TahoeParams tp;
   tp.initial_cwnd = 12.0;
   tp.initial_ssthresh = 100;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   ASSERT_EQ(sent_.size(), 12u);
   // Three duplicate ACKs (ack = 0 = snd_una) trigger fast retransmit.
@@ -134,23 +141,23 @@ TEST_F(SenderTest, LossHalvesSsthreshAndResetsCwnd) {
   EXPECT_EQ(s.counters().dup_ack_losses, 0u);
   ack(s, 0);
   EXPECT_EQ(s.counters().dup_ack_losses, 1u);
-  EXPECT_EQ(s.ssthresh(), 6u);  // max(min(12/2, maxwnd), 2)
-  EXPECT_DOUBLE_EQ(s.cwnd(), 1.0);
+  EXPECT_EQ(tahoe_cc(s).ssthresh(), 6u);  // max(min(12/2, maxwnd), 2)
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 1.0);
 }
 
 TEST_F(SenderTest, SsthreshFloorIsTwo) {
   TahoeParams tp;
   tp.initial_cwnd = 2.0;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);
-  EXPECT_EQ(s.ssthresh(), 2u);  // max(min(1, maxwnd), 2) = 2
+  EXPECT_EQ(tahoe_cc(s).ssthresh(), 2u);  // max(min(1, maxwnd), 2) = 2
 }
 
 TEST_F(SenderTest, FastRetransmitResendsOnlyFirstUnacked) {
   TahoeParams tp;
   tp.initial_cwnd = 8.0;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   ASSERT_EQ(sent_.size(), 8u);
   const std::uint32_t nxt_before = s.snd_nxt();
@@ -166,7 +173,7 @@ TEST_F(SenderTest, FastRetransmitResendsOnlyFirstUnacked) {
 TEST_F(SenderTest, FourthDupAckDoesNotRetrigger) {
   TahoeParams tp;
   tp.initial_cwnd = 8.0;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   for (int i = 0; i < 6; ++i) ack(s, 0);
   EXPECT_EQ(s.counters().dup_ack_losses, 1u);
@@ -177,13 +184,13 @@ TEST_F(SenderTest, RecoveryAfterBigAck) {
   TahoeParams tp;
   tp.initial_cwnd = 8.0;
   tp.initial_ssthresh = 100;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   for (int i = 0; i < 3; ++i) ack(s, 0);  // loss; ssthresh = 4, cwnd = 1
   sent_.clear();
   ack(s, 8);  // the retransmission filled the gap; all 8 covered
   // Slow start resumes: cwnd 2, sends from old snd_nxt (8), two packets.
-  EXPECT_DOUBLE_EQ(s.cwnd(), 2.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 2.0);
   ASSERT_EQ(sent_.size(), 2u);
   EXPECT_EQ(sent_[0].seq, 8u);
   EXPECT_FALSE(sent_[0].retransmit);
@@ -192,7 +199,7 @@ TEST_F(SenderTest, RecoveryAfterBigAck) {
 TEST_F(SenderTest, TimeoutGoesBackN) {
   TahoeParams tp;
   tp.initial_cwnd = 4.0;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   ASSERT_EQ(sent_.size(), 4u);
   sent_.clear();
@@ -201,11 +208,11 @@ TEST_F(SenderTest, TimeoutGoesBackN) {
   ASSERT_FALSE(sent_.empty());
   EXPECT_EQ(sent_[0].seq, 0u);  // go-back-N restarts at snd_una
   EXPECT_TRUE(sent_[0].retransmit);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 1.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 1.0);
 }
 
 TEST_F(SenderTest, TimeoutBacksOffRto) {
-  TahoeSender s(sim_, net_.host(h1_), params());
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>());
   attach(s);
   sim_.run_until(sim::Time::seconds(30.0));
   // 3s, then backoff doubling: multiple timeouts but spaced increasingly.
@@ -214,7 +221,7 @@ TEST_F(SenderTest, TimeoutBacksOffRto) {
 }
 
 TEST_F(SenderTest, KarnNoSampleFromRetransmission) {
-  TahoeSender s(sim_, net_.host(h1_), params());
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>());
   attach(s);
   sim_.run_until(sim::Time::seconds(4.0));  // RTO fires, seq 0 retransmitted
   EXPECT_FALSE(s.rtt().has_sample());
@@ -227,7 +234,7 @@ TEST_F(SenderTest, AckEqualToTimedSeqProducesNoSample) {
   // packet's sequence number does NOT cover it (a cumulative ACK of k means
   // "k not yet received"), so no RTT sample may be taken — the sampling
   // condition is strictly ack.ack > timed_seq.
-  TahoeSender s(sim_, net_.host(h1_), params());
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>());
   int samples = 0;
   s.hooks().on_rtt_sample = [&](sim::Time, sim::Time) { ++samples; };
   attach(s);              // sends 0, times seq 0
@@ -244,7 +251,7 @@ TEST_F(SenderTest, AckEqualToTimedSeqProducesNoSample) {
 }
 
 TEST_F(SenderTest, RttSampledFromCleanExchange) {
-  TahoeSender s(sim_, net_.host(h1_), params());
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>());
   attach(s);
   sim_.schedule(sim::Time::milliseconds(500), [&] { ack(s, 1); });
   sim_.run_until(sim::Time::milliseconds(600));
@@ -255,19 +262,19 @@ TEST_F(SenderTest, RttSampledFromCleanExchange) {
 TEST_F(SenderTest, StaleAckIgnored) {
   TahoeParams tp;
   tp.initial_cwnd = 4.0;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   ack(s, 3);
-  const double cwnd = s.cwnd();
+  const double cwnd = s.cc().cwnd();
   ack(s, 1);  // below snd_una: ignored entirely
-  EXPECT_DOUBLE_EQ(s.cwnd(), cwnd);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), cwnd);
   EXPECT_EQ(s.snd_una(), 3u);
 }
 
 TEST_F(SenderTest, DupAckWithNothingOutstandingIgnored) {
   TahoeParams tp;
   tp.initial_cwnd = 1.0;
-  TahoeSender s(sim_, net_.host(h1_), params(), tp);
+  WindowSender s(sim_, net_.host(h1_), params(), std::make_unique<TahoeCc>(tp));
   attach(s);
   ack(s, 1);  // now cwnd=2, outstanding 2... ack everything:
   ack(s, 3);
@@ -282,7 +289,7 @@ TEST_F(SenderTest, MaxwndCapsWindow) {
   p.maxwnd = 4;
   TahoeParams tp;
   tp.initial_cwnd = 100.0;
-  TahoeSender s(sim_, net_.host(h1_), p, tp);
+  WindowSender s(sim_, net_.host(h1_), p, std::make_unique<TahoeCc>(tp));
   attach(s);
   EXPECT_EQ(s.window(), 4u);
   EXPECT_EQ(sent_.size(), 4u);
@@ -299,19 +306,20 @@ TEST_F(SenderTest, CwndClampedAtMaxwndSoSsthreshHalvesEffectiveWindow) {
   TahoeParams tp;
   tp.initial_cwnd = 8.0;
   tp.initial_ssthresh = 4;  // congestion avoidance from the start
-  TahoeSender s(sim_, net_.host(h1_), p, tp);
+  WindowSender s(sim_, net_.host(h1_), p, std::make_unique<TahoeCc>(tp));
   attach(s);
   // 100 ACKs of new data: without the clamp cwnd_ would reach ~20.
   for (std::uint32_t i = 1; i <= 100; ++i) ack(s, i);
-  EXPECT_DOUBLE_EQ(s.cwnd(), 8.0);
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 8.0);
   EXPECT_EQ(s.window(), 8u);
   for (int i = 0; i < 3; ++i) ack(s, 100);  // dup-ack loss
-  EXPECT_EQ(s.ssthresh(), 4u);  // max(min(8/2, maxwnd), 2), not ~10
-  EXPECT_DOUBLE_EQ(s.cwnd(), 1.0);
+  EXPECT_EQ(tahoe_cc(s).ssthresh(), 4u);  // max(min(8/2, maxwnd), 2), not ~10
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 1.0);
 }
 
 TEST_F(SenderTest, FixedWindowNeverAdjusts) {
-  FixedWindowSender s(sim_, net_.host(h1_), params(), 5);
+  WindowSender s(sim_, net_.host(h1_), params(),
+                 std::make_unique<FixedWindowCc>(5));
   attach(s);
   EXPECT_EQ(s.window(), 5u);
   EXPECT_EQ(sent_.size(), 5u);
@@ -324,19 +332,21 @@ TEST_F(SenderTest, FixedWindowNeverAdjusts) {
 }
 
 TEST_F(SenderTest, FixedWindowSetWindowGrows) {
-  FixedWindowSender s(sim_, net_.host(h1_), params(), 2);
+  WindowSender s(sim_, net_.host(h1_), params(),
+                 std::make_unique<FixedWindowCc>(2));
   attach(s);
   EXPECT_EQ(sent_.size(), 2u);
-  s.set_window(5);  // the §4.3.3 "suddenly increase the window" experiment
+  // The §4.3.3 "suddenly increase the window" experiment.
+  fixed_cc(s).set_window(5);
   EXPECT_EQ(sent_.size(), 5u);
-  s.set_window(3);  // shrinking never un-sends
+  fixed_cc(s).set_window(3);  // shrinking never un-sends
   EXPECT_EQ(sent_.size(), 5u);
 }
 
 TEST_F(SenderTest, PacingSpacesTransmissions) {
   SenderParams p = params();
   p.pacing_interval = sim::Time::milliseconds(80);
-  FixedWindowSender s(sim_, net_.host(h1_), p, 4);
+  WindowSender s(sim_, net_.host(h1_), p, std::make_unique<FixedWindowCc>(4));
   std::vector<sim::Time> times;
   s.hooks().on_send = [&](sim::Time t, const net::Packet&) { times.push_back(t); };
   s.start(sim::Time::zero());
@@ -348,7 +358,8 @@ TEST_F(SenderTest, PacingSpacesTransmissions) {
 }
 
 TEST_F(SenderTest, NonpacedSendsBackToBack) {
-  FixedWindowSender s(sim_, net_.host(h1_), params(), 4);
+  WindowSender s(sim_, net_.host(h1_), params(),
+                 std::make_unique<FixedWindowCc>(4));
   std::vector<sim::Time> times;
   s.hooks().on_send = [&](sim::Time t, const net::Packet&) { times.push_back(t); };
   s.start(sim::Time::zero());
@@ -424,7 +435,7 @@ TEST_F(SenderTest, PacedStartReAnchorsPacingSlot) {
   // first packet leaves AT start, the rest on the pacing grid after it.
   SenderParams p = params();
   p.pacing_interval = sim::Time::milliseconds(80);
-  FixedWindowSender s(sim_, net_.host(h1_), p, 3);
+  WindowSender s(sim_, net_.host(h1_), p, std::make_unique<FixedWindowCc>(3));
   std::vector<sim::Time> times;
   s.hooks().on_send = [&](sim::Time t, const net::Packet&) { times.push_back(t); };
   s.start(sim::Time::milliseconds(500));
@@ -499,7 +510,7 @@ std::uint64_t pacing_cycles_events(int n, bool paced) {
   p.self = h1;
   p.peer = h2;
   if (paced) p.pacing_interval = sim::Time::milliseconds(100);
-  FixedWindowSender s(sim, net.host(h1), p, 2);
+  WindowSender s(sim, net.host(h1), p, std::make_unique<FixedWindowCc>(2));
   for (int k = 1; k <= n; ++k) {
     sim.schedule(sim::Time::milliseconds(100) * k, [&s, k] {
       net::Packet a;
@@ -551,7 +562,7 @@ TEST_P(SlowStartSweep, ExponentialGrowth) {
   p.self = h1;
   p.peer = h2;
   p.dupack_threshold = GetParam();
-  TahoeSender s(sim, net.host(h1), p);
+  WindowSender s(sim, net.host(h1), p, std::make_unique<TahoeCc>());
   s.start(sim::Time::zero());
   sim.run_until(sim::Time::zero());
   std::uint32_t acked = 0;
@@ -565,7 +576,7 @@ TEST_P(SlowStartSweep, ExponentialGrowth) {
       s.deliver(a);
     }
   }
-  EXPECT_DOUBLE_EQ(s.cwnd(), 32.0);  // 1 -> 2 -> 4 -> 8 -> 16 -> 32
+  EXPECT_DOUBLE_EQ(s.cc().cwnd(), 32.0);  // 1 -> 2 -> 4 -> 8 -> 16 -> 32
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, SlowStartSweep,

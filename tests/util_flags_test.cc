@@ -12,8 +12,21 @@
 namespace tcpdyn::util {
 namespace {
 
+// Declares `values` as value flags and `booleans` as boolean flags, then
+// parses `args`.
+Flags parsed(const std::vector<std::string>& args,
+             const std::vector<std::string>& values,
+             const std::vector<std::string>& booleans = {}) {
+  Flags f;
+  for (const std::string& n : values) f.flag(n, "V", "value", "");
+  for (const std::string& n : booleans) f.flag(n, "switch", false);
+  f.parse(args);
+  return f;
+}
+
 TEST(Flags, EqualsSyntax) {
-  Flags f({"--tau=0.01", "--buffer=20", "--name=fig4"});
+  const Flags f = parsed({"--tau=0.01", "--buffer=20", "--name=fig4"},
+                         {"tau", "buffer", "name"});
   EXPECT_TRUE(f.has("tau"));
   EXPECT_DOUBLE_EQ(f.get_double("tau", 0.0), 0.01);
   EXPECT_EQ(f.get_int("buffer", 0), 20);
@@ -21,13 +34,14 @@ TEST(Flags, EqualsSyntax) {
 }
 
 TEST(Flags, SpaceSyntax) {
-  Flags f({"--tau", "0.5", "--scenario", "fig8"});
+  const Flags f =
+      parsed({"--tau", "0.5", "--scenario", "fig8"}, {"tau", "scenario"});
   EXPECT_DOUBLE_EQ(f.get_double("tau", 0.0), 0.5);
   EXPECT_EQ(f.get("scenario"), "fig8");
 }
 
 TEST(Flags, BareBoolean) {
-  Flags f({"--chart", "--csv"});
+  const Flags f = parsed({"--chart", "--csv"}, {}, {"chart", "csv"});
   EXPECT_TRUE(f.get_bool("chart"));
   EXPECT_TRUE(f.get_bool("csv"));
   EXPECT_FALSE(f.get_bool("absent"));
@@ -35,33 +49,35 @@ TEST(Flags, BareBoolean) {
 }
 
 TEST(Flags, BooleanValues) {
-  Flags f({"--a=true", "--b=false", "--c=1", "--d=0", "--e=yes", "--g=no"});
+  const Flags f =
+      parsed({"--a=true", "--b=false", "--c=1", "--d=0", "--e=yes", "--g=no"},
+             {}, {"a", "b", "c", "d", "e", "g"});
   EXPECT_TRUE(f.get_bool("a"));
   EXPECT_FALSE(f.get_bool("b"));
   EXPECT_TRUE(f.get_bool("c"));
   EXPECT_FALSE(f.get_bool("d"));
   EXPECT_TRUE(f.get_bool("e"));
   EXPECT_FALSE(f.get_bool("g"));
-  Flags bad({"--x=maybe"});
+  const Flags bad = parsed({"--x=maybe"}, {}, {"x"});
   EXPECT_THROW(bad.get_bool("x"), std::invalid_argument);
 }
 
 TEST(Flags, BooleanFollowedByFlag) {
   // "--chart --tau 5": chart must be boolean, not consume "--tau".
-  Flags f({"--chart", "--tau", "5"});
+  const Flags f = parsed({"--chart", "--tau", "5"}, {"tau"}, {"chart"});
   EXPECT_TRUE(f.get_bool("chart"));
   EXPECT_DOUBLE_EQ(f.get_double("tau", 0.0), 5.0);
 }
 
 TEST(Flags, Positional) {
-  Flags f({"input.csv", "--x=1", "output.csv"});
+  const Flags f = parsed({"input.csv", "--x=1", "output.csv"}, {"x"});
   ASSERT_EQ(f.positional().size(), 2u);
   EXPECT_EQ(f.positional()[0], "input.csv");
   EXPECT_EQ(f.positional()[1], "output.csv");
 }
 
 TEST(Flags, Defaults) {
-  Flags f(std::vector<std::string>{});
+  const Flags f = parsed({}, {});
   EXPECT_EQ(f.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(f.get_double("missing", 3.5), 3.5);
   EXPECT_EQ(f.get_int("missing", -7), -7);
@@ -69,33 +85,27 @@ TEST(Flags, Defaults) {
 
 TEST(Flags, ArgcArgvConstructorSkipsProgramName) {
   const char* argv[] = {"prog", "--x=1", "pos"};
-  Flags f(3, argv);
-  EXPECT_EQ(f.get_int("x", 0), 1);
+  Flags f;
+  f.flag("x", "N", "value", 0);
+  f.parse(3, argv);
+  EXPECT_EQ(f.get_int("x"), 1);
   ASSERT_EQ(f.positional().size(), 1u);
   EXPECT_EQ(f.positional()[0], "pos");
 }
 
 TEST(Flags, LastValueWins) {
-  Flags f({"--x=1", "--x=2"});
+  const Flags f = parsed({"--x=1", "--x=2"}, {"x"});
   EXPECT_EQ(f.get_int("x", 0), 2);
 }
 
-TEST(Flags, NamesEnumerated) {
-  Flags f({"--b=1", "--a=2"});
-  const auto names = f.names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a");  // map order
-  EXPECT_EQ(names[1], "b");
-}
-
 TEST(Flags, MalformedNumberThrows) {
-  Flags f({"--x=abc"});
+  const Flags f = parsed({"--x=abc"}, {"x"});
   EXPECT_THROW(f.get_double("x", 0.0), std::invalid_argument);
   EXPECT_THROW(f.get_int("x", 0), std::invalid_argument);
 }
 
 TEST(Flags, MalformedNumberErrorNamesFlagAndValue) {
-  Flags f({"--tau=fast", "--buffer=many"});
+  const Flags f = parsed({"--tau=fast", "--buffer=many"}, {"tau", "buffer"});
   try {
     f.get_double("tau", 0.0);
     FAIL() << "expected std::invalid_argument";
@@ -113,26 +123,27 @@ TEST(Flags, MalformedNumberErrorNamesFlagAndValue) {
     EXPECT_NE(msg.find("many"), std::string::npos) << msg;
   }
   // Trailing garbage after a valid prefix is malformed too, not truncated.
-  Flags g({"--x=12abc", "--y=3.5e"});
+  const Flags g = parsed({"--x=12abc", "--y=3.5e"}, {"x", "y"});
   EXPECT_THROW(g.get_int("x", 0), std::invalid_argument);
   EXPECT_THROW(g.get_double("y", 0.0), std::invalid_argument);
 }
 
 TEST(Flags, NegativeValuesAreValuesNotFlags) {
-  Flags f({"--tau", "-5", "--offset=-0.25"});
+  const Flags f =
+      parsed({"--tau", "-5", "--offset=-0.25"}, {"tau", "offset"});
   EXPECT_DOUBLE_EQ(f.get_double("tau", 0.0), -5.0);
   EXPECT_EQ(f.get_int("tau", 0), -5);
   EXPECT_DOUBLE_EQ(f.get_double("offset", 0.0), -0.25);
 }
 
 TEST(Flags, EqualsWithEmptyValue) {
-  Flags f({"--name=", "--other=x"});
+  const Flags f = parsed({"--name=", "--other=x"}, {"name", "other"});
   EXPECT_TRUE(f.has("name"));
   EXPECT_EQ(f.get("name", "dflt"), "");  // present and empty, not default
   EXPECT_EQ(f.get("other"), "x");
 }
 
-// --- registration mode --------------------------------------------------
+// --- declared defaults, errors and usage -------------------------------
 
 Flags declared() {
   Flags f;

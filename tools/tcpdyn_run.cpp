@@ -1,7 +1,7 @@
 // tcpdyn_run — run any configuration of the study from the command line.
 //
 //   tcpdyn_run --scenario fig4                       # a paper figure
-//   tcpdyn_run --scenario twoway --tau 0.1 --buffer 40 --sender reno
+//   tcpdyn_run --scenario twoway --tau 0.1 --buffer 40 --cc reno
 //   tcpdyn_run --scenario oneway --conns 5 --duration 600 --chart
 //   tcpdyn_run --scenario fixed --w1 30 --w2 25 --tau 1
 //   tcpdyn_run --scenario chain --conns 50 --csv-dir out/
@@ -52,7 +52,6 @@ void declare_flags(util::Flags& flags) {
       .flag("tau", "SEC", "bottleneck propagation delay", 0.01)
       .flag("buffer", "PKTS", "bottleneck buffer", 20)
       .flag("conns", "N", "connection / flow count", 2)
-      .flag("sender", "tahoe|reno", "adaptive sender kind", "tahoe")
       .flag("cc", "LIST",
             "comma-separated congestion controllers (" +
                 tcp::cc_registry().names_joined() +
@@ -61,7 +60,6 @@ void declare_flags(util::Flags& flags) {
             "")
       .flag("delayed-ack", "receiver delayed-ACK option", false)
       .flag("pacing", "SEC", "pacing interval (0 = nonpaced)", 0.0)
-      .flag("random-drop", "random-drop bottleneck discipline", false)
       .flag("qdisc", "NAME",
             "bottleneck queue discipline (" +
                 net::qdisc_registry().names_joined() +
@@ -109,20 +107,14 @@ core::Scenario custom_dumbbell(const util::Flags& flags,
   const auto buffer = tools::count_flag<std::size_t>(flags, "buffer");
   p.buffer_fwd = net::QueueLimit::of(buffer);
   p.buffer_rev = net::QueueLimit::of(buffer);
-  if (flags.get_bool("random-drop")) {
-    p.bottleneck_policy = net::DropPolicy::kRandomDrop;
-  }
-  p.bottleneck_qdisc = opts.qdisc;
+  if (opts.qdisc) p.bottleneck_qdisc = *opts.qdisc;
 
   const auto n = tools::count_flag<std::size_t>(flags, "conns");
-  const std::string sender = flags.get("sender");
-  // --cc overrides --sender and may mix algorithms across the flows.
+  // --cc may mix algorithms across the flows; Tahoe when unset.
   std::vector<core::ConnSpec> conns(n);
   for (std::size_t i = 0; i < n; ++i) {
     conns[i].forward = two_way ? i < (n + 1) / 2 : true;
-    conns[i].kind = !opts.cc.empty() ? opts.cc[i % opts.cc.size()]
-                    : sender == "reno" ? tcp::SenderKind::kReno
-                                       : tcp::SenderKind::kTahoe;
+    if (!opts.cc.empty()) conns[i].kind = opts.cc[i % opts.cc.size()];
     conns[i].delayed_ack = flags.get_bool("delayed-ack");
     conns[i].ecn = flags.get_bool("ecn");
     conns[i].pacing_interval = sim::Time::seconds(flags.get_double("pacing"));
