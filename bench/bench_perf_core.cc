@@ -214,7 +214,7 @@ WorkloadResult run_incast100k(double scale) {
   p.per_flow_traces = false;
   const long rss_before_kb = peak_rss_kb();
   const double t0 = now_sec();
-  core::Scenario sc = core::incast_scenario(p);
+  core::Scenario sc = core::make_topo_scenario(core::incast_spec(p));
   const long rss_after_kb = peak_rss_kb();
   const std::uint64_t flows =
       static_cast<std::uint64_t>(p.senders) * p.flows_per_sender;
@@ -519,7 +519,7 @@ int main(int argc, char** argv) {
     // it is part of what the API costs at this flow count.
     const double t0 = now_sec();
     core::ParkingLotParams p;
-    core::Scenario sc = core::parking_lot_scenario(p);
+    core::Scenario sc = core::make_topo_scenario(core::parking_lot_spec(p));
     sc.warmup = sim::Time::seconds(10.0 * scale);
     sc.duration = sim::Time::seconds(30.0 * scale);
     WorkloadResult r = run_scenario_workload("topo512", std::move(sc));
@@ -549,7 +549,8 @@ int main(int argc, char** argv) {
     p.ecn = true;
     p.warmup_sec = 50.0 * scale;
     p.duration_sec = 1000.0 * scale;
-    return run_scenario_workload("red_wave", core::red_wave_scenario(p));
+    return run_scenario_workload(
+        "red_wave", core::make_topo_scenario(core::red_wave_spec(p)));
   }));
   results.push_back(run_incast100k(scale));
   results.push_back(run_sweep16(scale, jobs));

@@ -34,7 +34,7 @@ WaveRun run_wave(const net::QdiscConfig& qdisc, bool ecn, const char* label) {
   core::RedWaveParams p;
   p.qdisc = qdisc;
   p.ecn = ecn;
-  core::Scenario sc = core::red_wave_scenario(p);
+  core::Scenario sc = core::make_topo_scenario(core::red_wave_spec(p));
   core::ScenarioSummary s = core::run_scenario(sc);
   WaveRun out;
   out.wave = core::analyze_waves(s.result.ports, s.result.t_start,

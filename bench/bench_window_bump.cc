@@ -25,6 +25,7 @@
 
 #include "core/dumbbell.h"
 #include "core/experiment.h"
+#include "core/scenarios.h"
 #include "core/sweep.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -42,23 +43,26 @@ struct BumpOutcome {
 
 constexpr double kBumpTime = 70.0;
 
-BumpOutcome run_bump(double tau, std::size_t buffer) {
-  core::Experiment exp;
-  core::DumbbellParams p;
-  p.tau = sim::Time::seconds(tau);
-  p.buffer_fwd = net::QueueLimit::of(buffer);
-  p.buffer_rev = net::QueueLimit::of(buffer);
-  const core::DumbbellHandles h = core::build_dumbbell(exp, p);
+// Two fixed-window connections over the dumbbell `p`: window w1 forward from
+// t = 0, window w2 reverse from t = 1.7 s.
+core::Scenario fixed_pair(const core::DumbbellParams& p, std::uint32_t w1,
+                          std::uint32_t w2) {
+  core::TopoSpec spec;
+  spec.topo = core::dumbbell_topology(p);
+  for (const bool forward : {true, false}) {
+    core::ConnSpec c = core::dumbbell_flow(forward);
+    c.kind = tcp::CcAlgorithm::kFixedWindow;
+    c.fixed_window = forward ? w1 : w2;
+    if (!forward) c.start_time = sim::Time::seconds(1.7);
+    spec.traffic.add(std::move(c));
+  }
+  return core::make_topo_scenario(spec);
+}
 
-  std::vector<core::ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[0].kind = tcp::CcAlgorithm::kFixedWindow;
-  conns[0].fixed_window = 1;
-  conns[1].forward = false;
-  conns[1].kind = tcp::CcAlgorithm::kFixedWindow;
-  conns[1].fixed_window = 1;
-  conns[1].start_time = sim::Time::seconds(1.7);
-  core::add_dumbbell_connections(exp, h, conns);
+BumpOutcome run_bump(double tau, std::size_t buffer) {
+  core::Scenario sc =
+      fixed_pair(core::dumbbell_params(tau, net::QueueLimit::of(buffer)), 1, 1);
+  core::Experiment& exp = *sc.exp;
 
   // Ramp: +1 packet of window every 1.5 s until 30/25 (done by t ~ 45 s).
   for (std::uint32_t step = 1; step < 30; ++step) {
@@ -113,21 +117,9 @@ struct CounterfactualOutcome {
 };
 
 CounterfactualOutcome run_counterfactual() {
-  core::Experiment exp;
-  core::DumbbellParams p;
-  p.tau = sim::Time::seconds(1.0);
-  p.buffer_fwd = net::QueueLimit::infinite();
-  p.buffer_rev = net::QueueLimit::infinite();
-  const core::DumbbellHandles h = core::build_dumbbell(exp, p);
-  std::vector<core::ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[0].kind = tcp::CcAlgorithm::kFixedWindow;
-  conns[0].fixed_window = 30;
-  conns[1].forward = false;
-  conns[1].kind = tcp::CcAlgorithm::kFixedWindow;
-  conns[1].fixed_window = 25;
-  conns[1].start_time = sim::Time::seconds(1.7);
-  core::add_dumbbell_connections(exp, h, conns);
+  core::Scenario sc = fixed_pair(
+      core::dumbbell_params(1.0, net::QueueLimit::infinite()), 30, 25);
+  core::Experiment& exp = *sc.exp;
   exp.sim().schedule(sim::Time::seconds(kBumpTime), [&exp] {
     exp.connection(0).fixed()->set_window(31);
     exp.connection(1).fixed()->set_window(26);

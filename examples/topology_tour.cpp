@@ -3,7 +3,9 @@
 //  1. Hand-build a ring with core::Topology and route one flow across it —
 //     Dijkstra picks the short way around, ties broken deterministically.
 //  2. Schedule a batch of flows with core::TrafficMatrix: one ConnSpec,
-//     count=8, start jitter drawn from the spec's own seeded stream.
+//     count=8, start jitter drawn from the spec's own seeded stream. The
+//     graph and the flows form a core::TopoSpec, which
+//     core::make_topo_scenario turns into a runnable scenario.
 //  3. Parse the same kind of description from text (the format behind
 //     `tcpdyn_run topo --file=...`).
 #include <iostream>
@@ -11,14 +13,17 @@
 
 #include "core/report.h"
 #include "core/scenarios.h"
-#include "core/topo_scenarios.h"
 #include "core/topology.h"
 
 int main() {
   using namespace tcpdyn;
 
   // 1 + 2: a four-switch ring, eight flows between two hosts.
-  core::Topology topo;
+  core::TopoSpec spec;
+  spec.name = "topology tour: 4-switch ring, 8 flows A->B";
+  spec.warmup = sim::Time::seconds(20.0);
+  spec.duration = sim::Time::seconds(80.0);
+  core::Topology& topo = spec.topo;
   std::vector<std::size_t> sw;
   for (int i = 0; i < 4; ++i) {
     sw.push_back(topo.add_switch("R" + std::to_string(i + 1)));
@@ -34,23 +39,14 @@ int main() {
   topo.monitor(sw[0], sw[1]);  // the tie-break winner: via R2, not R4
   topo.monitor(sw[1], sw[0]);
 
-  core::Scenario sc;
-  sc.name = "topology tour: 4-switch ring, 8 flows A->B";
-  sc.exp = std::make_unique<core::Experiment>();
-  sc.warmup = sim::Time::seconds(20.0);
-  sc.duration = sim::Time::seconds(80.0);
-  const core::CompiledTopology compiled = topo.compile(*sc.exp);
-
-  core::TrafficMatrix traffic;
   core::ConnSpec flows;
   flows.src = "A";
   flows.dst = "B";
   flows.count = 8;
   flows.start_spread = sim::Time::seconds(5.0);
   flows.seed = 42;
-  traffic.add(flows);
-  traffic.instantiate(*sc.exp, compiled);
-  sc.tahoe_connections = traffic.adaptive_flow_count();
+  spec.traffic.add(flows);
+  core::Scenario sc = core::make_topo_scenario(spec);
   core::print_summary(std::cout, sc.name, core::run_scenario(sc));
 
   // 3: the same idea in file form.

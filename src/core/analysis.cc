@@ -361,8 +361,4 @@ WaveStats analyze_waves(std::span<const PortTrace> ports, double from,
   return w;
 }
 
-double expected_drops_per_epoch(std::size_t tahoe_connections) {
-  return static_cast<double>(tahoe_connections);
-}
-
 }  // namespace tcpdyn::core

@@ -233,11 +233,4 @@ WaveStats analyze_waves(std::span<const PortTrace> ports, double from,
                         double to, double dt = 0.05,
                         double max_lag_sec = 2.0);
 
-// ------------------------------------------------------------ acceleration
-
-// Total acceleration of a set of Tahoe connections in congestion avoidance
-// is the number of connections (each window grows by ~1 per epoch); the
-// paper predicts total drops per congestion epoch == total acceleration.
-double expected_drops_per_epoch(std::size_t tahoe_connections);
-
 }  // namespace tcpdyn::core

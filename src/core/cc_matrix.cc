@@ -13,39 +13,32 @@ namespace tcpdyn::core {
 
 namespace {
 
-ConnSpec entrant(tcp::CcAlgorithm algo, const CcMatrixParams& params) {
-  ConnSpec c;
+// Head-to-head: every flow runs H1 -> H2, contending for the same port.
+ConnSpec entrant(tcp::CcAlgorithm algo, const CcMatrixParams& params,
+                 std::size_t slot) {
+  ConnSpec c = dumbbell_flow(true);
   c.kind = algo;
   c.fixed_window = params.fixed_window;
   c.maxwnd = params.maxwnd;
-  c.forward = true;  // head-to-head: every flow contends for the same port
+  c.start_time = sim::Time::seconds(0.37 * static_cast<double>(slot));
   return c;
 }
 
 CcMatrixCell run_cell(tcp::CcAlgorithm row, tcp::CcAlgorithm col,
                       const CcMatrixParams& params, std::uint64_t* events,
                       AuditTotals* totals) {
-  Experiment exp;
-  exp.set_audit_mode(params.audit);
-
-  DumbbellParams p;
-  p.tau = sim::Time::seconds(params.tau_sec);
-  p.buffer_fwd = net::QueueLimit::of(params.buffer);
-  p.buffer_rev = net::QueueLimit::of(params.buffer);
-  const DumbbellHandles h = build_dumbbell(exp, p);
-
+  TopoSpec spec;
+  spec.topo = dumbbell_topology(
+      dumbbell_params(params.tau_sec, net::QueueLimit::of(params.buffer)));
   // Row flows take even slots, column flows odd slots, so neither algorithm
   // gets a systematic head start as flows_per_algo grows.
-  std::vector<ConnSpec> conns;
   for (std::size_t i = 0; i < params.flows_per_algo; ++i) {
-    ConnSpec a = entrant(row, params);
-    a.start_time = sim::Time::seconds(0.37 * static_cast<double>(2 * i));
-    conns.push_back(a);
-    ConnSpec b = entrant(col, params);
-    b.start_time = sim::Time::seconds(0.37 * static_cast<double>(2 * i + 1));
-    conns.push_back(b);
+    spec.traffic.add(entrant(row, params, 2 * i));
+    spec.traffic.add(entrant(col, params, 2 * i + 1));
   }
-  add_dumbbell_connections(exp, h, conns);
+  Scenario sc = make_topo_scenario(spec);
+  Experiment& exp = *sc.exp;
+  exp.set_audit_mode(params.audit);
 
   const ExperimentResult r = exp.run(sim::Time::seconds(params.warmup_sec),
                                      sim::Time::seconds(params.duration_sec));
@@ -131,33 +124,23 @@ void print_cc_matrix(std::ostream& os, const CcMatrixResult& m) {
 
 Scenario ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
                       std::size_t conns, double tau_sec, std::size_t buffer) {
-  DumbbellParams p;
-  p.tau = sim::Time::seconds(tau_sec);
-  p.buffer_fwd = net::QueueLimit::of(buffer);
-  p.buffer_rev = net::QueueLimit::of(buffer);
-
-  Scenario s;
-  s.name = "ccmix-twoway";
-  s.exp = std::make_unique<Experiment>();
-  s.warmup = sim::Time::seconds(100.0);
-  s.duration = sim::Time::seconds(400.0);
-  s.epoch_gap_sec = tau_sec >= 0.5 ? 8.0 : 2.0;
-  s.dumbbell = p;
-  const DumbbellHandles h = build_dumbbell(*s.exp, p);
-
+  TopoSpec spec;
+  spec.name = "ccmix-twoway";
+  spec.topo =
+      dumbbell_topology(dumbbell_params(tau_sec, net::QueueLimit::of(buffer)));
+  spec.warmup = sim::Time::seconds(100.0);
+  spec.duration = sim::Time::seconds(400.0);
+  spec.epoch_gap_sec = tau_sec >= 0.5 ? 8.0 : 2.0;
   // Same staggered-start discipline as the paper scenarios (seeded draw so
   // the grid point is a pure function of its parameters).
   util::Rng rng(42);
-  std::vector<ConnSpec> cs(conns);
   for (std::size_t i = 0; i < conns; ++i) {
-    cs[i].kind = algos.empty() ? tcp::CcAlgorithm::kTahoe
-                               : algos[i % algos.size()];
-    cs[i].forward = i < (conns + 1) / 2;
-    cs[i].start_time = sim::Time::seconds(rng.uniform(0.0, 5.0));
-    if (cs[i].kind != tcp::CcAlgorithm::kFixedWindow) ++s.tahoe_connections;
+    ConnSpec c = dumbbell_flow(i < (conns + 1) / 2);
+    c.kind = algos.empty() ? tcp::CcAlgorithm::kTahoe : algos[i % algos.size()];
+    c.start_time = sim::Time::seconds(rng.uniform(0.0, 5.0));
+    spec.traffic.add(std::move(c));
   }
-  add_dumbbell_connections(*s.exp, h, cs);
-  return s;
+  return make_topo_scenario(spec);
 }
 
 }  // namespace tcpdyn::core

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "util/rng.h"
+
 namespace tcpdyn::core {
 
 Topology chain_topology(const ChainParams& p) {
@@ -26,25 +28,14 @@ Topology chain_topology(const ChainParams& p) {
   return t;
 }
 
-ChainHandles build_chain(Experiment& exp, const ChainParams& p) {
-  const CompiledTopology c = chain_topology(p).compile(exp);
-  ChainHandles h;
-  for (std::size_t i = 0; i < p.switches; ++i) {
-    const std::string n = std::to_string(i + 1);
-    h.switches.push_back(c.id("S" + n));
-    h.hosts.push_back(c.id("H" + n));
-  }
-  return h;
-}
-
-void add_chain_connections(Experiment& exp, const ChainHandles& h,
-                           std::size_t count, std::uint64_t seed,
-                           sim::Time start_spread) {
-  // One shared RNG stream, drawn in the historic per-flow order (endpoint,
-  // direction, start jitter), then handed to the TrafficMatrix as fully
-  // resolved single-flow specs so instantiation adds no extra draws.
+TrafficMatrix chain_traffic(const ChainParams& p, std::size_t count,
+                            std::uint64_t seed, sim::Time start_spread) {
   util::Rng rng(seed);
-  const std::size_t n = h.hosts.size();
+  const std::size_t n = p.switches;
+  const auto host = [](std::size_t i) {
+    const std::string n = std::to_string(i + 1);
+    return "H" + n;
+  };
   TrafficMatrix traffic;
   for (std::size_t i = 0; i < count; ++i) {
     // Path length cycles 1, 2, ..., n-1 so lengths are equally represented.
@@ -53,12 +44,12 @@ void add_chain_connections(Experiment& exp, const ChainHandles& h,
     const std::size_t dst = src + hops;
     const bool forward = rng.next_double() < 0.5;
     ConnSpec c;
-    c.src_id = forward ? h.hosts[src] : h.hosts[dst];
-    c.dst_id = forward ? h.hosts[dst] : h.hosts[src];
+    c.src = host(forward ? src : dst);
+    c.dst = host(forward ? dst : src);
     c.start_time = sim::Time::seconds(rng.uniform(0.0, start_spread.sec()));
     traffic.add(std::move(c));
   }
-  traffic.instantiate(exp);
+  return traffic;
 }
 
 }  // namespace tcpdyn::core

@@ -2,17 +2,13 @@
 // per switch, with a traffic pattern of many connections whose paths span
 // 1..N-1 inter-switch hops. Used to show that ACK-compression and
 // out-of-phase synchronization persist beyond the single-bottleneck case.
-// A thin adapter over core::Topology: declaration order matches the historic
-// hand-rolled builder, so compiled networks are identical.
+// Scenarios put chain_topology and chain_traffic in one TopoSpec and run it
+// through make_topo_scenario.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "core/conn_spec.h"
-#include "core/experiment.h"
 #include "core/topology.h"
-#include "util/rng.h"
 
 namespace tcpdyn::core {
 
@@ -26,28 +22,20 @@ struct ChainParams {
   net::QueueLimit access_buffer = net::QueueLimit::infinite();
 };
 
-struct ChainHandles {
-  std::vector<net::NodeId> hosts;     // hosts[i] attached to switches[i]
-  std::vector<net::NodeId> switches;
-};
-
-// The chain as a declarative Topology (switches S1..SN, hosts H1..HN, every
-// inter-switch transmit port monitored in both directions), for callers that
-// want to extend the graph before compiling.
+// The chain (switches S1..SN, host Hi on switch Si, declared S1, H1, S2,
+// H2, ...), with every inter-switch transmit port monitored in both
+// directions: ExperimentResult ports are ordered S1->S2, S2->S1, S2->S3,
+// S3->S2, ...
 Topology chain_topology(const ChainParams& params);
 
-// Builds the chain, computes routes, and monitors every inter-switch port
-// (both directions): ExperimentResult ports are ordered
-// S1->S2, S2->S1, S2->S3, S3->S2, ...
-ChainHandles build_chain(Experiment& exp, const ChainParams& params);
-
-// Generates `count` Tahoe connections whose inter-switch path lengths cycle
-// through 1..switches-1 ("roughly equally split between 1, 2, and 3 hops"
-// for a 4-switch chain). Endpoints and direction chosen deterministically
-// from `seed`; start times jittered within [0, start_spread). Expands to a
-// TrafficMatrix of per-flow ConnSpecs under the hood.
-void add_chain_connections(Experiment& exp, const ChainHandles& handles,
-                           std::size_t count, std::uint64_t seed,
-                           sim::Time start_spread = sim::Time::seconds(1.0));
+// `count` Tahoe flows between the chain's hosts whose inter-switch path
+// lengths cycle through 1..switches-1 ("roughly equally split between 1, 2,
+// and 3 hops" for a 4-switch chain). One Rng(seed) stream draws, per flow,
+// the endpoint, then the direction, then the start time in
+// [0, start_spread); every spec is a single resolved flow, so instantiation
+// draws nothing more.
+TrafficMatrix chain_traffic(const ChainParams& params, std::size_t count,
+                            std::uint64_t seed,
+                            sim::Time start_spread = sim::Time::seconds(1.0));
 
 }  // namespace tcpdyn::core

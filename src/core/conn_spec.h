@@ -1,7 +1,7 @@
-// ConnSpec: the one flow specification shared by every scenario-building
-// layer. The dumbbell builder, the chain builder, and the Topology traffic
-// matrix all consume the same struct, so a connection configured for one
-// topology can be moved to another without translation. A spec can also
+// ConnSpec: the one flow specification of every scenario. A TopoSpec's
+// TrafficMatrix holds an ordered list of them, whether a scenario factory,
+// a tool or a .topo `flow` line wrote it, so a connection configured for one
+// topology moves to another by renaming its endpoints. A spec can also
 // describe a *schedule* of several identical flows (`count` > 1) whose start
 // times are jittered from the spec's own seeded RNG stream.
 #pragma once
@@ -15,16 +15,10 @@ namespace tcpdyn::core {
 
 struct ConnSpec : tcp::CcConfig {
   // --- endpoints -------------------------------------------------------
-  // Topology traffic addresses endpoints by node name, resolved when the
-  // matrix is instantiated against a compiled topology. Builders that
-  // already hold NodeIds set src_id/dst_id instead (ids win over names).
-  // The dumbbell adapter keeps the legacy `forward` shorthand for specs
-  // that set neither: data flows Host-1 -> Host-2 when true.
+  // Node names, resolved when the matrix is instantiated against a
+  // compiled topology; data flows src -> dst.
   std::string src;
   std::string dst;
-  net::NodeId src_id = net::kInvalidNode;
-  net::NodeId dst_id = net::kInvalidNode;
-  bool forward = true;
 
   // --- per-connection knobs -----------------------------------------
   // The controller (kind, fixed window, parameter blocks) is the
@@ -38,7 +32,7 @@ struct ConnSpec : tcp::CcConfig {
   sim::Time start_time = sim::Time::zero();
   sim::Time stop_time = sim::Time::zero();  // zero = transmit forever
 
-  // --- flow schedule (TrafficMatrix only) ------------------------------
+  // --- flow schedule ----------------------------------------------------
   // The spec expands to `count` flows; flow j starts at start_time plus a
   // uniform draw from [0, start_spread) taken from Rng(seed), so adding or
   // reordering other specs never perturbs this spec's start times.

@@ -1,16 +1,14 @@
 // The paper's Figure 1 topology: Host-1 — Switch-1 ==bottleneck== Switch-2 —
 // Host-2, with parameters defaulted to §2.2 (50 Kbps bottleneck, 10 Mbps
 // access links with 0.1 ms delay, 0.1 ms host processing, 500 B data / 50 B
-// ACK packets, 20-packet buffers). A thin adapter over core::Topology: the
-// declaration order matches the historic hand-rolled builder, so compiled
-// networks (node ids, port seeds, routes) are identical.
+// ACK packets, 20-packet buffers), as a core::Topology. Scenarios put it in
+// a TopoSpec with their flows and run it through make_topo_scenario.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/conn_spec.h"
-#include "core/experiment.h"
 #include "core/topology.h"
 
 namespace tcpdyn::core {
@@ -35,40 +33,25 @@ struct DumbbellParams {
   }
 };
 
-struct DumbbellHandles {
-  net::NodeId host1 = 0, host2 = 0, switch1 = 0, switch2 = 0;
-};
+// The §2.2 dumbbell with bottleneck delay `tau_sec` and `buffer` packets in
+// each direction; every other field keeps its default.
+DumbbellParams dumbbell_params(double tau_sec, net::QueueLimit buffer);
 
-// The dumbbell as a declarative Topology (nodes H1, H2, S1, S2; both
-// bottleneck transmit ports monitored), for callers that want to extend the
-// graph before compiling.
+// Nodes H1, H2, S1, S2 in that order (so their NodeIds are 0..3), and both
+// bottleneck transmit ports monitored: ExperimentResult port 0 is S1->S2
+// ("forward"), port 1 is S2->S1 ("reverse").
 Topology dumbbell_topology(const DumbbellParams& params);
 
-// Builds the topology inside `exp`, computes routes, and monitors the two
-// bottleneck transmit ports (port 0: S1->S2 "forward", port 1: S2->S1
-// "reverse" in the ExperimentResult).
-DumbbellHandles build_dumbbell(Experiment& exp, const DumbbellParams& params);
+// A default flow across the dumbbell: H1 -> H2 when `forward`, else
+// H2 -> H1.
+ConnSpec dumbbell_flow(bool forward);
 
-// Adds connections with ids 0..n-1 in order. Specs that leave src/dst unset
-// use the `forward` shorthand (true: Host-1 -> Host-2).
-void add_dumbbell_connections(Experiment& exp, const DumbbellHandles& handles,
-                              const std::vector<ConnSpec>& conns);
-
-// RTT-heterogeneous variant for the §5 clustering-breakdown claim: one
-// source host per connection attached to switch 1 (each with its own access
-// propagation delay) and one sink host per connection on switch 2, so
-// connections share the bottleneck but differ in round-trip time.
-struct MultiHostHandles {
-  std::vector<net::NodeId> sources;
-  std::vector<net::NodeId> sinks;
-  net::NodeId switch1 = 0, switch2 = 0;
-};
-
-// Builds the topology for `access_delays.size()` one-way connections,
-// computes routes, and monitors both bottleneck ports. Call
-// Experiment::add_connection for sources[i] -> sinks[i] afterwards.
-MultiHostHandles build_multihost_dumbbell(
-    Experiment& exp, const DumbbellParams& params,
-    const std::vector<sim::Time>& access_delays);
+// RTT-heterogeneous variant for the §5 clustering-breakdown claim: switches
+// S1 and S2 joined by the bottleneck, then per connection i a source host
+// A<i+1> on S1 and a sink host B<i+1> on S2, both with access delay
+// `access_delays[i]`, so connections share the bottleneck but differ in
+// round-trip time. Monitors the bottleneck as dumbbell_topology does.
+Topology multihost_dumbbell_topology(
+    const DumbbellParams& params, const std::vector<sim::Time>& access_delays);
 
 }  // namespace tcpdyn::core

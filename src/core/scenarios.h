@@ -3,6 +3,11 @@
 // summarizer computing every derived quantity the paper reports. Benches,
 // tests, and examples all run figures through this layer, so the
 // paper-vs-measured comparison lives in exactly one place.
+//
+// Every factory describes its scenario as a TopoSpec (the dumbbell or chain
+// Topology plus flows with named endpoints) and builds it with
+// make_topo_scenario, the one function that turns a description into a
+// runnable Scenario.
 #pragma once
 
 #include <memory>
@@ -10,9 +15,8 @@
 #include <string>
 
 #include "core/analysis.h"
-#include "core/chain.h"
-#include "core/dumbbell.h"
 #include "core/experiment.h"
+#include "core/topology.h"
 
 namespace tcpdyn::core {
 
@@ -25,9 +29,13 @@ struct Scenario {
   sim::Time duration;
   // Drops separated by more than this belong to different congestion epochs.
   double epoch_gap_sec = 2.0;
-  std::size_t tahoe_connections = 0;  // for the acceleration prediction
-  DumbbellParams dumbbell;            // valid for dumbbell scenarios
 };
+
+// Builds a runnable scenario from a spec (a factory's, or a parsed topology
+// file's): applies the spec's monitor and flow-instrumentation modes,
+// compiles the graph, instantiates the traffic matrix, applies any fault
+// plan, and carries over the run parameters.
+Scenario make_topo_scenario(const TopoSpec& spec);
 
 // Everything the analysis layer derives from one run.
 struct ScenarioSummary {

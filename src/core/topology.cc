@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -186,41 +187,13 @@ std::size_t TrafficMatrix::flow_count() const {
   return n;
 }
 
-std::size_t TrafficMatrix::adaptive_flow_count() const {
-  std::size_t n = 0;
-  for (const ConnSpec& s : specs_) {
-    if (s.kind != tcp::CcAlgorithm::kFixedWindow) n += s.count;
-  }
-  return n;
-}
-
 std::size_t TrafficMatrix::instantiate(Experiment& exp,
                                        const CompiledTopology& topo) const {
-  return instantiate_impl(exp, &topo);
-}
-
-std::size_t TrafficMatrix::instantiate(Experiment& exp) const {
-  return instantiate_impl(exp, nullptr);
-}
-
-std::size_t TrafficMatrix::instantiate_impl(
-    Experiment& exp, const CompiledTopology* topo) const {
   net::ConnId next_id = static_cast<net::ConnId>(exp.connection_count());
   std::size_t added = 0;
-  for (std::size_t k = 0; k < specs_.size(); ++k) {
-    const ConnSpec& s = specs_[k];
-    const auto resolve = [&](net::NodeId id, const std::string& name,
-                             const char* which) {
-      if (id != net::kInvalidNode) return id;
-      if (name.empty() || topo == nullptr) {
-        throw std::invalid_argument("ConnSpec " + std::to_string(k) +
-                                    " has no resolvable " + which +
-                                    " endpoint");
-      }
-      return topo->id(name);
-    };
-    const net::NodeId src = resolve(s.src_id, s.src, "src");
-    const net::NodeId dst = resolve(s.dst_id, s.dst, "dst");
+  for (const ConnSpec& s : specs_) {
+    const net::NodeId src = topo.id(s.src);
+    const net::NodeId dst = topo.id(s.dst);
     util::Rng rng(s.seed);
     double arrival_sec = 0.0;  // accumulated Poisson inter-arrival gaps
     for (std::size_t j = 0; j < s.count; ++j) {
@@ -302,10 +275,15 @@ sim::Time to_time(const std::string& tok, std::size_t line,
   return *t;
 }
 
+// A buffer of at least one packet, or "inf". A 0-packet buffer cannot hold
+// the packet in service, so every packet would drop; a dead link is spelled
+// `fault down`.
 net::QueueLimit to_buffer(const std::string& tok, std::size_t line) {
   if (tok == "inf") return net::QueueLimit::infinite();
   const std::int64_t n = to_int(tok, line, "buffer");
-  if (n < 0) parse_error(line, "buffer must be >= 0 or 'inf'");
+  if (n < 1) {
+    parse_error(line, "buffer must be >= 1 packet or 'inf', got '" + tok + "'");
+  }
   return net::QueueLimit::of(static_cast<std::size_t>(n));
 }
 
@@ -315,6 +293,9 @@ TopoSpec parse_topology(std::istream& in) {
   TopoSpec spec;
   bool seen_seed = false;
   std::size_t flow_index = 0;
+  // (line, time) of each timed fault stanza (down, rate, delay), checked
+  // against the run end once warmup and duration are known.
+  std::vector<std::pair<std::size_t, sim::Time>> timed_faults;
   std::string raw;
   std::size_t lineno = 0;
   while (std::getline(in, raw)) {
@@ -508,6 +489,14 @@ TopoSpec parse_topology(std::istream& in) {
         }
       }
       parse_fault_directive(spec.faults, args, static_cast<int>(lineno));
+      const FaultPlan& f = spec.faults;
+      if (args[0] == "down") {
+        timed_faults.emplace_back(lineno, f.outages().back().at);
+      } else if (args[0] == "rate") {
+        timed_faults.emplace_back(lineno, f.rate_changes().back().at);
+      } else if (args[0] == "delay") {
+        timed_faults.emplace_back(lineno, f.delay_changes().back().at);
+      }
     } else if (word == "warmup") {
       want(1, "warmup SEC");
       spec.warmup = to_time(args[0], lineno, word);
@@ -531,6 +520,16 @@ TopoSpec parse_topology(std::istream& in) {
   }
   if (spec.topo.node_count() == 0) {
     throw std::invalid_argument("topology file declares no nodes");
+  }
+  // A fault after the run end would never fire. One at the end still runs.
+  const sim::Time end = spec.warmup + spec.duration;
+  for (const auto& [line, at] : timed_faults) {
+    if (at > end) {
+      std::ostringstream msg;
+      msg << "fault at " << at.sec() << " s is past the run end (warmup + "
+          << "duration = " << end.sec() << " s)";
+      parse_error(line, msg.str());
+    }
   }
   return spec;
 }

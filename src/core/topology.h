@@ -7,17 +7,20 @@
 // IS the net::NodeId), links in declaration order, static shortest-path
 // routes are computed with Dijkstra over link serialization+propagation cost
 // (distance ties broken by smallest node id), and monitors attach in
-// monitor() call order. The dumbbell and chain builders are thin adapters
-// over this layer and produce networks identical to their historic
-// hand-rolled construction.
+// monitor() call order. The paper's graphs are Topologies too
+// (dumbbell_topology, chain_topology), declared in the order of their
+// historic hand-rolled construction, so they compile to identical networks.
 //
 // A TrafficMatrix is the flow-schedule layer: an ordered list of ConnSpecs,
 // each expanding to `count` flows whose start jitter is drawn from the
 // spec's own seeded RNG stream, instantiated against a compiled topology by
 // resolving named endpoints.
 //
-// parse_topology() reads the same description from a text file (the
-// `tcpdyn_run topo --file=...` path); see examples/topos/*.topo.
+// A TopoSpec bundles a Topology, its TrafficMatrix, a FaultPlan and the run
+// parameters: the one description of a scenario, which make_topo_scenario
+// (core/scenarios.h) and the sharded engine both run. parse_topology()
+// reads it from a text file (the `tcpdyn_run topo --file=...` path); see
+// examples/topos/*.topo.
 #pragma once
 
 #include <cstdint>
@@ -113,33 +116,23 @@ class Topology {
 // Ordered flow schedule instantiated against a compiled topology.
 class TrafficMatrix {
  public:
-  // Appends a spec; returns its index. Endpoints may be names (resolved at
-  // instantiation) or explicit NodeIds.
+  // Appends a spec; returns its index. Endpoint names resolve at
+  // instantiation.
   std::size_t add(ConnSpec spec);
 
   const std::vector<ConnSpec>& specs() const { return specs_; }
   // Total flows across all specs (sum of counts).
   std::size_t flow_count() const;
-  // Flows with an adaptive (Tahoe/Reno) sender, for the drops-per-epoch
-  // prediction.
-  std::size_t adaptive_flow_count() const;
 
   // Expands every spec into its flows and adds them to `exp`, resolving
   // named endpoints via `topo`. Connection ids are assigned densely in spec
   // order starting at exp.connection_count(). Start jitter for spec k's
   // flows is drawn from Rng(spec.seed), one uniform draw per flow, so specs
   // never perturb each other. Returns the number of flows added. Throws
-  // std::invalid_argument for unresolvable endpoints.
+  // std::out_of_range for an endpoint `topo` does not name.
   std::size_t instantiate(Experiment& exp, const CompiledTopology& topo) const;
 
-  // Variant for specs that carry explicit NodeIds only (no compiled topology
-  // needed); throws if any spec names an endpoint by string.
-  std::size_t instantiate(Experiment& exp) const;
-
  private:
-  std::size_t instantiate_impl(Experiment& exp,
-                               const CompiledTopology* topo) const;
-
   std::vector<ConnSpec> specs_;
 };
 
@@ -168,7 +161,7 @@ struct TopoSpec {
 //   link A B BPS DELAY_SEC BUF_AB BUF_BA
 //        [droptail|randomdrop|red|red-ecn|drr]
 //        [min_th=N] [max_th=N] [wq_shift=N] [max_p=P] [quantum=BYTES]
-//                              BUF is packets or "inf"; the key=value
+//                              BUF is packets (>= 1) or "inf"; the key=value
 //                              options tune RED (red/red-ecn, with
 //                              min_th < max_th) or DRR (quantum >= 1);
 //                              an option of another discipline is an error
@@ -181,7 +174,9 @@ struct TopoSpec {
 //                              open-loop Poisson session process (see
 //                              ConnSpec::arrival_rate)
 //   fault down|rate|delay|loss|gilbert|corrupt|reorder|seed ...
-//                              mid-run link events (see core/fault_plan.h)
+//                              mid-run link events (see core/fault_plan.h);
+//                              a down, rate or delay event must not fall
+//                              after warmup + duration
 //   warmup SEC | duration SEC | epoch_gap SEC | seed N
 // '#' starts a comment. Throws std::invalid_argument with the line number
 // on malformed input.

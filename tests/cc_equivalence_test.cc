@@ -230,5 +230,87 @@ TEST(CcEquivalence, TopoFileZoo) {
             " dropped=428\n");
 }
 
+// The last five pin factories whose construction moved onto TopoSpec and
+// make_topo_scenario; they were captured by building this test on the tree
+// that still built them through the dumbbell and chain adapters.
+TEST(CcEquivalence, Fig3TenConnections) {
+  EXPECT_EQ(run_digest(fig3_ten_connections(30, 5), 20.0, 80.0),
+            "c0 sent=172 retx=22 acks=140 dup=1 to=7 dlv=131\n"
+            "c1 sent=307 retx=16 acks=286 dup=5 to=5 dlv=242\n"
+            "c2 sent=195 retx=28 acks=166 dup=3 to=7 dlv=145\n"
+            "c3 sent=182 retx=65 acks=129 dup=1 to=3 dlv=55\n"
+            "c4 sent=334 retx=70 acks=282 dup=4 to=5 dlv=199\n"
+            "c5 sent=215 retx=20 acks=197 dup=4 to=6 dlv=152\n"
+            "c6 sent=260 retx=39 acks=232 dup=4 to=4 dlv=180\n"
+            "c7 sent=199 retx=28 acks=175 dup=3 to=5 dlv=159\n"
+            "c8 sent=185 retx=35 acks=155 dup=6 to=5 dlv=124\n"
+            "c9 sent=252 retx=22 acks=234 dup=4 to=4 dlv=218\n"
+            "p0 arr=2190 dep=1998 drop=165 ddrop=165 adrop=0 max=30 qn=3830\n"
+            "p1 arr=2115 dep=2003 drop=112 ddrop=111 adrop=1 max=30 qn=3849\n"
+            "drops=277 cwnd_hash=e9e10c716dd9c931 created=4305 delivered=4000"
+            " dropped=277\n");
+}
+
+TEST(CcEquivalence, ZeroAckFixed) {
+  EXPECT_EQ(run_digest(zero_ack_fixed(30, 25, 0.01), 20.0, 80.0),
+            "c0 sent=1230 retx=0 acks=1200 dup=0 to=0 dlv=1000\n"
+            "c1 sent=1061 retx=0 acks=1036 dup=0 to=0 dlv=830\n"
+            "p0 arr=2269 dep=2239 drop=0 ddrop=0 adrop=0 max=55 qn=3473\n"
+            "p1 arr=2264 dep=2239 drop=0 ddrop=0 adrop=0 max=26 qn=3304\n"
+            "drops=0 cwnd_hash=14650fb0739d0383 created=4533 delivered=4478"
+            " dropped=0\n");
+}
+
+TEST(CcEquivalence, RttHeterogeneity) {
+  EXPECT_EQ(run_digest(rtt_heterogeneity(4, 0.16, 0.01, 20), 20.0, 80.0),
+            "c0 sent=223 retx=22 acks=199 dup=5 to=11 dlv=114\n"
+            "c1 sent=698 retx=39 acks=674 dup=8 to=1 dlv=582\n"
+            "c2 sent=113 retx=19 acks=94 dup=3 to=7 dlv=69\n"
+            "c3 sent=269 retx=10 acks=250 dup=3 to=4 dlv=223\n"
+            "p0 arr=1303 dep=1222 drop=69 ddrop=69 adrop=0 max=20 qn=2437\n"
+            "p1 arr=1220 dep=1220 drop=0 ddrop=0 adrop=0 max=2 qn=2414\n"
+            "drops=69 cwnd_hash=2733def4fb9916f9 created=2524 delivered=2438"
+            " dropped=69\n");
+}
+
+TEST(CcEquivalence, IncrementAblationOriginal) {
+  EXPECT_EQ(run_digest(increment_ablation(false, 1.0, 20), 20.0, 80.0),
+            "c0 sent=289 retx=14 acks=267 dup=2 to=1 dlv=246\n"
+            "c1 sent=332 retx=44 acks=296 dup=2 to=1 dlv=237\n"
+            "c2 sent=301 retx=32 acks=271 dup=2 to=1 dlv=228\n"
+            "p0 arr=922 dep=859 drop=50 ddrop=50 adrop=0 max=20 qn=1521\n"
+            "p1 arr=847 dep=847 drop=0 ddrop=0 adrop=0 max=1 qn=1695\n"
+            "drops=50 cwnd_hash=e7b3539906c2e3bf created=1769 delivered=1681"
+            " dropped=50\n");
+}
+
+TEST(CcEquivalence, CcMatrixTahoeCubic) {
+  CcMatrixParams p;
+  p.algos = {tcp::CcAlgorithm::kTahoe, tcp::CcAlgorithm::kCubic};
+  p.warmup_sec = 10.0;
+  p.duration_sec = 60.0;
+  p.audit = AuditMode::kFull;
+  const CcMatrixResult m = run_cc_matrix(p);
+  std::ostringstream os;
+  print_cc_matrix(os, m);
+  os << "events=" << m.events << '\n';
+  EXPECT_EQ(os.str(),
+            "cc-matrix 2x2\n"
+            "row share of forward bottleneck vs column:\n"
+            "             tahoe    cubic\n"
+            "    tahoe    0.407    0.750\n"
+            "    cubic    0.291    0.439\n"
+            "jain fairness per cell:\n"
+            "             tahoe    cubic\n"
+            "    tahoe    0.967    0.800\n"
+            "    cubic    0.851    0.986\n"
+            "forward utilization per cell:\n"
+            "             tahoe    cubic\n"
+            "    tahoe    1.000    0.999\n"
+            "    cubic    0.999    0.917\n"
+            "ledger: created=6951 delivered=6633 dropped=260\n"
+            "events=47105\n");
+}
+
 }  // namespace
 }  // namespace tcpdyn::core

@@ -304,11 +304,6 @@ TEST(OscillationPeriod, FlatSeriesHasNone) {
   EXPECT_FALSE(oscillation_period(s, 0.0, 100.0).has_value());
 }
 
-TEST(ExpectedDrops, EqualsConnectionCount) {
-  EXPECT_DOUBLE_EQ(expected_drops_per_epoch(3), 3.0);
-  EXPECT_DOUBLE_EQ(expected_drops_per_epoch(10), 10.0);
-}
-
 // Property: classify_sync is symmetric and sign-flips when one series is
 // mirrored around its mean.
 class SyncSymmetry : public ::testing::TestWithParam<double> {};

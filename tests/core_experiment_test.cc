@@ -1,8 +1,11 @@
 // Experiment orchestration: monitoring, result assembly, error conditions,
-// and the dumbbell/chain builders.
+// and the dumbbell and chain topologies and traffic.
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "core/chain.h"
 #include "core/dumbbell.h"
@@ -10,35 +13,35 @@
 namespace tcpdyn::core {
 namespace {
 
-tcp::ConnectionConfig forward_conn(const DumbbellHandles& h,
+tcp::ConnectionConfig forward_conn(const CompiledTopology& h,
                                    net::ConnId id = 0) {
   tcp::ConnectionConfig cfg;
   cfg.id = id;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   return cfg;
 }
 
 TEST(Experiment, MonitorUnknownLinkThrows) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
-  EXPECT_THROW(exp.monitor(h.host1, h.host2), std::logic_error);
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
+  EXPECT_THROW(exp.monitor(h.id("H1"), h.id("H2")), std::logic_error);
 }
 
 TEST(Experiment, RunTwiceThrows) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   exp.run(sim::Time::seconds(1.0), sim::Time::seconds(1.0));
   EXPECT_THROW(exp.run(sim::Time::seconds(1.0), sim::Time::seconds(1.0)),
                std::logic_error);
   EXPECT_THROW(exp.add_connection(forward_conn(h, 1)), std::logic_error);
-  EXPECT_THROW(exp.monitor(h.switch1, h.switch2), std::logic_error);
+  EXPECT_THROW(exp.monitor(h.id("S1"), h.id("S2")), std::logic_error);
 }
 
 TEST(Experiment, ResultPortsInMonitorOrder) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(1.0), sim::Time::seconds(5.0));
@@ -54,7 +57,7 @@ TEST(Experiment, DeliveredCountsMeasurementWindowOnly) {
   // A one-way connection at ~12.5 pkt/s: delivered in a 10 s window must be
   // ~125, not the total since t=0.
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(20.0), sim::Time::seconds(10.0));
@@ -64,7 +67,7 @@ TEST(Experiment, DeliveredCountsMeasurementWindowOnly) {
 
 TEST(Experiment, CwndTraceRecordedForTahoe) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(10.0));
@@ -77,7 +80,7 @@ TEST(Experiment, CwndTraceRecordedForTahoe) {
 
 TEST(Experiment, NoCwndTraceForFixedWindow) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   tcp::ConnectionConfig cfg = forward_conn(h);
   cfg.kind = tcp::CcAlgorithm::kFixedWindow;
   cfg.fixed_window = 5;
@@ -89,7 +92,7 @@ TEST(Experiment, NoCwndTraceForFixedWindow) {
 
 TEST(Experiment, AckArrivalsRecordedAtSource) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(10.0));
@@ -107,7 +110,7 @@ TEST(Experiment, DropEventsCarryMetadata) {
   DumbbellParams p;
   p.buffer_fwd = net::QueueLimit::of(3);  // tiny buffer forces drops
   p.buffer_rev = net::QueueLimit::of(3);
-  const DumbbellHandles h = build_dumbbell(exp, p);
+  const CompiledTopology h = dumbbell_topology(p).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(30.0));
@@ -130,24 +133,24 @@ TEST(Dumbbell, PipeSizeMatchesPaper) {
 
 TEST(Dumbbell, ConnectionsPlacedByDirection) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
-  std::vector<ConnSpec> specs(2);
-  specs[0].forward = true;
-  specs[1].forward = false;
-  add_dumbbell_connections(exp, h, specs);
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
+  TrafficMatrix traffic;
+  traffic.add(dumbbell_flow(true));
+  traffic.add(dumbbell_flow(false));
+  traffic.instantiate(exp, h);
   ASSERT_EQ(exp.connection_count(), 2u);
-  EXPECT_EQ(exp.connection(0).config().src_host, h.host1);
-  EXPECT_EQ(exp.connection(1).config().src_host, h.host2);
+  EXPECT_EQ(exp.connection(0).config().src_host, h.id("H1"));
+  EXPECT_EQ(exp.connection(1).config().src_host, h.id("H2"));
 }
 
 TEST(Chain, BuildsAndMonitorsAllTrunks) {
   Experiment exp;
   ChainParams p;
   p.switches = 4;
-  const ChainHandles h = build_chain(exp, p);
-  EXPECT_EQ(h.hosts.size(), 4u);
-  EXPECT_EQ(h.switches.size(), 4u);
-  add_chain_connections(exp, h, 6, 1);
+  const Topology t = chain_topology(p);
+  EXPECT_EQ(t.node_count(), 8u);
+  EXPECT_EQ(t.host_count(), 4u);
+  chain_traffic(p, 6, 1).instantiate(exp, t.compile(exp));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(1.0), sim::Time::seconds(10.0));
   EXPECT_EQ(r.ports.size(), 6u);  // 3 trunks x 2 directions
@@ -158,21 +161,16 @@ TEST(Chain, BuildsAndMonitorsAllTrunks) {
 }
 
 TEST(Chain, PathLengthsCycle) {
-  Experiment exp;
-  ChainParams p;
-  const ChainHandles h = build_chain(exp, p);
-  add_chain_connections(exp, h, 9, 3);
-  // Connection i has path length 1 + i % 3 (in inter-switch hops): check the
-  // endpoints' host indices differ accordingly.
+  const TrafficMatrix traffic = chain_traffic(ChainParams{}, 9, 3);
+  ASSERT_EQ(traffic.specs().size(), 9u);
+  // Flow i has path length 1 + i % 3 (in inter-switch hops): host Hk sits on
+  // switch Sk, so the endpoints' numbers differ accordingly.
   for (std::size_t i = 0; i < 9; ++i) {
-    const auto& cfg = exp.connection(i).config();
-    std::size_t src = 0, dst = 0;
-    for (std::size_t k = 0; k < h.hosts.size(); ++k) {
-      if (h.hosts[k] == cfg.src_host) src = k;
-      if (h.hosts[k] == cfg.dst_host) dst = k;
-    }
-    const std::size_t hops = src > dst ? src - dst : dst - src;
-    EXPECT_EQ(hops, 1 + i % 3) << "conn " << i;
+    const ConnSpec& c = traffic.specs()[i];
+    const int src = std::stoi(c.src.substr(1));
+    const int dst = std::stoi(c.dst.substr(1));
+    EXPECT_EQ(static_cast<std::size_t>(std::abs(src - dst)), 1 + i % 3)
+        << "flow " << i;
   }
 }
 

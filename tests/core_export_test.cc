@@ -64,14 +64,15 @@ TEST(MultiHostDumbbell, BuildsOneHostPairPerConnection) {
   const std::vector<sim::Time> delays{sim::Time::microseconds(100),
                                       sim::Time::milliseconds(10),
                                       sim::Time::milliseconds(40)};
-  const MultiHostHandles h = build_multihost_dumbbell(exp, p, delays);
-  ASSERT_EQ(h.sources.size(), 3u);
-  ASSERT_EQ(h.sinks.size(), 3u);
+  const Topology t = multihost_dumbbell_topology(p, delays);
+  ASSERT_EQ(t.host_count(), 6u);
+  const CompiledTopology h = t.compile(exp);
   for (std::size_t i = 0; i < 3; ++i) {
     tcp::ConnectionConfig cfg;
     cfg.id = static_cast<net::ConnId>(i);
-    cfg.src_host = h.sources[i];
-    cfg.dst_host = h.sinks[i];
+    const std::string n = std::to_string(i + 1);
+    cfg.src_host = h.id("A" + n);
+    cfg.dst_host = h.id("B" + n);
     exp.add_connection(cfg);
   }
   const ExperimentResult r =
@@ -93,12 +94,14 @@ TEST(MultiHostDumbbell, RttSpreadChangesRoundTripTimes) {
   DumbbellParams p;
   const std::vector<sim::Time> delays{sim::Time::microseconds(100),
                                       sim::Time::milliseconds(40)};
-  const MultiHostHandles h = build_multihost_dumbbell(exp, p, delays);
+  const CompiledTopology h =
+      multihost_dumbbell_topology(p, delays).compile(exp);
   for (std::size_t i = 0; i < 2; ++i) {
     tcp::ConnectionConfig cfg;
     cfg.id = static_cast<net::ConnId>(i);
-    cfg.src_host = h.sources[i];
-    cfg.dst_host = h.sinks[i];
+    const std::string n = std::to_string(i + 1);
+    cfg.src_host = h.id("A" + n);
+    cfg.dst_host = h.id("B" + n);
     exp.add_connection(cfg);
   }
   const ExperimentResult r =

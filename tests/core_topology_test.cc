@@ -150,24 +150,21 @@ TEST(Topology, DelayMetricAvoidsSlowDirectLink) {
 
 TEST(TrafficMatrix, ExpandsCountsWithPerSpecStreams) {
   ConnSpec spec;
-  spec.src_id = 0;  // H1 (ids follow the helper network built below)
-  spec.dst_id = 2;  // H2
+  spec.src = "H1";
+  spec.dst = "H2";
   spec.count = 3;
   spec.start_spread = sim::Time::seconds(4.0);
   spec.seed = 99;
 
   const auto starts_of = [&](const TrafficMatrix& m) {
     Experiment exp;
-    auto& net = exp.network();
-    const auto h1 = net.add_host("H1");
-    const auto s1 = net.add_switch("S1");
-    const auto h2 = net.add_host("H2");
-    net.connect(h1, s1, 1'000'000, sim::Time::microseconds(100),
-                net::QueueLimit::infinite(), net::QueueLimit::infinite());
-    net.connect(s1, h2, 1'000'000, sim::Time::microseconds(100),
-                net::QueueLimit::infinite(), net::QueueLimit::infinite());
-    net.compute_routes();
-    m.instantiate(exp);
+    Topology t;
+    const std::size_t h1 = t.add_host("H1");
+    const std::size_t s1 = t.add_switch("S1");
+    const std::size_t h2 = t.add_host("H2");
+    t.add_link(h1, s1, 1'000'000, sim::Time::microseconds(100));
+    t.add_link(s1, h2, 1'000'000, sim::Time::microseconds(100));
+    m.instantiate(exp, t.compile(exp));
     std::vector<sim::Time> starts;
     for (std::size_t i = 0; i < exp.connection_count(); ++i) {
       starts.push_back(exp.connection(i).config().start_time);
@@ -178,7 +175,6 @@ TEST(TrafficMatrix, ExpandsCountsWithPerSpecStreams) {
   TrafficMatrix alone;
   alone.add(spec);
   EXPECT_EQ(alone.flow_count(), 3u);
-  EXPECT_EQ(alone.adaptive_flow_count(), 3u);
   const auto starts1 = starts_of(alone);
   ASSERT_EQ(starts1.size(), 3u);
   EXPECT_NE(starts1[0], starts1[1]);  // jittered
@@ -186,8 +182,8 @@ TEST(TrafficMatrix, ExpandsCountsWithPerSpecStreams) {
   // A preceding spec must not perturb this spec's start times.
   TrafficMatrix crowded;
   ConnSpec other;
-  other.src_id = 2;
-  other.dst_id = 0;
+  other.src = "H2";
+  other.dst = "H1";
   other.count = 2;
   other.start_spread = sim::Time::seconds(4.0);
   other.seed = 7;
@@ -207,7 +203,6 @@ TEST(TrafficMatrix, RejectsUnresolvableEndpoints) {
   c.dst = "nobody";
   m.add(c);
   Experiment exp;
-  EXPECT_THROW(m.instantiate(exp), std::invalid_argument);  // id-only variant
   CompiledTopology topo;
   EXPECT_THROW(m.instantiate(exp, topo), std::out_of_range);
   ConnSpec bad;
@@ -252,7 +247,7 @@ epoch_gap 3
 
   // And it runs end to end.
   Scenario sc = make_topo_scenario(spec);
-  EXPECT_EQ(sc.tahoe_connections, 3u);
+  EXPECT_EQ(sc.exp->connection_count(), 3u);
   const ScenarioSummary s = run_scenario(sc);
   EXPECT_GT(s.util_fwd, 0.0);
   EXPECT_EQ(s.flows.flows, 3u);
@@ -358,6 +353,57 @@ TEST(TopologyFile, RejectsNonPositiveRateAndNegativeDelay) {
   EXPECT_EQ(error_of("link S1 S2 50000 0 20 20"), "no error");
 }
 
+// A 0-packet buffer cannot hold the packet in service, so every packet on
+// the link would drop; the file must say "inf" or a count of at least 1.
+TEST(TopologyFile, RejectsZeroBuffer) {
+  const auto error_of = [](const std::string& link) {
+    std::istringstream in("switch S1\nswitch S2\n" + link + "\n");
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(error_of("link S1 S2 50000 0.01 0 0"),
+            "topology file line 3: buffer must be >= 1 packet or 'inf', got "
+            "'0'");
+  EXPECT_EQ(error_of("link S1 S2 50000 0.01 20 0"),
+            "topology file line 3: buffer must be >= 1 packet or 'inf', got "
+            "'0'");
+  EXPECT_EQ(error_of("link S1 S2 50000 0.01 -3 20"),
+            "topology file line 3: buffer must be >= 1 packet or 'inf', got "
+            "'-3'");
+  EXPECT_EQ(error_of("link S1 S2 50000 0.01 1 inf"), "no error");
+}
+
+// A down, rate or delay event after warmup + duration would never fire.
+// The run length may be set after the faults, so the check names the fault's
+// own line once the whole file is read; an event at the end still runs.
+TEST(TopologyFile, RejectsFaultsPastTheRunEnd) {
+  const auto error_of = [](const std::string& tail) {
+    std::istringstream in(
+        "switch S1\nswitch S2\nlink S1 S2 50000 0.01 20 20\n" + tail);
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(error_of("fault down S1 S2 9000 1\n"),
+            "topology file line 4: fault at 9000 s is past the run end "
+            "(warmup + duration = 500 s)");
+  EXPECT_EQ(error_of("fault rate S1 S2 40 25000\nwarmup 10\nduration 20\n"),
+            "topology file line 4: fault at 40 s is past the run end "
+            "(warmup + duration = 30 s)");
+  EXPECT_EQ(error_of("duration 20\nfault delay S1 S2 120.5 0.02 dir=ab\n"),
+            "topology file line 5: fault at 120.5 s is past the run end "
+            "(warmup + duration = 120 s)");
+  EXPECT_EQ(error_of("fault down S1 S2 500 1\nfault loss S1 S2 0.1\n"),
+            "no error");
+}
+
 // Every field that becomes a sim::Time goes through one checked conversion:
 // NaN, +-inf and |s| >= 9.2e9 would overflow the nanosecond count.
 TEST(TopologyFile, TimeFieldsMustBeRepresentable) {
@@ -454,11 +500,11 @@ TEST(TopologyFile, CompileRejectsZeroRouteCost) {
 
 // ------------------------------------------------------------ equivalence
 //
-// The dumbbell and chain builders became adapters over Topology; the
-// networks they compile must match the historic direct net::Network
-// construction bit for bit. These tests rebuild the legacy networks by hand
-// (same node, link, and monitor order; Network::compute_routes) and compare
-// whole runs.
+// The dumbbell and chain scenarios are TopoSpecs run by make_topo_scenario;
+// the networks they compile and the flows they add must match the historic
+// direct net::Network construction bit for bit. These tests rebuild the
+// legacy networks by hand (same node, link, and monitor order;
+// Network::compute_routes) and compare whole runs.
 
 void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.delivered, b.delivered);
@@ -481,12 +527,17 @@ void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 std::vector<ConnSpec> twoway_conns() {
-  std::vector<ConnSpec> conns(2);
-  conns[0].forward = true;
+  std::vector<ConnSpec> conns = {dumbbell_flow(true), dumbbell_flow(false)};
   conns[0].start_time = sim::Time::seconds(0.7);
-  conns[1].forward = false;
   conns[1].start_time = sim::Time::seconds(1.3);
   return conns;
+}
+
+// Runs a spec's graph and traffic over [window, window + dur].
+ExperimentResult run_spec(const TopoSpec& spec, sim::Time window,
+                          sim::Time dur) {
+  Scenario sc = make_topo_scenario(spec);
+  return sc.exp->run(window, dur);
 }
 
 TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
@@ -511,21 +562,22 @@ TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
     legacy.monitor(s2, s1);
     std::size_t i = 0;
     for (const ConnSpec& c : twoway_conns()) {
+      const bool forward = c.src == "H1";
       tcp::ConnectionConfig cfg = c.to_config();
       cfg.id = static_cast<net::ConnId>(i++);
-      cfg.src_host = c.forward ? h1 : h2;
-      cfg.dst_host = c.forward ? h2 : h1;
+      cfg.src_host = forward ? h1 : h2;
+      cfg.dst_host = forward ? h2 : h1;
       legacy.add_connection(cfg);
     }
   }
 
-  Experiment adapter;
-  const DumbbellHandles h = build_dumbbell(adapter, p);
-  add_dumbbell_connections(adapter, h, twoway_conns());
+  TopoSpec spec;
+  spec.topo = dumbbell_topology(p);
+  for (ConnSpec c : twoway_conns()) spec.traffic.add(std::move(c));
 
   const auto window = sim::Time::seconds(50.0);
   const auto dur = sim::Time::seconds(120.0);
-  expect_same_run(legacy.run(window, dur), adapter.run(window, dur));
+  expect_same_run(legacy.run(window, dur), run_spec(spec, window, dur));
 }
 
 TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
@@ -567,20 +619,20 @@ TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
     }
   }
 
-  Experiment adapter;
-  const MultiHostHandles h = build_multihost_dumbbell(adapter, p, delays);
+  TopoSpec spec;
+  spec.topo = multihost_dumbbell_topology(p, delays);
   for (std::size_t i = 0; i < delays.size(); ++i) {
-    tcp::ConnectionConfig cfg;
-    cfg.id = static_cast<net::ConnId>(i);
-    cfg.src_host = h.sources[i];
-    cfg.dst_host = h.sinks[i];
-    cfg.start_time = sim::Time::seconds(0.5 * static_cast<double>(i));
-    adapter.add_connection(cfg);
+    ConnSpec c;
+    const std::string n = std::to_string(i + 1);
+    c.src = "A" + n;
+    c.dst = "B" + n;
+    c.start_time = sim::Time::seconds(0.5 * static_cast<double>(i));
+    spec.traffic.add(std::move(c));
   }
 
   const auto window = sim::Time::seconds(50.0);
   const auto dur = sim::Time::seconds(100.0);
-  expect_same_run(legacy.run(window, dur), adapter.run(window, dur));
+  expect_same_run(legacy.run(window, dur), run_spec(spec, window, dur));
 }
 
 TEST(TopologyEquivalence, ChainMatchesLegacyConstruction) {
@@ -626,13 +678,13 @@ TEST(TopologyEquivalence, ChainMatchesLegacyConstruction) {
     }
   }
 
-  Experiment adapter;
-  const ChainHandles h = build_chain(adapter, p);
-  add_chain_connections(adapter, h, conns, seed);
+  TopoSpec spec;
+  spec.topo = chain_topology(p);
+  spec.traffic = chain_traffic(p, conns, seed);
 
   const auto window = sim::Time::seconds(40.0);
   const auto dur = sim::Time::seconds(80.0);
-  expect_same_run(legacy.run(window, dur), adapter.run(window, dur));
+  expect_same_run(legacy.run(window, dur), run_spec(spec, window, dur));
 }
 
 }  // namespace

@@ -36,8 +36,8 @@ TEST(Incast, ClosedPopulationClosesFullLedger) {
   p.start_spread_sec = 2.0;
   p.warmup_sec = 2.0;
   p.duration_sec = 10.0;
-  Scenario sc = incast_scenario(p);
-  ASSERT_EQ(sc.tahoe_connections, 32u);
+  Scenario sc = make_topo_scenario(incast_spec(p));
+  ASSERT_EQ(sc.exp->connection_count(), 32u);
   sc.exp->set_audit_mode(AuditMode::kFull);
   const ScenarioSummary s = run_scenario(sc);
   EXPECT_EQ(s.flows.flows, 32u);
@@ -73,8 +73,8 @@ TEST(IncastChurn, PoissonArrivalsAreOrderedAndSessionsBounded) {
 
 TEST(IncastChurn, DoubleRunIsIdenticalAndSeedMatters) {
   const IncastParams p = small_churn_params();
-  Scenario a = incast_scenario(p);
-  Scenario b = incast_scenario(p);
+  Scenario a = make_topo_scenario(incast_spec(p));
+  Scenario b = make_topo_scenario(incast_spec(p));
   const ScenarioSummary ra = run_scenario(a);
   const ScenarioSummary rb = run_scenario(b);
   EXPECT_EQ(ra.result.delivered, rb.result.delivered);
@@ -83,7 +83,7 @@ TEST(IncastChurn, DoubleRunIsIdenticalAndSeedMatters) {
 
   IncastParams q = small_churn_params();
   q.seed = p.seed + 1;
-  Scenario c = incast_scenario(q);
+  Scenario c = make_topo_scenario(incast_spec(q));
   EXPECT_NE(ra.result.delivered, run_scenario(c).result.delivered);
 }
 
@@ -95,7 +95,7 @@ TEST(IncastChurn, SweepOverSeedsIsDeterministicAcrossJobs) {
           IncastParams p = small_churn_params();
           p.duration_sec = 4.0;
           p.seed = static_cast<std::uint64_t>(pt.value("seed"));
-          Scenario sc = incast_scenario(p);
+          Scenario sc = make_topo_scenario(incast_spec(p));
           return summary_row(pt, run_scenario(sc));
         });
   };
@@ -109,9 +109,9 @@ TEST(IncastChurn, SweepOverSeedsIsDeterministicAcrossJobs) {
 
 TEST(IncastScale, StreamingMonitorsKeepCountersAndDropTraces) {
   IncastParams p = small_churn_params();
-  Scenario full = incast_scenario(p);
+  Scenario full = make_topo_scenario(incast_spec(p));
   p.streaming = true;
-  Scenario streaming = incast_scenario(p);
+  Scenario streaming = make_topo_scenario(incast_spec(p));
   const ScenarioSummary rf = run_scenario(full);
   const ScenarioSummary rs = run_scenario(streaming);
 
@@ -143,9 +143,9 @@ TEST(IncastScale, StreamingMonitorsKeepCountersAndDropTraces) {
 
 TEST(IncastScale, FlowInstrumentationOffDropsTracesOnly) {
   IncastParams p = small_churn_params();
-  Scenario on = incast_scenario(p);
+  Scenario on = make_topo_scenario(incast_spec(p));
   p.per_flow_traces = false;
-  Scenario off = incast_scenario(p);
+  Scenario off = make_topo_scenario(incast_spec(p));
   const ScenarioSummary ron = run_scenario(on);
   const ScenarioSummary roff = run_scenario(off);
 

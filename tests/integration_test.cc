@@ -72,11 +72,11 @@ TEST(Integration, SequenceDeliveryConservation) {
 TEST(Integration, WindowNeverExceedsLimit) {
   // Outstanding data <= window at every send (checked via a hook).
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   tcp::ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   auto& conn = exp.add_connection(cfg);
   bool violated = false;
   conn.sender().hooks().on_send = [&](sim::Time, const net::Packet& p) {
@@ -142,15 +142,15 @@ TEST(Integration, TwoWayDeliversBothDirections) {
 
 TEST(Integration, ReceiverNextExpectedMonotone) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   tcp::ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   auto& conn = exp.add_connection(cfg);
   std::uint32_t last = 0;
   bool monotone = true;
-  exp.network().host(h.host2).on_deliver = [&](sim::Time,
+  exp.network().host(h.id("H2")).on_deliver = [&](sim::Time,
                                                const net::Packet& p) {
     if (net::is_data(p)) {
       const std::uint32_t ne = conn.receiver().next_expected();

@@ -7,9 +7,30 @@
 #include "core/analysis.h"
 #include "core/dumbbell.h"
 #include "core/scenarios.h"
+#include "util/rng.h"
 
 namespace tcpdyn::core {
 namespace {
+
+// Runs `conns` over the dumbbell `dp` and measures [warmup, warmup +
+// duration].
+ExperimentResult run_dumbbell(const DumbbellParams& dp,
+                              std::vector<ConnSpec> conns, double warmup,
+                              double duration) {
+  TopoSpec spec;
+  spec.topo = dumbbell_topology(dp);
+  for (ConnSpec& c : conns) spec.traffic.add(std::move(c));
+  Scenario sc = make_topo_scenario(spec);
+  return sc.exp->run(sim::Time::seconds(warmup),
+                     sim::Time::seconds(duration));
+}
+
+// One connection each way, the reverse one starting 1.3 s in.
+std::vector<ConnSpec> two_way() {
+  std::vector<ConnSpec> conns = {dumbbell_flow(true), dumbbell_flow(false)};
+  conns[1].start_time = sim::Time::seconds(1.3);
+  return conns;
+}
 
 // ---------------------------------------------------------------------------
 // ACK-compression is robust to host processing delay and access speed
@@ -24,21 +45,12 @@ class AckCompressionRobustness
 
 TEST_P(AckCompressionRobustness, PersistsAcrossSecondOrderParams) {
   const RobustnessParams p = GetParam();
-  Experiment exp;
   DumbbellParams dp;
   dp.access_bps = p.access_bps;
   // The extra per-packet latency sits on the same path segment as host
   // processing, so sweeping the access delay covers both knobs.
   dp.access_delay = sim::Time::microseconds(p.host_processing_us);
-  const DumbbellHandles h = build_dumbbell(exp, dp);
-  std::vector<ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[1].forward = false;
-  conns[1].start_time = sim::Time::seconds(1.3);
-  add_dumbbell_connections(exp, h, conns);
-
-  const ExperimentResult r =
-      exp.run(sim::Time::seconds(50.0), sim::Time::seconds(150.0));
+  const ExperimentResult r = run_dumbbell(dp, two_way(), 50.0, 150.0);
   const AckCompressionStats a =
       ack_compression(r.ack_arrivals.at(0), r.t_start, r.t_end,
                       r.data_tx_time);
@@ -61,16 +73,10 @@ class AckSizeSweep : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(AckSizeSweep, CompressionScalesWithSizeRatio) {
   const std::uint32_t ack_bytes = GetParam();
-  Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
-  std::vector<ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[1].forward = false;
-  conns[1].start_time = sim::Time::seconds(1.3);
+  std::vector<ConnSpec> conns = two_way();
   for (auto& c : conns) c.ack_bytes = ack_bytes;
-  add_dumbbell_connections(exp, h, conns);
   const ExperimentResult r =
-      exp.run(sim::Time::seconds(50.0), sim::Time::seconds(150.0));
+      run_dumbbell(DumbbellParams{}, std::move(conns), 50.0, 150.0);
   const AckCompressionStats a = ack_compression(
       r.ack_arrivals.at(0), r.t_start, r.t_end, r.data_tx_time);
   if (ack_bytes <= 100) {
@@ -96,22 +102,17 @@ class ConfigurationGrid : public ::testing::TestWithParam<GridParams> {};
 
 TEST_P(ConfigurationGrid, InvariantsHold) {
   const GridParams g = GetParam();
-  Experiment exp;
   DumbbellParams dp;
   dp.tau = sim::Time::seconds(g.tau);
   dp.buffer_fwd = net::QueueLimit::of(g.buffer);
   dp.buffer_rev = net::QueueLimit::of(g.buffer);
-  const DumbbellHandles h = build_dumbbell(exp, dp);
   std::vector<ConnSpec> conns;
   for (std::size_t i = 0; i < 2 * g.per_side; ++i) {
-    ConnSpec c;
-    c.forward = i < g.per_side;
+    ConnSpec c = dumbbell_flow(i < g.per_side);
     c.start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
     conns.push_back(c);
   }
-  add_dumbbell_connections(exp, h, conns);
-  const ExperimentResult r =
-      exp.run(sim::Time::seconds(30.0), sim::Time::seconds(120.0));
+  const ExperimentResult r = run_dumbbell(dp, std::move(conns), 30.0, 120.0);
 
   double total_goodput = 0.0;
   for (const auto& [id, delivered] : r.delivered) {
@@ -144,20 +145,15 @@ INSTANTIATE_TEST_SUITE_P(
 class StartJitter : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StartJitter, TwoWayPhenomenaStable) {
-  Scenario sc = fig4_twoway(0.01, 20);
-  // Rebuild with a different seed by shifting start times directly.
-  Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, sc.dumbbell);
+  // fig4_twoway(0.01, 20) (the default dumbbell), with start times drawn
+  // from another seed.
   util::Rng rng(GetParam());
-  std::vector<ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[1].forward = false;
+  std::vector<ConnSpec> conns = {dumbbell_flow(true), dumbbell_flow(false)};
   for (auto& c : conns) {
     c.start_time = sim::Time::seconds(rng.uniform(0.0, 5.0));
   }
-  add_dumbbell_connections(exp, h, conns);
   const ExperimentResult r =
-      exp.run(sim::Time::seconds(100.0), sim::Time::seconds(300.0));
+      run_dumbbell(DumbbellParams{}, std::move(conns), 100.0, 300.0);
   const EpochStats epochs = analyze_epochs(r.drops, r.t_start, r.t_end, 2.0);
   EXPECT_GT(epochs.epochs.size(), 5u);
   EXPECT_GT(epochs.data_drop_fraction, 0.99);

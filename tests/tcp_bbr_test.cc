@@ -12,6 +12,7 @@
 
 #include "core/dumbbell.h"
 #include "core/experiment.h"
+#include "core/scenarios.h"
 #include "tcp/cc_bbr.h"
 
 namespace tcpdyn::tcp {
@@ -302,19 +303,20 @@ TEST(BbrCc, RespectsMaxwnd) {
 // --- integration: determinism under the full conservation ledger ---------
 
 std::string bbr_dumbbell_digest() {
-  core::Experiment exp;
-  exp.set_audit_mode(core::AuditMode::kFull);
   core::DumbbellParams p;
   p.tau = sim::Time::seconds(0.01);
-  const core::DumbbellHandles h = core::build_dumbbell(exp, p);
-  std::vector<core::ConnSpec> cs(2);
-  cs[0].forward = true;
-  cs[1].forward = false;
-  cs[1].start_time = sim::Time::seconds(2.0);
-  for (auto& c : cs) c.kind = tcp::CcAlgorithm::kBbr;
-  core::add_dumbbell_connections(exp, h, cs);
+  core::TopoSpec spec;
+  spec.topo = core::dumbbell_topology(p);
+  for (const bool forward : {true, false}) {
+    core::ConnSpec c = core::dumbbell_flow(forward);
+    c.kind = tcp::CcAlgorithm::kBbr;
+    if (!forward) c.start_time = sim::Time::seconds(2.0);
+    spec.traffic.add(std::move(c));
+  }
+  core::Scenario sc = core::make_topo_scenario(spec);
+  sc.exp->set_audit_mode(core::AuditMode::kFull);
   const core::ExperimentResult r =
-      exp.run(sim::Time::seconds(20.0), sim::Time::seconds(120.0));
+      sc.exp->run(sim::Time::seconds(20.0), sim::Time::seconds(120.0));
   std::string out;
   for (const auto& [id, c] : r.senders) {
     out += std::to_string(id) + ":" + std::to_string(c.data_sent) + "/" +

@@ -47,12 +47,12 @@ BlackoutRun run_blackout() {
   exp.set_audit_mode(AuditMode::kFull);
   std::ostringstream trace;
   exp.enable_trace(trace);
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
 
   tcp::ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   tcp::Connection& conn = exp.add_connection(cfg);
   tcp::TahoeCc* tahoe = conn.tahoe();
   tcp::WindowSender& sender = conn.sender();
@@ -68,8 +68,8 @@ BlackoutRun run_blackout() {
     out.cwnd.push_back({t.sec(), cwnd});
   };
 
-  net::OutputPort* fwd = exp.network().port_between(h.switch1, h.switch2);
-  net::OutputPort* rev = exp.network().port_between(h.switch2, h.switch1);
+  net::OutputPort* fwd = exp.network().port_between(h.id("S1"), h.id("S2"));
+  net::OutputPort* rev = exp.network().port_between(h.id("S2"), h.id("S1"));
   exp.sim().schedule_at(sim::Time::seconds(kDownSec), [&out, &sender, fwd,
                                                        rev] {
     out.snd_una_at_cut = sender.snd_una();

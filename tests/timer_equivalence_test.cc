@@ -136,8 +136,8 @@ TEST(TimerEquivalence, DelayedAckTwoWay) {
 TEST(TimerEquivalence, ParkingLot512Flows) {
   // 512 concurrent flows: wide bucket occupancy, heavy per-ACK RTO rearm.
   ParkingLotParams p;
-  EXPECT_EQ(pinned(run_digest(parking_lot_scenario(p), p.warmup_sec,
-                              p.duration_sec)),
+  EXPECT_EQ(pinned(run_digest(make_topo_scenario(parking_lot_spec(p)),
+                              p.warmup_sec, p.duration_sec)),
             "text=ee7f2edc6293206b drops=6664 cwnd_hash=3a6881a0c816322e"
             " created=400930 delivered=374897 dropped=25750\n");
 }
@@ -151,8 +151,8 @@ TEST(TimerEquivalence, ChaosFaultPlan) {
   p.outage_sec = 1.0;
   p.warmup_sec = 30.0;
   p.duration_sec = 120.0;
-  EXPECT_EQ(pinned(run_digest(chaos_scenario(p), p.warmup_sec,
-                              p.duration_sec)),
+  EXPECT_EQ(pinned(run_digest(make_topo_scenario(chaos_spec(p)),
+                              p.warmup_sec, p.duration_sec)),
             "text=a82778bcb22d792c drops=405 cwnd_hash=088b3cff7769ba63"
             " created=5921 delivered=5496 dropped=405\n");
 }
@@ -167,8 +167,8 @@ TEST(TimerEquivalence, IncastChurn) {
   p.session_sec = 0.5;
   p.warmup_sec = 1.0;
   p.duration_sec = 8.0;
-  EXPECT_EQ(pinned(run_digest(incast_scenario(p), p.warmup_sec,
-                              p.duration_sec)),
+  EXPECT_EQ(pinned(run_digest(make_topo_scenario(incast_spec(p)),
+                              p.warmup_sec, p.duration_sec)),
             "text=572f03576102d3a9 drops=169 cwnd_hash=fc9a67c9e14c924c"
             " created=3489 delivered=3320 dropped=169\n");
 }

@@ -309,7 +309,10 @@ TEST(SharedFlags, CountFlagsMustBeWholeNumbersInRange) {
   EXPECT_EQ(error_of({"--buffer", "1.8446744073709552e19"}),
             "--buffer" + size + "1.8446744073709552e19'");
   EXPECT_EQ(error_of({"--w1", "4294967296"}), "--w1" + u32 + "4294967296'");
-  EXPECT_EQ(error_of({"--w1", "4294967295", "--buffer", "0", "--hops", "1e3"}),
+  // A 0-packet buffer drops every packet.
+  EXPECT_EQ(error_of({"--buffer", "0"}),
+            "--buffer must be >= 1 packet, got '0'");
+  EXPECT_EQ(error_of({"--w1", "4294967295", "--buffer", "1", "--hops", "1e3"}),
             "no error");
 
   Flags f;
@@ -347,6 +350,8 @@ TEST(SharedFlags, GridAxesAreCheckedByName) {
   EXPECT_EQ(error_of("tau=1e300"),
             "grid axis 'tau' must be finite seconds with |s| < 9.2e9, got "
             "'1e+300'");
+  EXPECT_EQ(error_of("buffer=0;10"),
+            "grid axis 'buffer' must be >= 1 packet, got '0'");
   EXPECT_EQ(error_of("buffer=10:80:10,tau=0.01:1:log5,rep=-1;0.5"),
             "no error");
 }

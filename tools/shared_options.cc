@@ -17,8 +17,10 @@ namespace {
 // How the tools read each numeric flag or grid axis that a cast or a
 // sim::Time conversion could get wrong: NaN, inf and |s| >= 9.2e9 seconds
 // overflow Time's int64 nanoseconds, and a negative, fractional or too
-// large count wraps or is undefined when cast to an unsigned type.
-enum class Kind { kSeconds, kSize, kU32 };
+// large count wraps or is undefined when cast to an unsigned type. A buffer
+// is a count that must also hold the packet in service: with 0 packets
+// every packet drops (a dead link is spelled `fault down`).
+enum class Kind { kSeconds, kSize, kBuffer, kU32 };
 
 struct Param {
   const char* name;
@@ -30,7 +32,7 @@ constexpr Param kParams[] = {
     {"tau", Kind::kSeconds},           {"pacing", Kind::kSeconds},
     {"spread", Kind::kSeconds},        {"outage", Kind::kSeconds},
     {"flap-period", Kind::kSeconds},   {"session", Kind::kSeconds},
-    {"buffer", Kind::kSize},           {"conns", Kind::kSize},
+    {"buffer", Kind::kBuffer},         {"conns", Kind::kSize},
     {"hops", Kind::kSize},             {"long-flows", Kind::kSize},
     {"cross-per-hop", Kind::kSize},    {"switches", Kind::kSize},
     {"flaps", Kind::kSize},            {"senders", Kind::kSize},
@@ -79,6 +81,11 @@ void check(const Param& param, double value, const std::string& what,
       return;
     case Kind::kSize:
       checked_count<std::size_t>(value, what, got);
+      return;
+    case Kind::kBuffer:
+      if (checked_count<std::size_t>(value, what, got) == 0) {
+        throw bad_value(what, ">= 1 packet", got);
+      }
       return;
     case Kind::kU32:
       checked_count<std::uint32_t>(value, what, got);

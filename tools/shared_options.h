@@ -29,8 +29,9 @@ struct SharedOptions {
 // Parses and validates the shared flags. Every flag either tool reads in
 // seconds (--warmup, --duration, --tau, --pacing, ...) must convert to a
 // sim::Time, and every count flag (--buffer, --conns, --hops, --w1, ...)
-// must be a whole number its type holds. Throws std::invalid_argument with
-// the message the tool prints above its usage.
+// must be a whole number its type holds; --buffer must also be at least 1.
+// Throws std::invalid_argument with the message the tool prints above its
+// usage.
 SharedOptions parse_shared_flags(const util::Flags& flags);
 
 // Applies the same checks to the values of the grid axes that name those

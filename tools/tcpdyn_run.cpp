@@ -17,6 +17,7 @@
 
 #include "core/cc_matrix.h"
 #include "core/csv_export.h"
+#include "core/dumbbell.h"
 #include "core/report.h"
 #include "core/scenarios.h"
 #include "core/shard_engine.h"
@@ -88,8 +89,8 @@ void declare_flags(util::Flags& flags) {
       .flag("audit", "off|counters|full", "conservation-check strength", "")
       .flag("shards", "N",
             "partition the run across N shard simulators with conservative "
-            "lookahead (identical results at any N; topology-backed "
-            "scenarios only)",
+            "lookahead (identical results at any N; oneway|twoway|ring|"
+            "parking-lot|waxman|chaos|red-wave|datacenter|topo only)",
             1)
       .flag("trace", "PATH", "write a JSONL event trace here", "");
 }
@@ -100,44 +101,40 @@ int fail(const util::Flags& flags, const std::string& msg) {
   return 2;
 }
 
-core::Scenario custom_dumbbell(const util::Flags& flags,
+// The oneway/twoway dumbbell under the tool's flags: --conns flows, the
+// first half forward and the rest reverse when two-way.
+core::TopoSpec custom_dumbbell(const util::Flags& flags,
                                const SharedOptions& opts, bool two_way) {
-  core::DumbbellParams p;
-  p.tau = sim::Time::seconds(flags.get_double("tau"));
-  const auto buffer = tools::count_flag<std::size_t>(flags, "buffer");
-  p.buffer_fwd = net::QueueLimit::of(buffer);
-  p.buffer_rev = net::QueueLimit::of(buffer);
+  core::DumbbellParams p = core::dumbbell_params(
+      flags.get_double("tau"),
+      net::QueueLimit::of(tools::count_flag<std::size_t>(flags, "buffer")));
   if (opts.qdisc) p.bottleneck_qdisc = *opts.qdisc;
 
+  core::TopoSpec spec;
+  spec.name = two_way ? "twoway" : "oneway";
+  spec.topo = core::dumbbell_topology(p);
+  spec.warmup = sim::Time::seconds(100.0);
+  spec.duration = sim::Time::seconds(400.0);
+  spec.epoch_gap_sec = p.tau >= sim::Time::seconds(0.5) ? 8.0 : 2.0;
   const auto n = tools::count_flag<std::size_t>(flags, "conns");
-  // --cc may mix algorithms across the flows; Tahoe when unset.
-  std::vector<core::ConnSpec> conns(n);
   for (std::size_t i = 0; i < n; ++i) {
-    conns[i].forward = two_way ? i < (n + 1) / 2 : true;
-    if (!opts.cc.empty()) conns[i].kind = opts.cc[i % opts.cc.size()];
-    conns[i].delayed_ack = flags.get_bool("delayed-ack");
-    conns[i].ecn = flags.get_bool("ecn");
-    conns[i].pacing_interval = sim::Time::seconds(flags.get_double("pacing"));
-    conns[i].start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
+    core::ConnSpec c = core::dumbbell_flow(!two_way || i < (n + 1) / 2);
+    // --cc may mix algorithms across the flows; Tahoe when unset.
+    if (!opts.cc.empty()) c.kind = opts.cc[i % opts.cc.size()];
+    c.delayed_ack = flags.get_bool("delayed-ack");
+    c.ecn = flags.get_bool("ecn");
+    c.pacing_interval = sim::Time::seconds(flags.get_double("pacing"));
+    c.start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
+    spec.traffic.add(std::move(c));
   }
-
-  core::Scenario s;
-  s.name = two_way ? "twoway" : "oneway";
-  s.exp = std::make_unique<core::Experiment>();
-  s.warmup = sim::Time::seconds(100.0);
-  s.duration = sim::Time::seconds(400.0);
-  s.epoch_gap_sec = p.tau >= sim::Time::seconds(0.5) ? 8.0 : 2.0;
-  s.tahoe_connections = n;
-  s.dumbbell = p;
-  const core::DumbbellHandles h = core::build_dumbbell(*s.exp, p);
-  core::add_dumbbell_connections(*s.exp, h, conns);
-  return s;
+  return spec;
 }
 
-// Builds the TopoSpec behind `which` when the scenario is topology-backed
-// (and therefore shardable); nullopt for the hand-rolled dumbbell/chain
-// scenarios. `build` routes these through make_topo_scenario, so the serial
-// and sharded paths run the exact same spec.
+// The TopoSpec of `which` for the scenarios the tool configures flag by
+// flag (and the sharded engine can run); nullopt for the paper figures and
+// the chain, which come from their core factories. `build` routes these
+// through make_topo_scenario, so the serial and sharded paths run the exact
+// same spec.
 std::optional<core::TopoSpec> build_spec(const std::string& which,
                                          const util::Flags& flags,
                                          const SharedOptions& opts) {
@@ -145,6 +142,9 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     return tools::count_flag<std::size_t>(flags, name);
   };
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  if (which == "oneway" || which == "twoway") {
+    return custom_dumbbell(flags, opts, /*two_way=*/which == "twoway");
+  }
   if (which == "ring") {
     core::RingParams p;
     if (flags.has("switches")) p.switches = size("switches");
@@ -274,9 +274,6 @@ core::Scenario build(const std::string& which, const util::Flags& flags,
     return core::four_switch_chain(flags.has("conns") ? size("conns") : 50,
                                    seed);
   }
-  if (which == "oneway" || which == "twoway") {
-    return custom_dumbbell(flags, opts, /*two_way=*/which == "twoway");
-  }
   throw std::invalid_argument("unknown scenario '" + which + "'");
 }
 
@@ -347,9 +344,9 @@ int main(int argc, char** argv) {
       return fail(flags, e.what());
     }
     if (!spec) {
-      return fail(flags, "--shards requires a topology-backed scenario "
-                         "(ring|parking-lot|waxman|chaos|red-wave|"
-                         "datacenter|topo)");
+      return fail(flags, "--shards requires one of the scenarios "
+                         "oneway|twoway|ring|parking-lot|waxman|chaos|"
+                         "red-wave|datacenter|topo");
     }
     if (flags.has("warmup")) {
       spec->warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));

@@ -80,8 +80,8 @@ void declare_flags(util::Flags& flags) {
       .flag("flaps", "N", "chaos trunk-flap count", "")
       .flag("shards", "N",
             "run every point through the sharded engine on N shard "
-            "simulators (identical results at any N; topology-backed "
-            "scenarios only — composes with --jobs)",
+            "simulators (identical results at any N; ring|parking-lot|"
+            "waxman|chaos|red-wave only — composes with --jobs)",
             1)
       .flag("progress", "log per-point progress and ETA to stderr", false)
       .flag("quiet", "suppress the summary table on stdout", false)
@@ -104,9 +104,10 @@ double param(const core::SweepPoint& pt, const util::Flags& flags,
   return pt.value_or(name, flags.get_double(name, fallback));
 }
 
-// TopoSpec behind the topology-backed sweep scenarios (the ones --shards
-// can run); nullopt otherwise. build_scenario routes these through
-// make_topo_scenario so serial and sharded points run the same spec.
+// TopoSpec of the sweep scenarios --shards can run; nullopt for the paper
+// figures, ccmix and the chain, which come from their core factories.
+// build_scenario routes these through make_topo_scenario so serial and
+// sharded points run the same spec.
 std::optional<core::TopoSpec> build_point_spec(const std::string& which,
                                                const core::SweepPoint& pt,
                                                const util::Flags& flags,
@@ -311,8 +312,8 @@ int main(int argc, char** argv) {
             build_point_spec(which, pt, flags, shared);
         if (!spec) {
           throw std::invalid_argument(
-              "--shards requires a topology-backed scenario "
-              "(ring|parking-lot|waxman|chaos|red-wave)");
+              "--shards requires one of the scenarios "
+              "ring|parking-lot|waxman|chaos|red-wave");
         }
         if (flags.has("warmup")) {
           spec->warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
