@@ -36,7 +36,7 @@ CcMatrixCell run_cell(tcp::CcAlgorithm row, tcp::CcAlgorithm col,
     spec.traffic.add(entrant(row, params, 2 * i));
     spec.traffic.add(entrant(col, params, 2 * i + 1));
   }
-  Scenario sc = make_topo_scenario(spec);
+  Scenario sc(spec);
   Experiment& exp = *sc.exp;
   exp.set_audit_mode(params.audit);
 
@@ -122,7 +122,7 @@ void print_cc_matrix(std::ostream& os, const CcMatrixResult& m) {
   os << buf;
 }
 
-Scenario ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
+TopoSpec ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
                       std::size_t conns, double tau_sec, std::size_t buffer) {
   TopoSpec spec;
   spec.name = "ccmix-twoway";
@@ -140,7 +140,7 @@ Scenario ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
     c.start_time = sim::Time::seconds(rng.uniform(0.0, 5.0));
     spec.traffic.add(std::move(c));
   }
-  return make_topo_scenario(spec);
+  return spec;
 }
 
 }  // namespace tcpdyn::core

@@ -72,7 +72,7 @@ void print_cc_matrix(std::ostream& os, const CcMatrixResult& m);
 // reverse) whose controllers cycle through `algos`. The sweep tool exposes
 // it as scenario `ccmix`, so the determinism gate can diff a grid in which
 // different controllers share one bottleneck.
-Scenario ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
+TopoSpec ccmix_twoway(const std::vector<tcp::CcAlgorithm>& algos,
                       std::size_t conns = 6, double tau_sec = 0.01,
                       std::size_t buffer = 20);
 

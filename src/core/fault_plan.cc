@@ -179,10 +179,9 @@ void parse_fault_directive(FaultPlan& plan, const std::vector<std::string>& in,
                    "' (down|rate|delay|loss|gilbert|corrupt|reorder|seed)");
 }
 
-FaultPlan load_fault_file(const std::string& path) {
+void load_fault_file(const std::string& path, FaultPlan& plan) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open fault file '" + path + "'");
-  FaultPlan plan;
   std::string line;
   int lineno = 0;
   while (std::getline(in, line)) {
@@ -199,7 +198,6 @@ FaultPlan load_fault_file(const std::string& path) {
     if (words.front() == "fault") words.erase(words.begin());
     parse_fault_directive(plan, words, lineno);
   }
-  return plan;
 }
 
 namespace {

@@ -12,8 +12,8 @@
 //
 // Plans come from three places: built in code (the `chaos` scenario),
 // `fault ...` stanzas inside a .topo file (parse_topology), or a standalone
-// fault file (`tcpdyn_run topo --faults=PATH`), all sharing one grammar —
-// see parse_fault_directive.
+// fault file, which `tcpdyn_run --faults=PATH` adds to any scenario's own
+// plan. All share one grammar — see parse_fault_directive.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +123,12 @@ class FaultPlan {
 void parse_fault_directive(FaultPlan& plan,
                            const std::vector<std::string>& args, int lineno);
 
-// Reads a standalone fault file: one directive per line (without the
-// `fault` keyword), '#' comments and blank lines ignored.
-FaultPlan load_fault_file(const std::string& path);
+// Reads a standalone fault file into `plan`: one directive per line (the
+// `fault` keyword is optional), '#' comments and blank lines ignored. Each
+// entry is appended after the plan's own, in file order; a `seed` line
+// replaces the plan's seed, which is kept otherwise. Throws
+// std::runtime_error when the file cannot be opened and
+// std::invalid_argument naming the line of a malformed directive.
+void load_fault_file(const std::string& path, FaultPlan& plan);
 
 }  // namespace tcpdyn::core

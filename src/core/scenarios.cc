@@ -25,9 +25,9 @@ void add_staggered(TopoSpec& spec, std::vector<ConnSpec> conns) {
   }
 }
 
-Scenario dumbbell_scenario(std::string name, const DumbbellParams& params,
-                           std::vector<ConnSpec> conns, double warmup_sec,
-                           double duration_sec, double epoch_gap) {
+TopoSpec dumbbell_spec(std::string name, const DumbbellParams& params,
+                       std::vector<ConnSpec> conns, double warmup_sec,
+                       double duration_sec, double epoch_gap) {
   TopoSpec spec;
   spec.name = std::move(name);
   spec.topo = dumbbell_topology(params);
@@ -35,14 +35,14 @@ Scenario dumbbell_scenario(std::string name, const DumbbellParams& params,
   spec.warmup = sim::Time::seconds(warmup_sec);
   spec.duration = sim::Time::seconds(duration_sec);
   spec.epoch_gap_sec = epoch_gap;
-  return make_topo_scenario(spec);
+  return spec;
 }
 
 // Two fixed-window connections (w1 forward, w2 reverse) over infinite
 // buffers, the §4.2 and §4.3.3 systems.
-Scenario fixed_window_scenario(std::string name, double tau_sec,
-                               std::uint32_t w1, std::uint32_t w2,
-                               std::uint32_t ack_bytes) {
+TopoSpec fixed_window_spec(std::string name, double tau_sec,
+                           std::uint32_t w1, std::uint32_t w2,
+                           std::uint32_t ack_bytes) {
   std::vector<ConnSpec> cs = two_way();
   cs[0].fixed_window = w1;
   cs[1].fixed_window = w2;
@@ -50,28 +50,26 @@ Scenario fixed_window_scenario(std::string name, double tau_sec,
     c.kind = tcp::CcAlgorithm::kFixedWindow;
     c.ack_bytes = ack_bytes;
   }
-  return dumbbell_scenario(
+  return dumbbell_spec(
       std::move(name), dumbbell_params(tau_sec, net::QueueLimit::infinite()),
       std::move(cs), 60.0, 120.0, /*epoch_gap=*/2.0);
 }
 
 }  // namespace
 
-Scenario make_topo_scenario(const TopoSpec& spec) {
-  Scenario s;
-  s.name = spec.name;
-  s.exp = std::make_unique<Experiment>();
-  s.warmup = spec.warmup;
-  s.duration = spec.duration;
-  s.epoch_gap_sec = spec.epoch_gap_sec;
-  s.exp->set_monitor_mode(spec.monitor_mode);
-  s.exp->set_flow_instrumentation(spec.per_flow_traces);
-  const CompiledTopology c = spec.topo.compile(*s.exp);
-  spec.traffic.instantiate(*s.exp, c);
+Scenario::Scenario(const TopoSpec& spec)
+    : name(spec.name),
+      exp(std::make_unique<Experiment>()),
+      warmup(spec.warmup),
+      duration(spec.duration),
+      epoch_gap_sec(spec.epoch_gap_sec) {
+  exp->set_monitor_mode(spec.monitor_mode);
+  exp->set_flow_instrumentation(spec.per_flow_traces);
+  const CompiledTopology c = spec.topo.compile(*exp);
+  spec.traffic.instantiate(*exp, c);
   // Faults last: impairments attach now; outages and parameter changes
   // become scheduler events that fire inside Experiment::run.
-  spec.faults.apply(*s.exp, c);
-  return s;
+  spec.faults.apply(*exp, c);
 }
 
 ScenarioSummary run_scenario(Scenario& scenario) {
@@ -116,63 +114,63 @@ ScenarioSummary summarize_result(ExperimentResult result,
   return s;
 }
 
-Scenario fig2_one_way(std::size_t conns, double tau_sec, std::size_t buffer) {
+TopoSpec fig2_one_way(std::size_t conns, double tau_sec, std::size_t buffer) {
   const bool long_cycle = tau_sec >= 0.5;
-  return dumbbell_scenario(
+  return dumbbell_spec(
       "fig2-one-way", dumbbell_params(tau_sec, net::QueueLimit::of(buffer)),
       std::vector<ConnSpec>(conns, dumbbell_flow(true)),
       long_cycle ? 150.0 : 100.0, long_cycle ? 600.0 : 400.0,
       /*epoch_gap=*/long_cycle ? 8.0 : 2.0);
 }
 
-Scenario fig3_ten_connections(std::size_t buffer, std::size_t per_direction) {
+TopoSpec fig3_ten_connections(std::size_t buffer, std::size_t per_direction) {
   std::vector<ConnSpec> cs(per_direction, dumbbell_flow(true));
   cs.resize(2 * per_direction, dumbbell_flow(false));
-  return dumbbell_scenario("fig3-ten-connections",
-                           dumbbell_params(0.01, net::QueueLimit::of(buffer)),
-                           std::move(cs), 100.0, 400.0, /*epoch_gap=*/2.0);
+  return dumbbell_spec("fig3-ten-connections",
+                       dumbbell_params(0.01, net::QueueLimit::of(buffer)),
+                       std::move(cs), 100.0, 400.0, /*epoch_gap=*/2.0);
 }
 
-Scenario fig4_twoway(double tau_sec, std::size_t buffer) {
-  return dumbbell_scenario(
+TopoSpec fig4_twoway(double tau_sec, std::size_t buffer) {
+  return dumbbell_spec(
       "fig4-5-twoway-small-pipe",
       dumbbell_params(tau_sec, net::QueueLimit::of(buffer)), two_way(), 100.0,
       400.0, /*epoch_gap=*/2.0);
 }
 
-Scenario fig6_twoway(double tau_sec, std::size_t buffer) {
-  return dumbbell_scenario(
+TopoSpec fig6_twoway(double tau_sec, std::size_t buffer) {
+  return dumbbell_spec(
       "fig6-7-twoway-large-pipe",
       dumbbell_params(tau_sec, net::QueueLimit::of(buffer)), two_way(), 150.0,
       600.0, /*epoch_gap=*/8.0);
 }
 
-Scenario fig8_fixed_window(double tau_sec, std::uint32_t w1,
+TopoSpec fig8_fixed_window(double tau_sec, std::uint32_t w1,
                            std::uint32_t w2) {
-  return fixed_window_scenario(
+  return fixed_window_spec(
       tau_sec < 0.5 ? "fig8-fixed-window" : "fig9-fixed-window", tau_sec, w1,
       w2, /*ack_bytes=*/50);
 }
 
-Scenario zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec) {
-  return fixed_window_scenario("zero-ack-fixed", tau_sec, w1, w2,
-                               /*ack_bytes=*/0);
+TopoSpec zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec) {
+  return fixed_window_spec("zero-ack-fixed", tau_sec, w1, w2,
+                           /*ack_bytes=*/0);
 }
 
-Scenario delayed_ack_twoway(std::uint32_t maxwnd, double tau_sec,
+TopoSpec delayed_ack_twoway(std::uint32_t maxwnd, double tau_sec,
                             std::size_t buffer) {
   std::vector<ConnSpec> cs = two_way();
   for (auto& c : cs) {
     c.delayed_ack = true;
     c.maxwnd = maxwnd;
   }
-  return dumbbell_scenario(
+  return dumbbell_spec(
       "delayed-ack-twoway",
       dumbbell_params(tau_sec, net::QueueLimit::of(buffer)), std::move(cs),
       100.0, 400.0, /*epoch_gap=*/2.0);
 }
 
-Scenario four_switch_chain(std::size_t connections, std::uint64_t seed) {
+TopoSpec four_switch_chain(std::size_t connections, std::uint64_t seed) {
   const ChainParams p;
   TopoSpec spec;
   spec.name = "four-switch-chain";
@@ -180,10 +178,10 @@ Scenario four_switch_chain(std::size_t connections, std::uint64_t seed) {
   spec.traffic = chain_traffic(p, connections, seed);
   spec.warmup = sim::Time::seconds(100.0);
   spec.duration = sim::Time::seconds(300.0);
-  return make_topo_scenario(spec);
+  return spec;
 }
 
-Scenario paced_twoway(double tau_sec, std::size_t buffer) {
+TopoSpec paced_twoway(double tau_sec, std::size_t buffer) {
   const DumbbellParams p =
       dumbbell_params(tau_sec, net::QueueLimit::of(buffer));
   std::vector<ConnSpec> cs = two_way();
@@ -191,26 +189,26 @@ Scenario paced_twoway(double tau_sec, std::size_t buffer) {
   const sim::Time interval =
       sim::Time::transmission(500, p.bottleneck_bps);
   for (auto& c : cs) c.pacing_interval = interval;
-  return dumbbell_scenario("paced-twoway", p, std::move(cs), 100.0, 400.0,
-                           /*epoch_gap=*/2.0);
+  return dumbbell_spec("paced-twoway", p, std::move(cs), 100.0, 400.0,
+                       /*epoch_gap=*/2.0);
 }
 
-Scenario reno_twoway(double tau_sec, std::size_t buffer) {
+TopoSpec reno_twoway(double tau_sec, std::size_t buffer) {
   std::vector<ConnSpec> cs = two_way();
   for (auto& c : cs) c.kind = tcp::CcAlgorithm::kReno;
-  return dumbbell_scenario(
+  return dumbbell_spec(
       "reno-twoway", dumbbell_params(tau_sec, net::QueueLimit::of(buffer)),
       std::move(cs), 100.0, 400.0, /*epoch_gap=*/2.0);
 }
 
-Scenario random_drop_twoway(double tau_sec, std::size_t buffer) {
+TopoSpec random_drop_twoway(double tau_sec, std::size_t buffer) {
   DumbbellParams p = dumbbell_params(tau_sec, net::QueueLimit::of(buffer));
   p.bottleneck_qdisc.kind = net::QdiscKind::kRandomDrop;
-  return dumbbell_scenario("random-drop-twoway", p, two_way(), 100.0, 400.0,
-                           /*epoch_gap=*/2.0);
+  return dumbbell_spec("random-drop-twoway", p, two_way(), 100.0, 400.0,
+                       /*epoch_gap=*/2.0);
 }
 
-Scenario rtt_heterogeneity(std::size_t conns, double spread_sec,
+TopoSpec rtt_heterogeneity(std::size_t conns, double spread_sec,
                            double tau_sec, std::size_t buffer) {
   // Access delays spread evenly over [0.1 ms, 0.1 ms + spread]; flow i runs
   // from A<i+1> to B<i+1>.
@@ -233,14 +231,14 @@ Scenario rtt_heterogeneity(std::size_t conns, double spread_sec,
   add_staggered(spec, std::move(cs));
   spec.warmup = sim::Time::seconds(100.0);
   spec.duration = sim::Time::seconds(300.0);
-  return make_topo_scenario(spec);
+  return spec;
 }
 
-Scenario increment_ablation(bool modified, double tau_sec,
+TopoSpec increment_ablation(bool modified, double tau_sec,
                             std::size_t buffer) {
   std::vector<ConnSpec> cs(3, dumbbell_flow(true));  // the Fig. 2 setup
   for (auto& c : cs) c.tahoe.modified_ca_increment = modified;
-  return dumbbell_scenario(
+  return dumbbell_spec(
       modified ? "increment-modified" : "increment-original",
       dumbbell_params(tau_sec, net::QueueLimit::of(buffer)), std::move(cs),
       150.0, 600.0, /*epoch_gap=*/8.0);

@@ -4,10 +4,11 @@
 // tests, and examples all run figures through this layer, so the
 // paper-vs-measured comparison lives in exactly one place.
 //
-// Every factory describes its scenario as a TopoSpec (the dumbbell or chain
-// Topology plus flows with named endpoints) and builds it with
-// make_topo_scenario, the one function that turns a description into a
-// runnable Scenario.
+// Every factory returns its scenario as a TopoSpec (the dumbbell or chain
+// Topology plus flows with named endpoints), the description both engines
+// run: Scenario's constructor builds it for Experiment::run, so
+// `Scenario sc = fig4_twoway();` is runnable, and core::ShardedEngine takes
+// the spec itself.
 #pragma once
 
 #include <memory>
@@ -23,6 +24,14 @@ namespace tcpdyn::core {
 // A configured, not-yet-run experiment plus the metadata needed to analyze
 // it consistently.
 struct Scenario {
+  Scenario() = default;
+  // Builds a runnable scenario from a spec (a factory's, or a parsed topology
+  // file's): applies the spec's monitor and flow-instrumentation modes,
+  // compiles the graph, instantiates the traffic matrix, applies any fault
+  // plan, and carries over the run parameters. Implicit, so a factory's
+  // spec initializes a Scenario directly.
+  Scenario(const TopoSpec& spec);  // NOLINT(google-explicit-constructor)
+
   std::string name;
   std::unique_ptr<Experiment> exp;
   sim::Time warmup;
@@ -31,11 +40,8 @@ struct Scenario {
   double epoch_gap_sec = 2.0;
 };
 
-// Builds a runnable scenario from a spec (a factory's, or a parsed topology
-// file's): applies the spec's monitor and flow-instrumentation modes,
-// compiles the graph, instantiates the traffic matrix, applies any fault
-// plan, and carries over the run parameters.
-Scenario make_topo_scenario(const TopoSpec& spec);
+// The constructor under the name callers spell it by.
+inline Scenario make_topo_scenario(const TopoSpec& spec) { return spec; }
 
 // Everything the analysis layer derives from one run.
 struct ScenarioSummary {
@@ -67,60 +73,60 @@ ScenarioSummary summarize_result(ExperimentResult result,
 // --- §3.1 / Fig. 2: one-way traffic -----------------------------------
 // `conns` Tahoe connections Host-1 -> Host-2. Defaults are the figure's:
 // 3 connections, tau = 1 s, 20-packet buffers.
-Scenario fig2_one_way(std::size_t conns = 3, double tau_sec = 1.0,
+TopoSpec fig2_one_way(std::size_t conns = 3, double tau_sec = 1.0,
                       std::size_t buffer = 20);
 
 // --- §3.2 / Fig. 3: ten connections, five per direction ---------------
-Scenario fig3_ten_connections(std::size_t buffer = 30,
+TopoSpec fig3_ten_connections(std::size_t buffer = 30,
                               std::size_t per_direction = 5);
 
 // --- §4.1/§4.3 / Figs. 4-7: two-way traffic, one connection each way ---
 // Figs. 4-5: tau = 0.01 s (small pipe, out-of-phase).
 // Figs. 6-7: tau = 1 s (large pipe, in-phase).
-Scenario fig4_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
-Scenario fig6_twoway(double tau_sec = 1.0, std::size_t buffer = 20);
+TopoSpec fig4_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec fig6_twoway(double tau_sec = 1.0, std::size_t buffer = 20);
 
 // --- §4.2 / Figs. 8-9: fixed windows 30/25, infinite buffers -----------
-Scenario fig8_fixed_window(double tau_sec = 0.01, std::uint32_t w1 = 30,
+TopoSpec fig8_fixed_window(double tau_sec = 0.01, std::uint32_t w1 = 30,
                            std::uint32_t w2 = 25);
 
 // --- §4.3.3: zero-length-ACK fixed-window system -----------------------
-Scenario zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec);
+TopoSpec zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec);
 
 // --- §5: delayed-ACK option on, two-way traffic ------------------------
-Scenario delayed_ack_twoway(std::uint32_t maxwnd, double tau_sec = 0.01,
+TopoSpec delayed_ack_twoway(std::uint32_t maxwnd, double tau_sec = 0.01,
                             std::size_t buffer = 20);
 
 // --- §5: four-switch chain, many connections, 1-3 hop paths ------------
-Scenario four_switch_chain(std::size_t connections = 50,
+TopoSpec four_switch_chain(std::size_t connections = 50,
                            std::uint64_t seed = 7);
 
 // --- E12 ablation: paced two-way traffic --------------------------------
 // Data packets leave each source no faster than one per bottleneck data
 // transmission time; the paper predicts this removes clustering and with it
 // ACK-compression.
-Scenario paced_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec paced_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- E14 extension: Reno (fast recovery) under two-way traffic ----------
 // Tests the paper's conjecture that ACK-compression and the synchronization
 // modes afflict ANY nonpaced window algorithm, not just Tahoe.
-Scenario reno_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec reno_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- E15 ablation: random-drop gateway discipline ------------------------
 // Replaces drop-tail at the bottleneck with the Random Drop discipline of
 // the studies the paper cites ([4, 5, 10, 18]).
-Scenario random_drop_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec random_drop_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- E16 — §5 claim: heterogeneous round-trip times break clustering -----
 // `spread` scales the per-connection access propagation delays: 0 gives
 // identical RTTs (complete clustering); >= one bottleneck data transmission
 // time (0.08 s) destroys perfect clustering.
-Scenario rtt_heterogeneity(std::size_t conns, double spread_sec,
+TopoSpec rtt_heterogeneity(std::size_t conns, double spread_sec,
                            double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- §2.1 ablation: the paper's modified congestion-avoidance increment --
 // modified = false reinstates the original BSD cwnd += 1/cwnd anomaly.
-Scenario increment_ablation(bool modified, double tau_sec = 1.0,
+TopoSpec increment_ablation(bool modified, double tau_sec = 1.0,
                             std::size_t buffer = 20);
 
 }  // namespace tcpdyn::core

@@ -305,39 +305,31 @@ ExperimentResult ShardedEngine::run() {
 
   compute_horizon();
   if (!done_) {
-    if (n == 1) {
-      // Degenerate partition: the barrier round collapses to windowed
-      // serial execution on the caller's thread.
-      while (!done_) {
-        sims_[0]->run_before(horizon_);
-        drain_mail();
-        compute_horizon();
-      }
-    } else {
-      std::barrier sync(static_cast<std::ptrdiff_t>(n),
-                        [this]() noexcept { round_end(); });
-      std::vector<std::thread> workers;
-      workers.reserve(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        workers.emplace_back([this, s, &sync] {
-          // done_ and horizon_ are written only by the barrier completion,
-          // whose end synchronizes-with every arrive_and_wait return.
-          while (!done_) {
-            try {
-              sims_[s]->run_before(horizon_);
-            } catch (...) {
-              if (!worker_failed_.exchange(true)) {
-                worker_error_ = std::current_exception();
-              }
+    // One worker per shard, a one-shard plan included: the round loop is
+    // the same at every shard count.
+    std::barrier sync(static_cast<std::ptrdiff_t>(n),
+                      [this]() noexcept { round_end(); });
+    std::vector<std::thread> workers;
+    workers.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      workers.emplace_back([this, s, &sync] {
+        // done_ and horizon_ are written only by the barrier completion,
+        // whose end synchronizes-with every arrive_and_wait return.
+        while (!done_) {
+          try {
+            sims_[s]->run_before(horizon_);
+          } catch (...) {
+            if (!worker_failed_.exchange(true)) {
+              worker_error_ = std::current_exception();
             }
-            sync.arrive_and_wait();
           }
-        });
-      }
-      for (std::thread& w : workers) w.join();
-      if (round_error_) std::rethrow_exception(round_error_);
-      if (worker_error_) std::rethrow_exception(worker_error_);
+          sync.arrive_and_wait();
+        }
+      });
     }
+    for (std::thread& w : workers) w.join();
+    if (round_error_) std::rethrow_exception(round_error_);
+    if (worker_error_) std::rethrow_exception(worker_error_);
   }
 
   // Merge per-monitor drop buffers into the shared trace: stable sort by

@@ -1,7 +1,8 @@
 // TopoSpec factories for graphs beyond the paper's dumbbell and chain
 // (cycles, parking lots, random Waxman meshes, datacenter incast, and the
-// dumbbell under faults). Run one with make_topo_scenario(X_spec(params))
-// (core/scenarios.h, included here) or hand the spec to the sharded engine.
+// dumbbell under faults). They return specs as the paper factories of
+// core/scenarios.h (included here) do: `Scenario sc = X_spec(params);`
+// builds one for Experiment::run, or hand the spec to the sharded engine.
 // These exercise the deterministic Dijkstra routing (equal-cost paths exist
 // in the ring) and the flow-schedule layer at scale (the parking lot
 // defaults to 512 concurrent Tahoe flows).

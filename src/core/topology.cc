@@ -482,9 +482,15 @@ TopoSpec parse_topology(std::istream& in) {
       // Node/link references resolve at FaultPlan::apply time (after
       // compile); here only the directive grammar is validated. Validate
       // node names eagerly where the directive's positional layout lets us,
-      // for a line-numbered error.
-      if (args.size() >= 3 && args[0] != "seed") {
-        if (!spec.topo.has_node(args[1]) || !spec.topo.has_node(args[2])) {
+      // for a line-numbered error. A dir= token may stand anywhere, so the
+      // endpoints are the first two words after the kind that are not one.
+      std::vector<std::string> positional = args;
+      std::erase_if(positional, [](const std::string& a) {
+        return a.rfind("dir=", 0) == 0;
+      });
+      if (positional.size() >= 3 && positional[0] != "seed") {
+        if (!spec.topo.has_node(positional[1]) ||
+            !spec.topo.has_node(positional[2])) {
           parse_error(lineno, "fault endpoints must be declared nodes");
         }
       }

@@ -404,6 +404,36 @@ TEST(TopologyFile, RejectsFaultsPastTheRunEnd) {
             "no error");
 }
 
+// A fault stanza takes its dir= token anywhere, as a fault file does: the
+// endpoint check skips the token, and an unknown endpoint still names its
+// line.
+TEST(TopologyFile, FaultDirectionMayStandAnywhere) {
+  const auto parse = [](const std::string& fault) {
+    std::istringstream in(
+        "switch S1\nswitch S2\nlink S1 S2 50000 0.01 20 20\n" + fault);
+    return parse_topology(in);
+  };
+  const TopoSpec first = parse("fault delay dir=ab S1 S2 20 0.03\n");
+  const TopoSpec last = parse("fault delay S1 S2 20 0.03 dir=ab\n");
+  for (const TopoSpec* spec : {&first, &last}) {
+    ASSERT_EQ(spec->faults.delay_changes().size(), 1u);
+    const DelayChange& c = spec->faults.delay_changes()[0];
+    EXPECT_EQ(c.link.a, "S1");
+    EXPECT_EQ(c.link.b, "S2");
+    EXPECT_EQ(c.link.dir, FaultDir::kAB);
+    EXPECT_EQ(c.at, sim::Time::seconds(20.0));
+    EXPECT_EQ(c.delay, sim::Time::seconds(0.03));
+  }
+  try {
+    parse("fault delay dir=ab S1 SX 20 0.03\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "topology file line 4: fault endpoints must be declared "
+                 "nodes");
+  }
+}
+
 // Every field that becomes a sim::Time goes through one checked conversion:
 // NaN, +-inf and |s| >= 9.2e9 would overflow the nanosecond count.
 TEST(TopologyFile, TimeFieldsMustBeRepresentable) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -344,6 +345,57 @@ TEST(FaultFile, TimesMustBeRepresentable) {
   EXPECT_EQ(error_of("reorder S1 S2 0.1 -0.5"),
             "fault directive, line 7: reorder bound must be non-negative");
   EXPECT_EQ(error_of("down S1 S2 9.1e9 1 discard"), "no error");
+}
+
+// A fault file adds to a plan that already holds entries: each entry goes
+// after the plan's own, in file order, and only a `seed` line changes the
+// plan's seed. A malformed directive names its line.
+TEST(FaultFile, LoadAppendsToThePlan) {
+  const auto file = [](const std::string& name, const std::string& text) {
+    const std::string path = testing::TempDir() + name;
+    std::ofstream(path) << text;
+    return path;
+  };
+  core::FaultPlan plan;
+  plan.set_seed(42);
+  core::parse_fault_directive(plan, {"down", "S1", "S2", "10", "1"}, 1);
+  core::parse_fault_directive(plan, {"loss", "S1", "S2", "0.1"}, 2);
+
+  core::load_fault_file(file("fault_append.txt",
+                             "# no seed line\n"
+                             "fault down S2 S3 20 2 discard\n"
+                             "\n"
+                             "down S1 S2 30 1 dir=ab\n"
+                             "gilbert S1 S2 0.02 0.3 0 0.5 dir=ba\n"),
+                        plan);
+  EXPECT_EQ(plan.seed(), 42u);
+  ASSERT_EQ(plan.outages().size(), 3u);
+  EXPECT_EQ(plan.outages()[0].at, sim::Time::seconds(10.0));
+  EXPECT_EQ(plan.outages()[1].link.b, "S3");
+  EXPECT_EQ(plan.outages()[1].policy, DownPolicy::kDiscard);
+  EXPECT_EQ(plan.outages()[2].at, sim::Time::seconds(30.0));
+  EXPECT_EQ(plan.outages()[2].link.dir, core::FaultDir::kAB);
+  ASSERT_EQ(plan.impairments().size(), 2u);
+  EXPECT_DOUBLE_EQ(plan.impairments()[0].model.loss, 0.1);
+  EXPECT_TRUE(plan.impairments()[1].model.gilbert.has_value());
+
+  core::load_fault_file(file("fault_seed.txt", "rate S1 S2 40 25000\nseed 7\n"),
+                        plan);
+  EXPECT_EQ(plan.seed(), 7u);
+  EXPECT_EQ(plan.rate_changes().size(), 1u);
+  EXPECT_EQ(plan.outages().size(), 3u);
+
+  try {
+    core::load_fault_file(
+        file("fault_bad.txt", "down S1 S2 1 1\n# fine\ndelay S1 S2 x 0.1\n"),
+        plan);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "fault directive, line 3: bad change time 'x'");
+  }
+  EXPECT_THROW(core::load_fault_file(
+                   testing::TempDir() + "no-such-dir/faults.txt", plan),
+               std::runtime_error);
 }
 
 TEST(FaultDeterminism, DoubleRunByteIdenticalPerModel) {

@@ -124,8 +124,8 @@ TEST(Scenarios, NamesAndMetadata) {
   EXPECT_EQ(fig6_twoway().name, "fig6-7-twoway-large-pipe");
   EXPECT_EQ(fig8_fixed_window(0.01).name, "fig8-fixed-window");
   EXPECT_EQ(fig8_fixed_window(1.0).name, "fig9-fixed-window");
-  EXPECT_EQ(fig2_one_way().exp->connection_count(), 3u);
-  EXPECT_EQ(fig8_fixed_window().exp->connection_count(), 2u);
+  EXPECT_EQ(Scenario(fig2_one_way()).exp->connection_count(), 3u);
+  EXPECT_EQ(Scenario(fig8_fixed_window()).exp->connection_count(), 2u);
 }
 
 }  // namespace

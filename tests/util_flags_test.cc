@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/scenarios.h"
 #include "core/sweep.h"
 #include "shared_options.h"
 
@@ -354,6 +357,55 @@ TEST(SharedFlags, GridAxesAreCheckedByName) {
             "grid axis 'buffer' must be >= 1 packet, got '0'");
   EXPECT_EQ(error_of("buffer=10:80:10,tau=0.01:1:log5,rep=-1;0.5"),
             "no error");
+}
+
+// tools::run_spec is the one run path of both tools: the serial engine at
+// one shard, the sharded engine above, with the same summary. A trace
+// needs the serial engine, and a trace file that cannot be opened throws,
+// so the tool exits 2 with the message.
+TEST(RunSpec, ShardedRunMatchesSerialAndLogsThePlan) {
+  core::TopoSpec spec = core::fig4_twoway();
+  spec.warmup = sim::Time::seconds(5.0);
+  spec.duration = sim::Time::seconds(20.0);
+  tools::SharedOptions opts;
+  opts.audit = core::AuditMode::kFull;
+  std::ostringstream log;
+  const core::ScenarioSummary serial = tools::run_spec(spec, opts, "", &log);
+  EXPECT_EQ(log.str(), "");
+  opts.shards = 2;
+  const core::ScenarioSummary sharded = tools::run_spec(spec, opts, "", &log);
+  EXPECT_EQ(log.str().rfind("sharded: shards=2 cut-links=1 ", 0), 0u)
+      << log.str();
+  EXPECT_EQ(sharded.result.delivered, serial.result.delivered);
+  EXPECT_EQ(sharded.result.audit.created, serial.result.audit.created);
+  EXPECT_EQ(sharded.util_fwd, serial.util_fwd);
+  EXPECT_EQ(sharded.util_rev, serial.util_rev);
+}
+
+TEST(RunSpec, TraceNeedsOneShard) {
+  tools::SharedOptions opts;
+  opts.shards = 2;
+  try {
+    tools::run_spec(core::fig4_twoway(), opts, "trace.jsonl", nullptr);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--trace is not supported with --shards (one JSONL stream, "
+                 "many shard clocks)");
+  }
+}
+
+TEST(RunSpec, UnopenableTraceThrows) {
+  const std::string path = testing::TempDir() + "no-such-dir/trace.jsonl";
+  try {
+    tools::run_spec(core::fig4_twoway(), tools::SharedOptions{}, path,
+                    nullptr);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open '" + path + "'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "core/shard_engine.h"
 #include "sim/time.h"
 
 namespace tcpdyn::tools {
@@ -159,5 +162,42 @@ template std::size_t count_flag<std::size_t>(const util::Flags&,
                                              const std::string&);
 template std::uint32_t count_flag<std::uint32_t>(const util::Flags&,
                                                  const std::string&);
+
+core::ScenarioSummary run_spec(const core::TopoSpec& spec,
+                               const SharedOptions& opts,
+                               const std::string& trace_path,
+                               std::ostream* log) {
+  const core::AuditMode audit = opts.audit.value_or(core::kDefaultAuditMode);
+  if (opts.shards <= 1) {
+    core::Scenario scenario(spec);
+    scenario.exp->set_audit_mode(audit);
+    if (!trace_path.empty()) scenario.exp->enable_trace(trace_path);
+    return core::run_scenario(scenario);
+  }
+  if (!trace_path.empty()) {
+    throw std::invalid_argument(
+        "--trace is not supported with --shards "
+        "(one JSONL stream, many shard clocks)");
+  }
+  core::ShardedEngine engine(spec, opts.shards, audit);
+  const auto wall0 = std::chrono::steady_clock::now();
+  core::ExperimentResult result = engine.run();
+  const double wall_sec = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - wall0)
+                              .count();
+  if (log != nullptr) {
+    // The plan shape, event count and throughput all vary with the shard
+    // count, so they go to the log, never into the summary, which must be
+    // byte-identical across shard counts.
+    const core::ShardPlan& plan = engine.plan();
+    *log << "sharded: shards=" << plan.shards
+         << " cut-links=" << plan.cut_links.size()
+         << " lookahead=" << plan.lookahead.sec() << " s"
+         << " events=" << engine.events_executed() << " ("
+         << static_cast<double>(engine.events_executed()) / wall_sec
+         << " events/s)\n";
+  }
+  return core::summarize_result(std::move(result), spec.epoch_gap_sec);
+}
 
 }  // namespace tcpdyn::tools

@@ -1,17 +1,21 @@
-// The option parsing tcpdyn_run and tcpdyn_sweep share: --cc, --qdisc,
-// --audit and --shards are parsed and validated here once, and so is every
-// flag given in seconds and every count, so their values and error messages
-// cannot drift apart between the tools. Each tool still declares the flags
-// itself, with its own help wording.
+// What tcpdyn_run and tcpdyn_sweep share: the option parsing, and the one
+// function that runs a scenario. --cc, --qdisc, --audit and --shards are
+// parsed and validated here once, and so is every flag given in seconds and
+// every count, so their values and error messages cannot drift apart
+// between the tools. Each tool still declares the flags itself, with its
+// own help wording, and builds a core::TopoSpec from them; run_spec then
+// picks the engine.
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/audit.h"
+#include "core/scenarios.h"
 #include "core/sweep.h"
 #include "net/queue.h"
 #include "tcp/congestion_control.h"
@@ -23,7 +27,7 @@ struct SharedOptions {
   std::vector<tcp::CcAlgorithm> cc;       // --cc in list order; may be empty
   std::optional<net::QdiscConfig> qdisc;  // nullopt when --qdisc is unset
   std::optional<core::AuditMode> audit;   // nullopt when --audit is unset
-  std::size_t shards = 1;                 // > 1 runs core::ShardedEngine
+  std::size_t shards = 1;                 // > 1 runs the sharded engine
 };
 
 // Parses and validates the shared flags. Every flag either tool reads in
@@ -44,5 +48,16 @@ void check_grid_axes(std::span<const core::SweepAxis> axes);
 // maximum: the cast would then wrap or be undefined.
 template <class T>
 T count_flag(const util::Flags& flags, const std::string& name);
+
+// Runs `spec` under opts.audit (core::kDefaultAuditMode when unset) and
+// summarizes it: through Experiment::run at one shard, writing a JSONL
+// event trace to `trace_path` unless it is empty, and on the sharded engine
+// above, with the same bytes, writing the partition and event rate to `log`
+// unless it is null. Throws std::invalid_argument for a trace above one
+// shard, and whatever building or running the spec throws.
+core::ScenarioSummary run_spec(const core::TopoSpec& spec,
+                               const SharedOptions& opts,
+                               const std::string& trace_path,
+                               std::ostream* log);
 
 }  // namespace tcpdyn::tools

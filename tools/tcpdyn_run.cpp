@@ -10,17 +10,19 @@
 //
 // The scenario may be given positionally (tcpdyn_run topo ...) or via
 // --scenario. Run with --help for the full flag list.
-#include <chrono>
+//
+// Every scenario but cc-matrix is built from the flags as one
+// core::TopoSpec, which --faults extends and tools::run_spec runs: serially
+// at --shards 1, on the sharded engine above, with the same output bytes.
 #include <filesystem>
 #include <iostream>
-#include <optional>
 
 #include "core/cc_matrix.h"
 #include "core/csv_export.h"
 #include "core/dumbbell.h"
+#include "core/fault_plan.h"
 #include "core/report.h"
 #include "core/scenarios.h"
-#include "core/shard_engine.h"
 #include "core/topo_scenarios.h"
 #include "core/topology.h"
 #include "net/queue.h"
@@ -42,8 +44,10 @@ void declare_flags(util::Flags& flags) {
             "fig4")
       .flag("file", "PATH", "topology file (scenario topo)", "")
       .flag("faults", "PATH",
-            "fault-schedule file applied on top of the topology "
-            "(scenario topo; see core/fault_plan.h for the grammar)", "")
+            "fault-schedule file added to the scenario's own faults; a seed "
+            "line replaces the plan seed (see core/fault_plan.h for the "
+            "grammar)",
+            "")
       .flag("loss", "PROB", "chaos reverse-trunk burst-loss peak", 0.5)
       .flag("outage", "SEC", "chaos trunk-flap duration", 2.0)
       .flag("flap-period", "SEC", "chaos gap between trunk flaps", 60.0)
@@ -89,8 +93,7 @@ void declare_flags(util::Flags& flags) {
       .flag("audit", "off|counters|full", "conservation-check strength", "")
       .flag("shards", "N",
             "partition the run across N shard simulators with conservative "
-            "lookahead (identical results at any N; oneway|twoway|ring|"
-            "parking-lot|waxman|chaos|red-wave|datacenter|topo only)",
+            "lookahead (identical results at any N)",
             1)
       .flag("trace", "PATH", "write a JSONL event trace here", "");
 }
@@ -130,14 +133,12 @@ core::TopoSpec custom_dumbbell(const util::Flags& flags,
   return spec;
 }
 
-// The TopoSpec of `which` for the scenarios the tool configures flag by
-// flag (and the sharded engine can run); nullopt for the paper figures and
-// the chain, which come from their core factories. `build` routes these
-// through make_topo_scenario, so the serial and sharded paths run the exact
-// same spec.
-std::optional<core::TopoSpec> build_spec(const std::string& which,
-                                         const util::Flags& flags,
-                                         const SharedOptions& opts) {
+// The TopoSpec of `which` under the tool's flags: the scenarios the tool
+// configures flag by flag from their params, the paper figures and the
+// chain from their core factories. run_spec runs it on one engine or the
+// other.
+core::TopoSpec build_spec(const std::string& which, const util::Flags& flags,
+                          const SharedOptions& opts) {
   const auto size = [&](const std::string& name) {
     return tools::count_flag<std::size_t>(flags, name);
   };
@@ -179,7 +180,7 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     p.discard_on_down = flags.get_bool("discard-on-down");
     p.cc = opts.cc;
     // Flap times are anchored to the warmup boundary, so the overrides must
-    // reach the params (the post-build scenario override alone would leave
+    // reach the params (the override of the built spec alone would leave
     // the flaps scheduled past the end of a shortened run).
     if (flags.has("warmup")) p.warmup_sec = flags.get_double("warmup");
     if (flags.has("duration")) p.duration_sec = flags.get_double("duration");
@@ -195,8 +196,6 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     if (opts.qdisc) p.qdisc = *opts.qdisc;
     p.ecn = flags.get_bool("ecn");
     if (!opts.cc.empty()) p.cc = opts.cc.front();
-    if (flags.has("warmup")) p.warmup_sec = flags.get_double("warmup");
-    if (flags.has("duration")) p.duration_sec = flags.get_double("duration");
     p.seed = seed;
     return core::red_wave_spec(p);
   }
@@ -208,8 +207,6 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     p.arrival_rate = flags.get_double("arrival-rate");
     p.session_sec = flags.get_double("session");
     if (!opts.cc.empty()) p.cc = opts.cc.front();
-    if (flags.has("warmup")) p.warmup_sec = flags.get_double("warmup");
-    if (flags.has("duration")) p.duration_sec = flags.get_double("duration");
     p.seed = seed;
     return core::incast_spec(p);
   }
@@ -218,35 +215,8 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     if (file.empty()) {
       throw std::invalid_argument("scenario topo requires --file");
     }
-    core::TopoSpec spec = core::load_topology_file(file);
-    if (flags.has("faults")) {
-      // A standalone fault schedule composes with (and after) any fault
-      // stanzas the .topo file itself declares.
-      core::FaultPlan extra = core::load_fault_file(flags.get("faults"));
-      if (extra.seed() != spec.faults.seed()) {
-        spec.faults.set_seed(extra.seed());
-      }
-      for (const auto& o : extra.outages()) spec.faults.add_outage(o);
-      for (const auto& c : extra.rate_changes()) spec.faults.add_rate_change(c);
-      for (const auto& c : extra.delay_changes()) {
-        spec.faults.add_delay_change(c);
-      }
-      for (const auto& i : extra.impairments()) spec.faults.add_impairment(i);
-    }
-    return spec;
+    return core::load_topology_file(file);
   }
-  return std::nullopt;
-}
-
-core::Scenario build(const std::string& which, const util::Flags& flags,
-                     const SharedOptions& opts) {
-  if (std::optional<core::TopoSpec> spec = build_spec(which, flags, opts)) {
-    return core::make_topo_scenario(*spec);
-  }
-  const auto size = [&](const std::string& name) {
-    return tools::count_flag<std::size_t>(flags, name);
-  };
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   if (which == "fig2") {
     return core::fig2_one_way(flags.has("conns") ? size("conns") : 3,
                               flags.has("tau") ? flags.get_double("tau") : 1.0,
@@ -306,6 +276,16 @@ int main(int argc, char** argv) {
   }
 
   if (which == "cc-matrix") {
+    // Every cell is its own serial, untraced, unfaulted experiment: reject
+    // the flags that ask otherwise rather than ignore them.
+    if (opts.shards > 1) {
+      return fail(flags, "cc-matrix does not support --shards");
+    }
+    for (const char* flag : {"trace", "faults"}) {
+      if (flags.has(flag)) {
+        return fail(flags, std::string("cc-matrix does not support --") + flag);
+      }
+    }
     core::CcMatrixParams p;
     if (!opts.cc.empty()) p.algos = opts.cc;
     if (flags.has("tau")) p.tau_sec = flags.get_double("tau");
@@ -325,80 +305,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const core::AuditMode audit_mode =
-      opts.audit.value_or(core::kDefaultAuditMode);
   std::string name;
   core::ScenarioSummary s;
-  if (opts.shards > 1) {
-    // Sharded execution: run the TopoSpec through the conservative-lookahead
-    // engine. Output is bit-identical to the serial path at any shard count.
-    if (flags.has("trace")) {
-      return fail(flags,
-                  "--trace is not supported with --shards "
-                  "(one JSONL stream, many shard clocks)");
-    }
-    std::optional<core::TopoSpec> spec;
-    try {
-      spec = build_spec(which, flags, opts);
-    } catch (const std::exception& e) {
-      return fail(flags, e.what());
-    }
-    if (!spec) {
-      return fail(flags, "--shards requires one of the scenarios "
-                         "oneway|twoway|ring|parking-lot|waxman|chaos|"
-                         "red-wave|datacenter|topo");
+  try {
+    core::TopoSpec spec = build_spec(which, flags, opts);
+    if (flags.has("faults")) {
+      core::load_fault_file(flags.get("faults"), spec.faults);
     }
     if (flags.has("warmup")) {
-      spec->warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
+      spec.warmup = sim::Time::seconds(flags.get_double("warmup"));
     }
     if (flags.has("duration")) {
-      spec->duration = sim::Time::seconds(flags.get_double("duration", 400.0));
+      spec.duration = sim::Time::seconds(flags.get_double("duration"));
     }
-    name = spec->name;
-    try {
-      core::ShardedEngine engine(*spec, opts.shards, audit_mode);
-      const auto wall0 = std::chrono::steady_clock::now();
-      core::ExperimentResult result = engine.run();
-      const double wall_sec =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall0)
-              .count();
-      s = core::summarize_result(std::move(result), spec->epoch_gap_sec);
-      // Stderr, not stdout: the plan shape, event count, and throughput all
-      // legitimately vary with the shard count, while stdout must stay
-      // byte-identical across shard counts (CI compares it).
-      const core::ShardPlan& plan = engine.plan();
-      std::cerr << "sharded: shards=" << plan.shards
-                << " cut-links=" << plan.cut_links.size()
-                << " lookahead=" << plan.lookahead.sec() << " s"
-                << " events=" << engine.events_executed() << " ("
-                << static_cast<double>(engine.events_executed()) / wall_sec
-                << " events/s)\n";
-    } catch (const std::exception& e) {
-      return fail(flags, e.what());
-    }
-  } else {
-    core::Scenario scenario;
-    try {
-      scenario = build(which, flags, opts);
-    } catch (const std::exception& e) {
-      return fail(flags, e.what());
-    }
-
-    if (flags.has("warmup")) {
-      scenario.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
-    }
-    if (flags.has("duration")) {
-      scenario.duration =
-          sim::Time::seconds(flags.get_double("duration", 400.0));
-    }
-    scenario.exp->set_audit_mode(audit_mode);
-    if (flags.has("trace")) {
-      scenario.exp->enable_trace(flags.get("trace"));
-    }
-
-    name = scenario.name;
-    s = core::run_scenario(scenario);
+    name = spec.name;
+    s = tools::run_spec(spec, opts, flags.get("trace"), &std::cerr);
+  } catch (const std::exception& e) {
+    return fail(flags, e.what());
   }
   core::print_summary(std::cout, name, s);
 

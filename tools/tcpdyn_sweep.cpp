@@ -14,16 +14,17 @@
 // Run with --help for the full flag list.
 //
 // Determinism: output depends only on (scenario, grid, seed) — never on
-// --jobs. CI diffs --jobs 1 against --jobs 4 byte-for-byte on every push.
+// --jobs or --shards. Every scenario is built per point as one
+// core::TopoSpec and run by tools::run_spec, serially or sharded. CI diffs
+// --jobs 1 against --jobs 4, and serial against sharded, byte for byte on
+// every push.
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "core/cc_matrix.h"
 #include "core/report.h"
 #include "core/scenarios.h"
-#include "core/shard_engine.h"
 #include "core/sweep.h"
 #include "core/topo_scenarios.h"
 #include "net/queue.h"
@@ -80,8 +81,7 @@ void declare_flags(util::Flags& flags) {
       .flag("flaps", "N", "chaos trunk-flap count", "")
       .flag("shards", "N",
             "run every point through the sharded engine on N shard "
-            "simulators (identical results at any N; ring|parking-lot|"
-            "waxman|chaos|red-wave only — composes with --jobs)",
+            "simulators (identical results at any N; composes with --jobs)",
             1)
       .flag("progress", "log per-point progress and ETA to stderr", false)
       .flag("quiet", "suppress the summary table on stdout", false)
@@ -104,15 +104,15 @@ double param(const core::SweepPoint& pt, const util::Flags& flags,
   return pt.value_or(name, flags.get_double(name, fallback));
 }
 
-// TopoSpec of the sweep scenarios --shards can run; nullopt for the paper
-// figures, ccmix and the chain, which come from their core factories.
-// build_scenario routes these through make_topo_scenario so serial and
-// sharded points run the same spec.
-std::optional<core::TopoSpec> build_point_spec(const std::string& which,
-                                               const core::SweepPoint& pt,
-                                               const util::Flags& flags,
-                                               const SharedOptions& opts) {
+// The TopoSpec of `which` at one grid point: the scenarios beyond the
+// paper from their params, the paper figures, ccmix and the chain from
+// their core factories. run_spec runs it on one engine or the other.
+core::TopoSpec build_point_spec(const std::string& which,
+                                const core::SweepPoint& pt,
+                                const util::Flags& flags,
+                                const SharedOptions& opts) {
   const auto as_size = [](double v) { return static_cast<std::size_t>(v); };
+  const auto as_u32 = [](double v) { return static_cast<std::uint32_t>(v); };
   if (which == "ring") {
     core::RingParams p;
     p.switches = as_size(param(pt, flags, "switches", 6));
@@ -171,19 +171,6 @@ std::optional<core::TopoSpec> build_point_spec(const std::string& which,
     p.seed = pt.seed;
     return core::chaos_spec(p);
   }
-  return std::nullopt;
-}
-
-core::Scenario build_scenario(const std::string& which,
-                              const core::SweepPoint& pt,
-                              const util::Flags& flags,
-                              const SharedOptions& opts) {
-  if (std::optional<core::TopoSpec> spec =
-          build_point_spec(which, pt, flags, opts)) {
-    return core::make_topo_scenario(*spec);
-  }
-  const auto as_size = [](double v) { return static_cast<std::size_t>(v); };
-  const auto as_u32 = [](double v) { return static_cast<std::uint32_t>(v); };
   if (which == "fig2" || which == "oneway") {
     return core::fig2_one_way(as_size(param(pt, flags, "conns", 3)),
                               param(pt, flags, "tau", 1.0),
@@ -296,10 +283,9 @@ int main(int argc, char** argv) {
   }
 
   const std::string trace_prefix = flags.get("trace");
-  // --shards > 1 routes every point through the sharded engine, whose
-  // per-run worker threads compose with the sweep's --jobs pool.
-  const bool sharded = shared.shards > 1;
-  if (sharded && !trace_prefix.empty()) {
+  // --shards > 1 runs every point on the sharded engine, whose per-run
+  // worker threads compose with the sweep's --jobs pool; it cannot trace.
+  if (shared.shards > 1 && !trace_prefix.empty()) {
     return usage(flags, "--trace is not supported with --shards");
   }
 
@@ -307,42 +293,19 @@ int main(int argc, char** argv) {
   core::SweepTable table;
   try {
     table = runner.run([&](const core::SweepPoint& pt) {
-      if (sharded) {
-        std::optional<core::TopoSpec> spec =
-            build_point_spec(which, pt, flags, shared);
-        if (!spec) {
-          throw std::invalid_argument(
-              "--shards requires one of the scenarios "
-              "ring|parking-lot|waxman|chaos|red-wave");
-        }
-        if (flags.has("warmup")) {
-          spec->warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
-        }
-        if (flags.has("duration")) {
-          spec->duration =
-              sim::Time::seconds(flags.get_double("duration", 400.0));
-        }
-        core::ShardedEngine engine(
-            *spec, shared.shards,
-            shared.audit.value_or(core::kDefaultAuditMode));
-        core::ScenarioSummary s =
-            core::summarize_result(engine.run(), spec->epoch_gap_sec);
-        return core::summary_row(pt, s);
-      }
-      core::Scenario sc = build_scenario(which, pt, flags, shared);
+      core::TopoSpec spec = build_point_spec(which, pt, flags, shared);
       if (flags.has("warmup")) {
-        sc.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
+        spec.warmup = sim::Time::seconds(flags.get_double("warmup"));
       }
       if (flags.has("duration")) {
-        sc.duration = sim::Time::seconds(flags.get_double("duration", 400.0));
+        spec.duration = sim::Time::seconds(flags.get_double("duration"));
       }
-      if (shared.audit) sc.exp->set_audit_mode(*shared.audit);
-      if (!trace_prefix.empty()) {
-        sc.exp->enable_trace(trace_prefix + ".point" +
-                             std::to_string(pt.index) + ".jsonl");
-      }
-      core::ScenarioSummary s = core::run_scenario(sc);
-      return core::summary_row(pt, s);
+      const std::string trace =
+          trace_prefix.empty() ? ""
+                               : trace_prefix + ".point" +
+                                     std::to_string(pt.index) + ".jsonl";
+      return core::summary_row(pt,
+                               tools::run_spec(spec, shared, trace, nullptr));
     });
   } catch (const std::exception& e) {
     std::cerr << "tcpdyn_sweep: " << e.what() << '\n';
