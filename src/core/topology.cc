@@ -1,5 +1,6 @@
 #include "core/topology.h"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -114,8 +115,8 @@ std::size_t Topology::host_count() const {
   return n;
 }
 
-void Topology::check_connected() const {
-  if (nodes_.empty()) throw std::invalid_argument("topology has no nodes");
+std::optional<std::size_t> Topology::first_unreachable() const {
+  if (nodes_.empty()) return std::nullopt;
   std::vector<std::vector<std::size_t>> adj(nodes_.size());
   for (const LinkSpec& l : links_) {
     adj[l.a].push_back(l.b);
@@ -124,27 +125,31 @@ void Topology::check_connected() const {
   std::vector<bool> seen(nodes_.size(), false);
   std::vector<std::size_t> stack{0};
   seen[0] = true;
-  std::size_t reached = 1;
   while (!stack.empty()) {
     const std::size_t u = stack.back();
     stack.pop_back();
     for (const std::size_t v : adj[u]) {
       if (!seen[v]) {
         seen[v] = true;
-        ++reached;
         stack.push_back(v);
       }
     }
   }
-  if (reached != nodes_.size()) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!seen[i]) {
-        throw std::invalid_argument("topology is disconnected: node '" +
-                                    nodes_[i].name +
-                                    "' is unreachable from '" +
-                                    nodes_[0].name + "'");
-      }
-    }
+  const auto it = std::find(seen.begin(), seen.end(), false);
+  if (it == seen.end()) return std::nullopt;
+  return static_cast<std::size_t>(it - seen.begin());
+}
+
+std::string Topology::unreachable_message(std::size_t node) const {
+  return "node '" + nodes_.at(node).name + "' is unreachable from '" +
+         nodes_.front().name + "'";
+}
+
+void Topology::check_connected() const {
+  if (nodes_.empty()) throw std::invalid_argument("topology has no nodes");
+  if (const auto node = first_unreachable()) {
+    throw std::invalid_argument("topology is disconnected: " +
+                                unreachable_message(*node));
   }
 }
 
@@ -296,6 +301,7 @@ TopoSpec parse_topology(std::istream& in) {
   // (line, time) of each timed fault stanza (down, rate, delay), checked
   // against the run end once warmup and duration are known.
   std::vector<std::pair<std::size_t, sim::Time>> timed_faults;
+  std::vector<std::size_t> node_lines;  // the line declaring each node
   std::string raw;
   std::size_t lineno = 0;
   while (std::getline(in, raw)) {
@@ -318,9 +324,11 @@ TopoSpec parse_topology(std::istream& in) {
     } else if (word == "host") {
       want(1, "host NAME");
       spec.topo.add_host(args[0]);
+      node_lines.push_back(lineno);
     } else if (word == "switch") {
       want(1, "switch NAME");
       spec.topo.add_switch(args[0]);
+      node_lines.push_back(lineno);
     } else if (word == "link") {
       want(6,
            "link A B BPS DELAY_SEC BUF_AB BUF_BA "
@@ -526,6 +534,9 @@ TopoSpec parse_topology(std::istream& in) {
   }
   if (spec.topo.node_count() == 0) {
     throw std::invalid_argument("topology file declares no nodes");
+  }
+  if (const auto node = spec.topo.first_unreachable()) {
+    parse_error(node_lines[*node], spec.topo.unreachable_message(*node));
   }
   // A fault after the run end would never fire. One at the end still runs.
   const sim::Time end = spec.warmup + spec.duration;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,12 @@ class Topology {
   std::size_t link_count() const { return links_.size(); }
   std::size_t monitor_count() const { return monitors_.size(); }
   const std::vector<LinkSpec>& links() const { return links_; }
+
+  // The first node, in declaration order, that no chain of links reaches
+  // from node 0; nullopt when every node is reached (or none is declared).
+  std::optional<std::size_t> first_unreachable() const;
+  // "node 'X' is unreachable from 'N0'", X the node at `node`.
+  std::string unreachable_message(std::size_t node) const;
 
   // Builds the described network inside `exp`, computes Dijkstra routes
   // (Network::compute_routes, reference packet `route_ref_bytes`), and

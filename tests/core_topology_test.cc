@@ -83,7 +83,9 @@ TEST(Topology, CompileRejectsDisconnectedGraph) {
     t.compile(exp);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("lonely"), std::string::npos);
+    EXPECT_STREQ(e.what(),
+                 "topology is disconnected: node 'lonely' is unreachable "
+                 "from 'a'");
   }
 }
 
@@ -404,6 +406,35 @@ TEST(TopologyFile, RejectsFaultsPastTheRunEnd) {
             "no error");
 }
 
+// A node no link reaches fails once the whole file is read (its link may
+// come later), naming the line that declares the first such node in
+// declaration order.
+TEST(TopologyFile, UnreachableNodeNamesItsLine) {
+  const auto error_of = [](const std::string& text) {
+    std::istringstream in(text);
+    try {
+      parse_topology(in);
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  const std::string dumbbell =  // examples/topos/dumbbell.topo
+      "name dumbbell\nhost H1\nhost H2\nswitch S1\nswitch S2\n"
+      "link H1 S1 10000000 0.0001 inf inf\n"
+      "link S1 S2 50000 0.01 20 20 droptail\n"
+      "link S2 H2 10000000 0.0001 inf inf\n"
+      "monitor S1 S2\nmonitor S2 S1\n"
+      "flow H1 H2 start=0.7\nflow H2 H1 start=1.3\n"
+      "warmup 100\nduration 400\nepoch_gap 2\n";
+  EXPECT_EQ(error_of(dumbbell), "no error");
+  EXPECT_EQ(error_of(dumbbell + "host X\n"),
+            "topology file line 16: node 'X' is unreachable from 'H1'");
+  EXPECT_EQ(error_of("switch S1\nswitch S2\nhost A\nhost B\n"
+                     "link B S2 50000 0.01 20 20\n"),
+            "topology file line 2: node 'S2' is unreachable from 'S1'");
+}
+
 // A fault stanza takes its dir= token anywhere, as a fault file does: the
 // endpoint check skips the token, and an unknown endpoint still names its
 // line.
@@ -507,7 +538,9 @@ TEST(TopologyFile, UnsignedFieldsMustFitTheirType) {
   EXPECT_EQ(error_of("flow H1 H2 ack=-40"),
             "topology file line 3: ack must be in 0..4294967295, got '-40'");
   EXPECT_EQ(error_of(red + "wq_shift=63 min_th=0"), "no error");
-  EXPECT_EQ(error_of("flow H1 H2 window=4294967295"), "no error");
+  EXPECT_EQ(error_of("link H1 H2 50000 0.01 20 20\nflow H1 H2 "
+                     "window=4294967295"),
+            "no error");
 }
 
 // A rate above 4e12 b/s with no delay truncates the route cost of a 500 B

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/cc_matrix.h"
+#include "core/report.h"
 #include "core/scenarios.h"
 #include "core/sweep.h"
 #include "shared_options.h"
@@ -355,8 +358,226 @@ TEST(SharedFlags, GridAxesAreCheckedByName) {
             "'1e+300'");
   EXPECT_EQ(error_of("buffer=0;10"),
             "grid axis 'buffer' must be >= 1 packet, got '0'");
+  EXPECT_EQ(error_of("loss=0.5;2"),
+            "grid axis 'loss' must be a probability in [0, 1], got '2'");
+  EXPECT_EQ(error_of("arrival-rate=-1"),
+            "grid axis 'arrival-rate' must be a finite rate >= 0, got '-1'");
+  // An axis must name a numeric parameter: a misspelt one would run every
+  // point at the default, and booleans and --jobs are flags only.
+  const std::string numeric =
+      "' names no numeric scenario parameter (tau|buffer|conns|w1|w2|"
+      "maxwnd|spread|pacing|hops|long-flows|cross-per-hop|switches|loss|"
+      "outage|flap-period|flaps|senders|flows-per-sender|arrival-rate|"
+      "session|warmup|duration|rep)";
+  EXPECT_EQ(error_of("bufer=10;20"), "grid axis 'bufer" + numeric);
+  EXPECT_EQ(error_of("tau=0.01,ecn=0;1"), "grid axis 'ecn" + numeric);
+  EXPECT_EQ(error_of("jobs=1;2"), "grid axis 'jobs" + numeric);
   EXPECT_EQ(error_of("buffer=10:80:10,tau=0.01:1:log5,rep=-1;0.5"),
             "no error");
+  EXPECT_EQ(error_of("loss=0;1,arrival-rate=0;5,duration=20;60"), "no error");
+}
+
+// Both tools' flags: every scenario parameter, plus the --shards that
+// parse_shared_flags reads.
+Flags tool_flags(const std::vector<std::string>& args) {
+  Flags f;
+  tools::declare_scenario_flags(f);
+  f.flag("shards", "N", "shard count", 1);
+  f.parse(args);
+  return f;
+}
+
+// The kinds beyond seconds and counts: a probability, a rate and the
+// booleans are checked before any run, naming the flag.
+TEST(SharedFlags, ProbabilityRateAndBooleanFlagsAreChecked) {
+  const auto error_of = [](const std::vector<std::string>& args) {
+    try {
+      tools::parse_shared_flags(tool_flags(args));
+      return std::string("no error");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_EQ(error_of({"--loss", "2"}),
+            "--loss must be a probability in [0, 1], got '2'");
+  EXPECT_EQ(error_of({"--loss", "nan"}),
+            "--loss must be a probability in [0, 1], got 'nan'");
+  EXPECT_EQ(error_of({"--loss=-0.1"}),
+            "--loss must be a probability in [0, 1], got '-0.1'");
+  EXPECT_EQ(error_of({"--arrival-rate", "-1"}),
+            "--arrival-rate must be a finite rate >= 0, got '-1'");
+  EXPECT_EQ(error_of({"--arrival-rate", "inf"}),
+            "--arrival-rate must be a finite rate >= 0, got 'inf'");
+  EXPECT_EQ(error_of({"--ecn=maybe"}), "flag --ecn is not a boolean: maybe");
+  EXPECT_EQ(error_of({"--loss", "1", "--arrival-rate", "0", "--ecn",
+                      "--discard-on-down=false"}),
+            "no error");
+}
+
+// --- the scenario table --------------------------------------------------
+
+std::vector<std::string> split_names(const std::string& names) {
+  std::vector<std::string> out;
+  std::istringstream in(names);
+  for (std::string name; std::getline(in, name, '|');) out.push_back(name);
+  return out;
+}
+
+// A small .topo file for scenario topo.
+std::string write_topo_file() {
+  const std::string path = testing::TempDir() + "scenario_table.topo";
+  std::ofstream(path) << "host H1\nhost H2\nswitch S1\nswitch S2\n"
+                         "link H1 S1 10000000 0.0001 inf inf\n"
+                         "link S1 S2 50000 0.01 20 20\n"
+                         "link S2 H2 10000000 0.0001 inf inf\n"
+                         "monitor S1 S2\nmonitor S2 S1\n"
+                         "flow H1 H2 start=0.7\nflow H2 H1 start=1.3\n";
+  return path;
+}
+
+core::TopoSpec spec_of(const std::string& which,
+                       const std::vector<std::string>& args,
+                       const core::SweepPoint& point = {}) {
+  const Flags f = tool_flags(args);
+  return tools::scenario_spec(which, point, f, tools::parse_shared_flags(f));
+}
+
+// The printed summary of `spec` over a short run, its name left out.
+std::string short_run(core::TopoSpec spec) {
+  spec.warmup = sim::Time::seconds(5.0);
+  spec.duration = sim::Time::seconds(20.0);
+  tools::SharedOptions opts;
+  opts.audit = core::AuditMode::kFull;
+  std::ostringstream os;
+  core::print_summary(os, "", tools::run_spec(spec, opts, "", nullptr));
+  return os.str();
+}
+
+// The flows of `spec`, one line each: endpoints, count, controller and
+// window cap (a cap the short run never reaches shows only here).
+std::string flows_of(const core::TopoSpec& spec) {
+  std::ostringstream os;
+  for (const core::ConnSpec& c : spec.traffic.specs()) {
+    os << c.src << "->" << c.dst << " x" << c.count
+       << " kind=" << static_cast<int>(c.kind) << " maxwnd=" << c.maxwnd
+       << '\n';
+  }
+  return os.str();
+}
+
+// Both tools list the same names, and each builds from flags left unset
+// and runs under the full ledger (which throws on any violation). The run
+// length comes from the point's axes.
+TEST(ScenarioSpec, EveryNameBuildsAndRunsUnderTheFullAudit) {
+  const std::vector<std::string> names = split_names(tools::scenario_names());
+  ASSERT_EQ(names.size(), 23u);
+  const std::string topo = write_topo_file();
+  core::SweepPoint point;
+  point.params = {{"warmup", 1.0}, {"duration", 2.0}};
+  point.seed = 7;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const Flags f = tool_flags({"--file", topo, "--audit", "full"});
+    const tools::SharedOptions opts = tools::parse_shared_flags(f);
+    const core::TopoSpec spec = tools::scenario_spec(name, point, f, opts);
+    EXPECT_EQ(spec.warmup, sim::Time::seconds(1.0));
+    EXPECT_EQ(spec.duration, sim::Time::seconds(2.0));
+    const core::ScenarioSummary s = tools::run_spec(spec, opts, "", nullptr);
+    EXPECT_GT(s.result.audit.created, 0u);
+  }
+}
+
+// With no flag and no axis, each paper name builds what its core factory
+// builds at the scenario's defaults.
+TEST(ScenarioSpec, PaperNamesBuildTheirFactoryDefaults) {
+  using enum tcp::CcAlgorithm;
+  core::SweepPoint point;
+  point.seed = 13;
+  const std::pair<const char*, core::TopoSpec> cases[] = {
+      {"fig2", core::fig2_one_way()},
+      {"fig3", core::fig3_ten_connections()},
+      {"fig4", core::fig4_twoway()},
+      {"fig6", core::fig6_twoway()},
+      {"fig8", core::fig8_fixed_window()},
+      {"fixed", core::fig8_fixed_window()},
+      {"fig9", core::fig8_fixed_window(1.0)},
+      {"reno", core::reno_twoway()},
+      {"paced", core::paced_twoway()},
+      {"random-drop", core::random_drop_twoway()},
+      {"delayed-ack", core::delayed_ack_twoway(64)},
+      {"rtt", core::rtt_heterogeneity(4, 0.0)},
+      {"ccmix",
+       core::ccmix_twoway({kTahoe, kReno, kNewReno, kCubic, kVegas})},
+      {"chain", core::four_switch_chain(50, 13)},
+  };
+  for (const auto& [name, factory] : cases) {
+    SCOPED_TRACE(name);
+    const core::TopoSpec built = spec_of(name, {}, point);
+    EXPECT_EQ(flows_of(built), flows_of(factory));
+    EXPECT_EQ(short_run(built), short_run(factory));
+  }
+}
+
+// A parameter is the point's axis, else its flag, else the default; the
+// run length follows the same rule, and --faults adds to the scenario's
+// faults.
+TEST(ScenarioSpec, AxisBeatsFlagAndFlagBeatsDefault) {
+  const auto bottleneck = [](const core::TopoSpec& spec) {
+    for (const core::LinkSpec& l : spec.topo.links()) {
+      if (l.bits_per_second == 50'000) return l;
+    }
+    return core::LinkSpec{};
+  };
+  core::SweepPoint axes;
+  axes.params = {{"tau", 0.1}, {"buffer", 7.0}, {"duration", 60.0}};
+
+  const core::TopoSpec dflt = spec_of("fig4", {});
+  EXPECT_EQ(bottleneck(dflt).delay, sim::Time::seconds(0.01));
+  EXPECT_EQ(bottleneck(dflt).buffer_ab.packets, 20u);
+  EXPECT_EQ(dflt.duration, sim::Time::seconds(400.0));
+
+  const std::vector<std::string> args = {"--tau", "0.05", "--buffer", "9",
+                                         "--duration", "30"};
+  const core::TopoSpec flag = spec_of("fig4", args);
+  EXPECT_EQ(bottleneck(flag).delay, sim::Time::seconds(0.05));
+  EXPECT_EQ(bottleneck(flag).buffer_ab.packets, 9u);
+  EXPECT_EQ(flag.duration, sim::Time::seconds(30.0));
+
+  const core::TopoSpec axis = spec_of("fig4", args, axes);
+  EXPECT_EQ(bottleneck(axis).delay, sim::Time::seconds(0.1));
+  EXPECT_EQ(bottleneck(axis).buffer_ab.packets, 7u);
+  EXPECT_EQ(axis.duration, sim::Time::seconds(60.0));
+
+  const std::string faults = testing::TempDir() + "scenario_table.faults";
+  std::ofstream(faults) << "down S1 S2 30 2\n";
+  EXPECT_EQ(spec_of("fig4", {"--faults", faults}).faults.outages().size(), 1u);
+}
+
+TEST(ScenarioSpec, UnknownNameThrows) {
+  try {
+    spec_of("x", {});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown scenario 'x'");
+  }
+}
+
+// oneway and twoway are the dumbbell configured flag by flag: --conns flows,
+// the first half forward when two-way, each through --cc in turn.
+TEST(ScenarioSpec, OnewayAndTwowayBuildTheConfigurableDumbbell) {
+  const auto sources = [](const core::TopoSpec& spec) {
+    std::string out;
+    for (const core::ConnSpec& c : spec.traffic.specs()) out += c.src + ' ';
+    return out;
+  };
+  EXPECT_EQ(sources(spec_of("twoway", {"--conns", "3"})), "H1 H1 H2 ");
+  EXPECT_EQ(sources(spec_of("oneway", {"--conns", "3"})), "H1 H1 H1 ");
+  const core::TopoSpec mixed =
+      spec_of("twoway", {"--conns", "4", "--cc", "reno,cubic", "--ecn"});
+  ASSERT_EQ(mixed.traffic.specs().size(), 4u);
+  EXPECT_EQ(mixed.traffic.specs()[2].kind, tcp::CcAlgorithm::kReno);
+  EXPECT_EQ(mixed.traffic.specs()[3].kind, tcp::CcAlgorithm::kCubic);
+  EXPECT_TRUE(mixed.traffic.specs()[3].ecn);
 }
 
 // tools::run_spec is the one run path of both tools: the serial engine at

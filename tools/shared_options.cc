@@ -10,38 +10,62 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/cc_matrix.h"
+#include "core/dumbbell.h"
+#include "core/fault_plan.h"
 #include "core/shard_engine.h"
+#include "core/topo_scenarios.h"
+#include "core/topology.h"
 #include "sim/time.h"
 
 namespace tcpdyn::tools {
 
 namespace {
 
-// How the tools read each numeric flag or grid axis that a cast or a
-// sim::Time conversion could get wrong: NaN, inf and |s| >= 9.2e9 seconds
-// overflow Time's int64 nanoseconds, and a negative, fractional or too
-// large count wraps or is undefined when cast to an unsigned type. A buffer
-// is a count that must also hold the packet in service: with 0 packets
-// every packet drops (a dead link is spelled `fault down`).
-enum class Kind { kSeconds, kSize, kBuffer, kU32 };
+// How the tools check each scenario parameter, as a flag or a grid axis.
+// NaN, inf and |s| >= 9.2e9 seconds overflow sim::Time's int64
+// nanoseconds; a negative, fractional or too large count wraps or is
+// undefined when cast to an unsigned type; a 0-packet buffer drops every
+// packet (a dead link is spelled `fault down`). A probability lies in
+// [0, 1], as the fault grammar's loss_bad, and a rate is finite and >= 0,
+// as the .topo `rate=` key. A boolean is a flag only, never an axis.
+enum class Kind { kSeconds, kSize, kBuffer, kU32, kProbability, kRate, kBool };
+using enum Kind;
 
 struct Param {
   const char* name;
   Kind kind;
+  const char* placeholder;  // the usage text's value name; none for kBool
+  const char* help;
 };
 
 constexpr Param kParams[] = {
-    {"warmup", Kind::kSeconds},        {"duration", Kind::kSeconds},
-    {"tau", Kind::kSeconds},           {"pacing", Kind::kSeconds},
-    {"spread", Kind::kSeconds},        {"outage", Kind::kSeconds},
-    {"flap-period", Kind::kSeconds},   {"session", Kind::kSeconds},
-    {"buffer", Kind::kBuffer},         {"conns", Kind::kSize},
-    {"hops", Kind::kSize},             {"long-flows", Kind::kSize},
-    {"cross-per-hop", Kind::kSize},    {"switches", Kind::kSize},
-    {"flaps", Kind::kSize},            {"senders", Kind::kSize},
-    {"flows-per-sender", Kind::kSize}, {"jobs", Kind::kSize},
-    {"w1", Kind::kU32},                {"w2", Kind::kU32},
-    {"maxwnd", Kind::kU32},
+    {"tau", kSeconds, "SEC", "bottleneck propagation delay"},
+    {"buffer", kBuffer, "PKTS", "bottleneck buffer"},
+    {"conns", kSize, "N", "connection / flow count"},
+    {"w1", kU32, "PKTS", "fixed-window size, forward"},
+    {"w2", kU32, "PKTS", "fixed-window size, reverse"},
+    {"maxwnd", kU32, "PKTS", "delayed-ack scenario window cap"},
+    {"spread", kSeconds, "SEC", "rtt scenario access-delay spread"},
+    {"pacing", kSeconds, "SEC", "oneway/twoway pacing interval (0 = none)"},
+    {"delayed-ack", kBool, "", "oneway/twoway receivers delay their ACKs"},
+    {"ecn", kBool, "", "flows negotiate ECN (oneway/twoway/red-wave)"},
+    {"hops", kSize, "N", "parking-lot/red-wave trunk links"},
+    {"long-flows", kSize, "N", "parking-lot end-to-end flows"},
+    {"cross-per-hop", kSize, "N", "parking-lot cross flows per trunk"},
+    {"switches", kSize, "N", "ring/waxman switch count"},
+    {"loss", kProbability, "PROB", "chaos reverse-trunk burst-loss peak"},
+    {"outage", kSeconds, "SEC", "chaos trunk-flap duration"},
+    {"flap-period", kSeconds, "SEC", "chaos gap between trunk flaps"},
+    {"flaps", kSize, "N", "chaos trunk-flap count"},
+    {"discard-on-down", kBool, "", "chaos down links discard, not drain"},
+    {"senders", kSize, "N", "datacenter fan-in width (sender hosts)"},
+    {"flows-per-sender", kSize, "N", "datacenter sessions per sender"},
+    {"arrival-rate", kRate, "R",
+     "datacenter per-sender session arrivals/sec (0 = closed population)"},
+    {"session", kSeconds, "SEC", "datacenter session length (0 = forever)"},
+    {"warmup", kSeconds, "SEC", "scenario warmup"},
+    {"duration", kSeconds, "SEC", "measured duration"},
 };
 
 std::invalid_argument bad_value(const std::string& what,
@@ -74,37 +98,298 @@ T checked_count(double value, const std::string& what,
   return static_cast<T>(value);
 }
 
-void check(const Param& param, double value, const std::string& what,
+void check(Kind kind, double value, const std::string& what,
            const std::string& got) {
-  switch (param.kind) {
-    case Kind::kSeconds:
+  switch (kind) {
+    case kSeconds:
       if (!sim::Time::checked_seconds(value)) {
         throw bad_value(what, "finite seconds with |s| < 9.2e9", got);
       }
       return;
-    case Kind::kSize:
+    case kSize:
       checked_count<std::size_t>(value, what, got);
       return;
-    case Kind::kBuffer:
+    case kBuffer:
       if (checked_count<std::size_t>(value, what, got) == 0) {
         throw bad_value(what, ">= 1 packet", got);
       }
       return;
-    case Kind::kU32:
+    case kU32:
       checked_count<std::uint32_t>(value, what, got);
+      return;
+    case kProbability:
+      if (!(value >= 0.0 && value <= 1.0)) {
+        throw bad_value(what, "a probability in [0, 1]", got);
+      }
+      return;
+    case kRate:
+      if (!(value >= 0.0 && std::isfinite(value))) {
+        throw bad_value(what, "a finite rate >= 0", got);
+      }
+      return;
+    case kBool:
       return;
   }
 }
 
+// One scenario's parameter values: the point's axis, else the flag, else
+// `fallback`, the scenario's default. Every value was checked by its kind,
+// so the casts are exact.
+struct Inputs {
+  const core::SweepPoint& point;
+  const util::Flags& flags;
+  const SharedOptions& opts;
+
+  bool has(const std::string& name) const {
+    return point.has(name) || flags.has(name);
+  }
+  double num(const std::string& name, double fallback) const {
+    return point.value_or(name, flags.get_double(name, fallback));
+  }
+  template <class T>
+  T count(const std::string& name, T fallback) const {
+    return static_cast<T>(num(name, static_cast<double>(fallback)));
+  }
+  bool on(const std::string& name) const { return flags.get_bool(name); }
+  // The dumbbell's bottleneck at the paper's small pipe, and its flows.
+  double tau(double fallback = 0.01) const { return num("tau", fallback); }
+  std::size_t buffer(std::size_t fallback = 20) const {
+    return count("buffer", fallback);
+  }
+  std::size_t conns(std::size_t fallback) const {
+    return count("conns", fallback);
+  }
+};
+using In = const Inputs&;
+
+// The oneway/twoway dumbbell, configured flag by flag: --conns flows, the
+// first half forward and the rest reverse when two-way, their controllers
+// cycling through --cc (Tahoe when unset).
+core::TopoSpec custom_dumbbell(In in, bool two_way) {
+  core::DumbbellParams p =
+      core::dumbbell_params(in.tau(), net::QueueLimit::of(in.buffer()));
+  if (in.opts.qdisc) p.bottleneck_qdisc = *in.opts.qdisc;
+
+  core::TopoSpec spec;
+  spec.name = two_way ? "twoway" : "oneway";
+  spec.topo = core::dumbbell_topology(p);
+  spec.warmup = sim::Time::seconds(100.0);
+  spec.duration = sim::Time::seconds(400.0);
+  spec.epoch_gap_sec = p.tau >= sim::Time::seconds(0.5) ? 8.0 : 2.0;
+  const std::size_t n = in.conns(2);
+  const std::vector<tcp::CcAlgorithm>& cc = in.opts.cc;
+  for (std::size_t i = 0; i < n; ++i) {
+    core::ConnSpec c = core::dumbbell_flow(!two_way || i < (n + 1) / 2);
+    if (!cc.empty()) c.kind = cc[i % cc.size()];
+    c.delayed_ack = in.on("delayed-ack");
+    c.ecn = in.on("ecn");
+    c.pacing_interval = sim::Time::seconds(in.num("pacing", 0.0));
+    c.start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
+    spec.traffic.add(std::move(c));
+  }
+  return spec;
+}
+
+// A paper factory of (tau, buffer) at the small pipe.
+template <core::TopoSpec (*Factory)(double, std::size_t)>
+core::TopoSpec small_pipe(In in) {
+  return Factory(in.tau(), in.buffer());
+}
+
+core::TopoSpec fixed_window(In in, double tau_sec) {
+  return core::fig8_fixed_window(in.tau(tau_sec), in.count("w1", 30u),
+                                 in.count("w2", 25u));
+}
+
+core::TopoSpec ring(In in) {
+  core::RingParams p;
+  p.switches = in.count("switches", p.switches);
+  p.flows = in.conns(p.flows);
+  p.seed = in.point.seed;
+  return core::ring_spec(p);
+}
+
+core::TopoSpec parking_lot(In in) {
+  core::ParkingLotParams p;
+  p.hops = in.count("hops", p.hops);
+  p.long_flows = in.count("long-flows", p.long_flows);
+  p.cross_per_hop = in.count("cross-per-hop", p.cross_per_hop);
+  p.seed = in.point.seed;
+  return core::parking_lot_spec(p);
+}
+
+core::TopoSpec waxman(In in) {
+  core::WaxmanParams p;
+  p.switches = in.count("switches", p.switches);
+  p.flows = in.conns(p.flows);
+  p.seed = in.point.seed;
+  return core::waxman_spec(p);
+}
+
+core::TopoSpec chaos(In in) {
+  core::ChaosParams p;
+  p.tau_sec = in.tau(p.tau_sec);
+  p.buffer = in.buffer(p.buffer);
+  p.flows = in.conns(p.flows);
+  p.ge_loss_bad = in.num("loss", p.ge_loss_bad);
+  p.outage_sec = in.num("outage", p.outage_sec);
+  p.flap_period_sec = in.num("flap-period", p.flap_period_sec);
+  p.flaps = in.count("flaps", p.flaps);
+  p.discard_on_down = in.on("discard-on-down");
+  p.cc = in.opts.cc;
+  // The flaps are timed from the warmup boundary, so a shortened run must
+  // reach the params, not only the built spec.
+  p.warmup_sec = in.num("warmup", p.warmup_sec);
+  p.duration_sec = in.num("duration", p.duration_sec);
+  p.seed = in.point.seed;
+  return core::chaos_spec(p);
+}
+
+core::TopoSpec red_wave(In in) {
+  core::RedWaveParams p;
+  p.hops = in.count("hops", p.hops);
+  p.tau_sec = in.tau(p.tau_sec);
+  p.buffer = in.buffer(p.buffer);
+  p.flows = in.conns(p.flows);
+  if (in.opts.qdisc) p.qdisc = *in.opts.qdisc;
+  p.ecn = in.on("ecn");
+  if (!in.opts.cc.empty()) p.cc = in.opts.cc.front();
+  p.seed = in.point.seed;
+  return core::red_wave_spec(p);
+}
+
+core::TopoSpec datacenter(In in) {
+  core::IncastParams p;
+  p.senders = in.count("senders", p.senders);
+  p.flows_per_sender = in.count("flows-per-sender", p.flows_per_sender);
+  p.buffer = in.buffer(p.buffer);
+  p.arrival_rate = in.num("arrival-rate", p.arrival_rate);
+  p.session_sec = in.num("session", p.session_sec);
+  if (!in.opts.cc.empty()) p.cc = in.opts.cc.front();
+  p.seed = in.point.seed;
+  return core::incast_spec(p);
+}
+
+core::TopoSpec topo_file(In in) {
+  const std::string file = in.flags.get("file");
+  if (file.empty()) {
+    throw std::invalid_argument("scenario topo requires --file");
+  }
+  return core::load_topology_file(file);
+}
+
+// Every scenario of both tools, in --help order: the paper's figures and
+// ablations from their core factories, the rest from their params.
+struct ScenarioEntry {
+  const char* name;
+  core::TopoSpec (*build)(In);
+};
+
+constexpr ScenarioEntry kScenarios[] = {
+    {"fig2",
+     [](In in) {
+       return core::fig2_one_way(in.conns(3), in.tau(1.0), in.buffer());
+     }},
+    {"fig3",  // --conns counts both directions
+     [](In in) {
+       return core::fig3_ten_connections(in.buffer(30), in.conns(10) / 2);
+     }},
+    {"fig4", small_pipe<core::fig4_twoway>},
+    {"fig6",
+     [](In in) { return core::fig6_twoway(in.tau(1.0), in.buffer()); }},
+    {"fig8", [](In in) { return fixed_window(in, 0.01); }},
+    {"fig9", [](In in) { return fixed_window(in, 1.0); }},
+    {"fixed", [](In in) { return fixed_window(in, 0.01); }},
+    {"oneway", [](In in) { return custom_dumbbell(in, false); }},
+    {"twoway", [](In in) { return custom_dumbbell(in, true); }},
+    {"reno", small_pipe<core::reno_twoway>},
+    {"paced", small_pipe<core::paced_twoway>},
+    {"random-drop", small_pipe<core::random_drop_twoway>},
+    {"delayed-ack",
+     [](In in) {
+       return core::delayed_ack_twoway(in.count("maxwnd", 64u), in.tau(),
+                                       in.buffer());
+     }},
+    {"rtt",
+     [](In in) {
+       return core::rtt_heterogeneity(in.conns(4), in.num("spread", 0.0),
+                                      in.tau(), in.buffer());
+     }},
+    {"ccmix",
+     [](In in) {
+       using enum tcp::CcAlgorithm;
+       return core::ccmix_twoway(
+           in.opts.cc.empty()
+               ? std::vector{kTahoe, kReno, kNewReno, kCubic, kVegas}
+               : in.opts.cc,
+           in.conns(6), in.tau(), in.buffer());
+     }},
+    // The chain's layout is random: the point's seed lets replicas
+    // ("rep=0;1;2;..." axis) draw independent layouts.
+    {"chain",
+     [](In in) {
+       return core::four_switch_chain(in.conns(50), in.point.seed);
+     }},
+    {"ring", ring},
+    {"parking-lot", parking_lot},
+    {"waxman", waxman},
+    {"chaos", chaos},
+    {"red-wave", red_wave},
+    {"datacenter", datacenter},
+    {"topo", topo_file},
+};
+
 }  // namespace
+
+void declare_scenario_flags(util::Flags& flags) {
+  flags.flag("file", "PATH", "topology file (scenario topo)", "")
+      .flag("faults", "PATH",
+            "fault-schedule file added to the scenario's own faults; a seed "
+            "line replaces the plan seed (see core/fault_plan.h for the "
+            "grammar)",
+            "")
+      .flag("cc", "LIST",
+            "comma-separated congestion controllers (" +
+                tcp::cc_registry().names_joined() +
+                "): oneway/twoway/chaos flows cycle through the list, ccmix's "
+                "too (default tahoe,reno,newreno,cubic,vegas); red-wave and "
+                "datacenter take the first",
+            "")
+      .flag("qdisc", "NAME",
+            "bottleneck queue discipline (" +
+                net::qdisc_registry().names_joined() +
+                "); oneway/twoway/red-wave",
+            "");
+  for (const Param& p : kParams) {
+    if (p.kind == kBool) {
+      flags.flag(p.name, p.help, false);
+    } else {
+      flags.flag(p.name, p.placeholder, p.help, "");
+    }
+  }
+  flags.flag("audit", "off|counters|full", "conservation-check strength", "");
+}
+
+std::string scenario_names() {
+  std::string names;
+  for (const ScenarioEntry& s : kScenarios) {
+    if (!names.empty()) names += '|';
+    names += s.name;
+  }
+  return names;
+}
 
 SharedOptions parse_shared_flags(const util::Flags& flags) {
   for (const Param& param : kParams) {
-    if (flags.has(param.name)) {
-      check(param, flags.get_double(param.name, 0.0),
+    if (!flags.has(param.name)) continue;
+    if (param.kind == kBool) {
+      flags.get_bool(param.name);  // throws naming the flag and value
+    } else {
+      check(param.kind, flags.get_double(param.name, 0.0),
             std::string("--") + param.name, flags.get(param.name));
     }
   }
+  if (flags.has("jobs")) count_flag<std::size_t>(flags, "jobs");
 
   SharedOptions opts;
   // "--cc tahoe,cubic,vegas"; the registry throws on an unknown name with a
@@ -142,14 +427,47 @@ SharedOptions parse_shared_flags(const util::Flags& flags) {
 
 void check_grid_axes(std::span<const core::SweepAxis> axes) {
   for (const core::SweepAxis& axis : axes) {
-    const auto param =
-        std::find_if(std::begin(kParams), std::end(kParams),
-                     [&](const Param& p) { return axis.name == p.name; });
-    if (param == std::end(kParams)) continue;
+    if (axis.name == "rep") continue;
+    const Param* param = nullptr;
+    std::string numeric;  // the names an axis may take
+    for (const Param& p : kParams) {
+      if (p.kind == kBool) continue;
+      if (axis.name == p.name) param = &p;
+      numeric += std::string(p.name) + '|';
+    }
+    if (param == nullptr) {
+      throw std::invalid_argument("grid axis '" + axis.name +
+                                  "' names no numeric scenario parameter (" +
+                                  numeric + "rep)");
+    }
     for (const double v : axis.values) {
-      check(*param, v, "grid axis '" + axis.name + "'", shortest(v));
+      check(param->kind, v, "grid axis '" + axis.name + "'", shortest(v));
     }
   }
+}
+
+core::TopoSpec scenario_spec(const std::string& which,
+                             const core::SweepPoint& point,
+                             const util::Flags& flags,
+                             const SharedOptions& opts) {
+  // `incast`, the name the datacenter spec prints, builds it too.
+  const std::string name = which == "incast" ? "datacenter" : which;
+  const auto entry =
+      std::find_if(std::begin(kScenarios), std::end(kScenarios),
+                   [&](const ScenarioEntry& s) { return name == s.name; });
+  if (entry == std::end(kScenarios)) {
+    throw std::invalid_argument("unknown scenario '" + which + "'");
+  }
+  const Inputs in{point, flags, opts};
+  core::TopoSpec spec = entry->build(in);
+  if (flags.has("faults")) {
+    core::load_fault_file(flags.get("faults"), spec.faults);
+  }
+  if (in.has("warmup")) spec.warmup = sim::Time::seconds(in.num("warmup", 0));
+  if (in.has("duration")) {
+    spec.duration = sim::Time::seconds(in.num("duration", 0));
+  }
+  return spec;
 }
 
 template <class T>

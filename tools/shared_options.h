@@ -1,10 +1,9 @@
-// What tcpdyn_run and tcpdyn_sweep share: the option parsing, and the one
-// function that runs a scenario. --cc, --qdisc, --audit and --shards are
-// parsed and validated here once, and so is every flag given in seconds and
-// every count, so their values and error messages cannot drift apart
-// between the tools. Each tool still declares the flags itself, with its
-// own help wording, and builds a core::TopoSpec from them; run_spec then
-// picks the engine.
+// What tcpdyn_run and tcpdyn_sweep share: the scenario table, the scenario
+// parameters and their checks, and the one function that runs a scenario.
+// Every scenario name and parameter flag (--tau ... --duration) is declared
+// here once, so both tools accept the same names and values, with the same
+// messages; a parameter left unset takes the scenario's default. Each tool
+// keeps only its own I/O.
 #pragma once
 
 #include <cstddef>
@@ -30,17 +29,37 @@ struct SharedOptions {
   std::size_t shards = 1;                 // > 1 runs the sharded engine
 };
 
-// Parses and validates the shared flags. Every flag either tool reads in
-// seconds (--warmup, --duration, --tau, --pacing, ...) must convert to a
-// sim::Time, and every count flag (--buffer, --conns, --hops, --w1, ...)
-// must be a whole number its type holds; --buffer must also be at least 1.
-// Throws std::invalid_argument with the message the tool prints above its
-// usage.
+// Declares every scenario parameter with an empty default, plus --file,
+// --faults, --cc, --qdisc and --audit.
+void declare_scenario_flags(util::Flags& flags);
+
+// The names scenario_spec builds, '|'-separated, for the --scenario help.
+std::string scenario_names();
+
+// Parses the shared flags, checking each parameter that is set by its kind:
+// seconds convert to a sim::Time, counts are whole numbers their type holds
+// (a buffer at least 1 packet), --loss is a probability in [0, 1],
+// --arrival-rate a finite rate >= 0 and a boolean true or false; --jobs is
+// a count where the tool declares it. Throws std::invalid_argument with the
+// message the tool prints above its usage.
 SharedOptions parse_shared_flags(const util::Flags& flags);
 
-// Applies the same checks to the values of the grid axes that name those
-// parameters, before any point runs; the message names the axis.
+// Applies the same checks to the grid axes, before any point runs; the
+// message names the axis. An axis must name a numeric parameter, or be
+// `rep`, which takes any values: it only numbers replicas, each point
+// having its own seed.
 void check_grid_axes(std::span<const core::SweepAxis> axes);
+
+// The TopoSpec of scenario `which` at `point`: each parameter is the
+// point's axis, else its flag, else the scenario's default, and point.seed
+// seeds the randomized scenarios. The --faults file adds to the scenario's
+// faults, and a warmup or duration axis or flag sets the run length. The
+// values must have passed the checks above. Throws std::invalid_argument
+// for an unknown name, and whatever the factory or file parser throws.
+core::TopoSpec scenario_spec(const std::string& which,
+                             const core::SweepPoint& point,
+                             const util::Flags& flags,
+                             const SharedOptions& opts);
 
 // Count flag `name` (its value, or its declared default) as a T, which is
 // std::size_t or std::uint32_t. Throws std::invalid_argument naming the
