@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,60 +10,21 @@
 #include "net/network.h"
 #include "net/port.h"
 #include "util/rng.h"
+#include "util/value.h"
 
 namespace tcpdyn::core {
 
 namespace {
 
-[[noreturn]] void fail(int lineno, const std::string& msg) {
-  throw std::invalid_argument("fault directive, line " +
-                              std::to_string(lineno) + ": " + msg);
-}
+using util::ValueKind;
 
-double to_double(const std::string& s, int lineno, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    fail(lineno, std::string("bad ") + what + " '" + s + "'");
-  }
-}
-
-sim::Time to_time(const std::string& s, int lineno, const char* what) {
-  const std::optional<sim::Time> t =
-      sim::Time::checked_seconds(to_double(s, lineno, what));
-  if (!t) {
-    fail(lineno, std::string(what) +
-                     " must be finite seconds with |s| < 9.2e9, got '" + s +
-                     "'");
-  }
-  return *t;
-}
-
-double to_prob(const std::string& s, int lineno, const char* what) {
-  const double v = to_double(s, lineno, what);
-  if (v < 0.0 || v > 1.0) {
-    fail(lineno, std::string(what) + " must be in [0,1], got '" + s + "'");
-  }
-  return v;
-}
-
-std::int64_t to_int64(const std::string& s, int lineno, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size()) throw std::invalid_argument(s);
-    return static_cast<std::int64_t>(v);
-  } catch (const std::exception&) {
-    fail(lineno, std::string("bad ") + what + " '" + s + "'");
-  }
+[[noreturn]] void fail(const std::string& msg) {
+  throw std::invalid_argument(msg);
 }
 
 // Extracts an optional trailing dir=ab|ba|both token, removing it from
 // `args` so the positional grammar below sees only its own operands.
-FaultDir take_dir(std::vector<std::string>& args, int lineno) {
+FaultDir take_dir(std::vector<std::string>& args) {
   for (auto it = args.begin(); it != args.end(); ++it) {
     if (it->rfind("dir=", 0) != 0) continue;
     const std::string v = it->substr(4);
@@ -72,132 +32,131 @@ FaultDir take_dir(std::vector<std::string>& args, int lineno) {
     if (v == "ab") return FaultDir::kAB;
     if (v == "ba") return FaultDir::kBA;
     if (v == "both") return FaultDir::kBoth;
-    fail(lineno, "bad dir '" + v + "' (ab|ba|both)");
+    fail("bad dir '" + v + "' (ab|ba|both)");
   }
   return FaultDir::kBoth;
 }
 
 void want(const std::vector<std::string>& args, std::size_t n,
-          const char* usage, int lineno) {
-  if (args.size() != n) fail(lineno, std::string("usage: ") + usage);
+          const char* usage) {
+  if (args.size() != n) fail(std::string("usage: ") + usage);
 }
 
-}  // namespace
+sim::Time seconds(const std::string& s, const char* what) {
+  return sim::Time::seconds(util::read(ValueKind::kDelay, s, what));
+}
 
-void parse_fault_directive(FaultPlan& plan, const std::vector<std::string>& in,
-                           int lineno) {
-  if (in.empty()) fail(lineno, "empty fault directive");
+double prob(const std::string& s, const char* what) {
+  return util::read(ValueKind::kProbability, s, what);
+}
+
+// parse_fault_directive's grammar; errors carry no line yet.
+const FaultLinkRef* add_directive(FaultPlan& plan,
+                                  const std::vector<std::string>& in,
+                                  const std::string& origin) {
+  if (in.empty()) fail("empty fault directive");
   std::vector<std::string> args(in.begin() + 1, in.end());
   const std::string& kind = in.front();
   if (kind == "seed") {
-    want(args, 1, "seed N", lineno);
-    plan.set_seed(
-        static_cast<std::uint64_t>(to_int64(args[0], lineno, "seed")));
-    return;
+    want(args, 1, "seed N");
+    plan.set_seed(util::read_seed(args[0], "seed"));
+    return nullptr;
   }
-  const FaultDir dir = take_dir(args, lineno);
+  const FaultDir dir = take_dir(args);
+  // Called once `want` has checked the operand count.
+  const auto entry = [&] {
+    return FaultEntry{{args[0], args[1], dir}, origin};
+  };
   if (kind == "down") {
     // Optional trailing policy word.
     net::DownPolicy policy = net::DownPolicy::kDrain;
     if (!args.empty() &&
         (args.back() == "drain" || args.back() == "discard")) {
-      policy = args.back() == "discard" ? net::DownPolicy::kDiscard
-                                        : net::DownPolicy::kDrain;
+      if (args.back() == "discard") policy = net::DownPolicy::kDiscard;
       args.pop_back();
     }
-    want(args, 4, "down A B AT_SEC DUR_SEC [drain|discard] [dir=...]", lineno);
-    LinkOutage o;
-    o.link = {args[0], args[1], dir};
-    o.at = to_time(args[2], lineno, "outage time");
-    o.duration = to_time(args[3], lineno, "outage duration");
-    o.policy = policy;
-    plan.add_outage(std::move(o));
-    return;
+    want(args, 4, "down A B AT_SEC DUR_SEC [drain|discard] [dir=...]");
+    plan.add_outage({entry(), seconds(args[2], "outage time"),
+                     seconds(args[3], "outage duration"), policy});
+    return &plan.outages().back().link;
   }
   if (kind == "rate") {
-    want(args, 4, "rate A B AT_SEC BPS [dir=...]", lineno);
-    RateChange c;
-    c.link = {args[0], args[1], dir};
-    c.at = to_time(args[2], lineno, "change time");
-    c.bits_per_second = to_int64(args[3], lineno, "rate");
-    if (c.bits_per_second <= 0) fail(lineno, "rate must be positive");
-    plan.add_rate_change(std::move(c));
-    return;
+    want(args, 4, "rate A B AT_SEC BPS [dir=...]");
+    plan.add_rate_change({entry(), seconds(args[2], "change time"),
+                          util::read_as<std::int64_t>(
+                              ValueKind::kBitsPerSecond, args[3], "rate")});
+    return &plan.rate_changes().back().link;
   }
   if (kind == "delay") {
-    want(args, 4, "delay A B AT_SEC SEC [dir=...]", lineno);
-    DelayChange c;
-    c.link = {args[0], args[1], dir};
-    c.at = to_time(args[2], lineno, "change time");
-    c.delay = to_time(args[3], lineno, "delay");
-    plan.add_delay_change(std::move(c));
-    return;
+    want(args, 4, "delay A B AT_SEC SEC [dir=...]");
+    plan.add_delay_change({entry(), seconds(args[2], "change time"),
+                           seconds(args[3], "delay")});
+    return &plan.delay_changes().back().link;
   }
+  net::Impairment model;
   if (kind == "loss") {
-    want(args, 3, "loss A B PROB [dir=...]", lineno);
-    LinkImpairment i;
-    i.link = {args[0], args[1], dir};
-    i.model.loss = to_prob(args[2], lineno, "loss probability");
-    plan.add_impairment(std::move(i));
-    return;
+    want(args, 3, "loss A B PROB [dir=...]");
+    model.loss = prob(args[2], "loss probability");
+  } else if (kind == "gilbert") {
+    want(args, 6, "gilbert A B P_GB P_BG LOSS_GOOD LOSS_BAD [dir=...]");
+    model.gilbert = net::GilbertElliott{
+        prob(args[2], "p_good_to_bad"), prob(args[3], "p_bad_to_good"),
+        prob(args[4], "loss_good"), prob(args[5], "loss_bad")};
+  } else if (kind == "corrupt") {
+    want(args, 3, "corrupt A B PROB [dir=...]");
+    model.corrupt = prob(args[2], "corruption probability");
+  } else if (kind == "reorder") {
+    want(args, 4, "reorder A B PROB MAX_SEC [dir=...]");
+    model.reorder = prob(args[2], "reorder probability");
+    model.reorder_max = seconds(args[3], "reorder bound");
+  } else {
+    fail("unknown fault kind '" + kind +
+         "' (down|rate|delay|loss|gilbert|corrupt|reorder|seed)");
   }
-  if (kind == "gilbert") {
-    want(args, 6,
-         "gilbert A B P_GB P_BG LOSS_GOOD LOSS_BAD [dir=...]", lineno);
-    LinkImpairment i;
-    i.link = {args[0], args[1], dir};
-    net::GilbertElliott ge;
-    ge.p_good_to_bad = to_prob(args[2], lineno, "p_good_to_bad");
-    ge.p_bad_to_good = to_prob(args[3], lineno, "p_bad_to_good");
-    ge.loss_good = to_prob(args[4], lineno, "loss_good");
-    ge.loss_bad = to_prob(args[5], lineno, "loss_bad");
-    i.model.gilbert = ge;
-    plan.add_impairment(std::move(i));
-    return;
+  plan.add_impairment({entry(), model});
+  return &plan.impairments().back().link;
+}
+
+}  // namespace
+
+const FaultLinkRef* parse_fault_directive(FaultPlan& plan,
+                                          const std::vector<std::string>& args,
+                                          std::size_t lineno,
+                                          const std::string& origin) {
+  try {
+    return add_directive(plan, args, origin);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("fault directive, line " +
+                                std::to_string(lineno) + ": " + e.what());
   }
-  if (kind == "corrupt") {
-    want(args, 3, "corrupt A B PROB [dir=...]", lineno);
-    LinkImpairment i;
-    i.link = {args[0], args[1], dir};
-    i.model.corrupt = to_prob(args[2], lineno, "corruption probability");
-    plan.add_impairment(std::move(i));
-    return;
-  }
-  if (kind == "reorder") {
-    want(args, 4, "reorder A B PROB MAX_SEC [dir=...]", lineno);
-    LinkImpairment i;
-    i.link = {args[0], args[1], dir};
-    i.model.reorder = to_prob(args[2], lineno, "reorder probability");
-    i.model.reorder_max = to_time(args[3], lineno, "reorder bound");
-    if (i.model.reorder_max < sim::Time::zero()) {
-      fail(lineno, "reorder bound must be non-negative");
-    }
-    plan.add_impairment(std::move(i));
-    return;
-  }
-  fail(lineno, "unknown fault kind '" + kind +
-                   "' (down|rate|delay|loss|gilbert|corrupt|reorder|seed)");
 }
 
 void load_fault_file(const std::string& path, FaultPlan& plan) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open fault file '" + path + "'");
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::vector<std::string> words;
-    std::string w;
-    while (ls >> w) words.push_back(w);
-    if (words.empty()) continue;
+  util::for_each_line(in, [&](std::size_t lineno,
+                              std::vector<std::string>& words) {
     // Accept both bare directives and the .topo spelling with the leading
     // `fault` keyword, so a stanza can be copied between the two formats.
     if (words.front() == "fault") words.erase(words.begin());
-    parse_fault_directive(plan, words, lineno);
-  }
+    parse_fault_directive(
+        plan, words, lineno,
+        "fault file '" + path + "' line " + std::to_string(lineno));
+  });
+}
+
+void FaultPlan::check_run_end(sim::Time end) const {
+  const auto check = [end](sim::Time at, const std::string& origin) {
+    if (origin.empty() || at <= end) return;
+    std::ostringstream msg;
+    msg << origin << ": fault at " << at.sec()
+        << " s is past the run end (warmup + duration = " << end.sec()
+        << " s)";
+    throw std::invalid_argument(msg.str());
+  };
+  for (const LinkOutage& o : outages_) check(o.at, o.origin);
+  for (const RateChange& c : rate_changes_) check(c.at, c.origin);
+  for (const DelayChange& c : delay_changes_) check(c.at, c.origin);
 }
 
 namespace {
@@ -212,32 +171,31 @@ struct ResolvedPort {
 // The transmit ports an entry applies to, in (a->b, b->a) order.
 std::vector<ResolvedPort> resolve_ports(Experiment& exp,
                                         const CompiledTopology& topo,
-                                        const FaultLinkRef& link) {
-  net::NodeId a, b;
+                                        const FaultEntry& entry) {
+  const FaultLinkRef& link = entry.link;
+  const auto reject = [&](const std::string& msg) {
+    throw std::invalid_argument(
+        (entry.origin.empty() ? "" : entry.origin + ": ") + msg);
+  };
+  net::NodeId a = 0, b = 0;
   try {
     a = topo.id(link.a);
     b = topo.id(link.b);
   } catch (const std::out_of_range&) {
-    throw std::invalid_argument("fault plan references unknown node in link " +
-                                link.a + " - " + link.b);
+    reject("fault plan references unknown node in link " + link.a + " - " +
+           link.b);
   }
   std::vector<ResolvedPort> ports;
-  if (link.dir != FaultDir::kBA) {
-    net::OutputPort* p = exp.network().port_between(a, b);
+  const auto add = [&](net::NodeId from, net::NodeId to, const std::string& x,
+                       const std::string& y) {
+    net::OutputPort* p = exp.network().port_between(from, to);
     if (p == nullptr) {
-      throw std::invalid_argument("fault plan references missing link " +
-                                  link.a + " -> " + link.b);
+      reject("fault plan references missing link " + x + " -> " + y);
     }
-    ports.push_back({p, a});
-  }
-  if (link.dir != FaultDir::kAB) {
-    net::OutputPort* p = exp.network().port_between(b, a);
-    if (p == nullptr) {
-      throw std::invalid_argument("fault plan references missing link " +
-                                  link.b + " -> " + link.a);
-    }
-    ports.push_back({p, b});
-  }
+    ports.push_back({p, from});
+  };
+  if (link.dir != FaultDir::kBA) add(a, b, link.a, link.b);
+  if (link.dir != FaultDir::kAB) add(b, a, link.b, link.a);
   return ports;
 }
 
@@ -262,7 +220,7 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
   std::map<net::OutputPort*, net::Impairment> merged;
   std::vector<net::OutputPort*> order;
   for (const LinkImpairment& entry : impairments_) {
-    for (const ResolvedPort& rp : resolve_ports(exp, topo, entry.link)) {
+    for (const ResolvedPort& rp : resolve_ports(exp, topo, entry)) {
       net::OutputPort* port = rp.port;
       auto [it, inserted] = merged.try_emplace(port);
       if (inserted) order.push_back(port);
@@ -286,7 +244,7 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
   // schedule_at per intervention, in declaration order), so runs are byte
   // identical to the former raw schedule_at calls.
   for (const LinkOutage& o : outages_) {
-    for (const ResolvedPort& rp : resolve_ports(exp, topo, o.link)) {
+    for (const ResolvedPort& rp : resolve_ports(exp, topo, o)) {
       net::OutputPort* port = rp.port;
       auto down = [port, policy = o.policy] {
         port->set_down_policy(policy);
@@ -302,7 +260,7 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
     }
   }
   for (const RateChange& c : rate_changes_) {
-    for (const ResolvedPort& rp : resolve_ports(exp, topo, c.link)) {
+    for (const ResolvedPort& rp : resolve_ports(exp, topo, c)) {
       net::OutputPort* port = rp.port;
       auto change = [port, bps = c.bits_per_second] { port->set_rate(bps); };
       static_assert(sim::Scheduler::Action::fits<decltype(change)>,
@@ -311,7 +269,7 @@ void FaultPlan::apply(Experiment& exp, const CompiledTopology& topo) const {
     }
   }
   for (const DelayChange& c : delay_changes_) {
-    for (const ResolvedPort& rp : resolve_ports(exp, topo, c.link)) {
+    for (const ResolvedPort& rp : resolve_ports(exp, topo, c)) {
       net::OutputPort* port = rp.port;
       auto change = [port, delay = c.delay] {
         port->set_propagation_delay(delay);

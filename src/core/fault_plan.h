@@ -16,6 +16,7 @@
 // plan. All share one grammar — see parse_fault_directive.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,21 +39,26 @@ struct FaultLinkRef {
   FaultDir dir = FaultDir::kBoth;
 };
 
-struct LinkOutage {
+// What every entry has: its link, and where it was parsed from ("topology
+// file line 4", "fault file 'f.txt' line 2"), so a later check can name the
+// line. An entry built in code has no origin.
+struct FaultEntry {
   FaultLinkRef link;
+  std::string origin;
+};
+
+struct LinkOutage : FaultEntry {
   sim::Time at;
   sim::Time duration;
   net::DownPolicy policy = net::DownPolicy::kDrain;
 };
 
-struct RateChange {
-  FaultLinkRef link;
+struct RateChange : FaultEntry {
   sim::Time at;
   std::int64_t bits_per_second = 0;
 };
 
-struct DelayChange {
-  FaultLinkRef link;
+struct DelayChange : FaultEntry {
   sim::Time at;
   sim::Time delay;
 };
@@ -60,8 +66,7 @@ struct DelayChange {
 // Impairments have no `at`: they attach before the run and shape the whole
 // wire. Several entries may target the same link; their fields merge (a
 // later gilbert stanza composes with an earlier reorder stanza, say).
-struct LinkImpairment {
-  FaultLinkRef link;
+struct LinkImpairment : FaultEntry {
   net::Impairment model;
 };
 
@@ -98,8 +103,14 @@ class FaultPlan {
   // order), and schedules every outage / rate / delay entry as simulator
   // events. Call after Topology::compile and before Experiment::run.
   // Overlapping outages on one port merge naively: any up event re-raises
-  // the link. Throws std::invalid_argument for unknown nodes or links.
+  // the link. Throws std::invalid_argument for unknown nodes or links,
+  // naming the entry's origin.
   void apply(Experiment& exp, const CompiledTopology& topo) const;
+
+  // Throws std::invalid_argument naming its origin when a parsed down, rate
+  // or delay entry is timed after `end` (warmup + duration): it would never
+  // fire. One at `end` still runs; entries built in code are not checked.
+  void check_run_end(sim::Time end) const;
 
  private:
   std::uint64_t seed_ = 1;
@@ -119,16 +130,23 @@ class FaultPlan {
 //   corrupt A B PROB [dir=...]
 //   reorder A B PROB MAX_SEC [dir=...]
 //   seed N
-// Throws std::invalid_argument mentioning `lineno` on malformed input.
-void parse_fault_directive(FaultPlan& plan,
-                           const std::vector<std::string>& args, int lineno);
+// Times, durations and delays are non-negative seconds, BPS a whole number
+// of b/s, each PROB a probability and N a seed: README "Input values" gives
+// each kind's rule. Adds the entry to `plan` with `origin` and returns its
+// link (nullptr for seed). Throws std::invalid_argument naming `lineno` on
+// malformed input.
+const FaultLinkRef* parse_fault_directive(FaultPlan& plan,
+                                          const std::vector<std::string>& args,
+                                          std::size_t lineno,
+                                          const std::string& origin = {});
 
 // Reads a standalone fault file into `plan`: one directive per line (the
 // `fault` keyword is optional), '#' comments and blank lines ignored. Each
-// entry is appended after the plan's own, in file order; a `seed` line
-// replaces the plan's seed, which is kept otherwise. Throws
-// std::runtime_error when the file cannot be opened and
-// std::invalid_argument naming the line of a malformed directive.
+// entry is appended after the plan's own, in file order, with origin
+// "fault file 'PATH' line N"; a `seed` line replaces the plan's seed, which
+// is kept otherwise. Throws std::runtime_error when the file cannot be
+// opened and std::invalid_argument naming the line of a malformed
+// directive.
 void load_fault_file(const std::string& path, FaultPlan& plan);
 
 }  // namespace tcpdyn::core

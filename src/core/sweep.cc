@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <exception>
 #include <future>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -15,24 +16,11 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "util/value.h"
 
 namespace tcpdyn::core {
 
 namespace {
-
-double to_double(const std::string& s) {
-  std::size_t consumed = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &consumed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("sweep: bad number '" + s + "'");
-  }
-  if (consumed != s.size()) {
-    throw std::invalid_argument("sweep: bad number '" + s + "'");
-  }
-  return v;
-}
 
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
@@ -58,7 +46,7 @@ std::string fmt_double(double v) {
   char buf[32];
   for (int precision : {15, 16, 17}) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::stod(buf) == v) break;
+    if (util::number(buf) == v) break;
   }
   return buf;
 }
@@ -109,7 +97,7 @@ constexpr std::size_t kMaxGridPoints = std::size_t{1} << 30;
 
 // --------------------------------------------------------------- parsing
 
-SweepAxis parse_axis(const std::string& spec) {
+SweepAxis parse_axis(const std::string& spec, util::ValueKind kind) {
   const auto eq = spec.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
     throw std::invalid_argument("sweep: axis spec must be name=values: '" +
@@ -118,43 +106,34 @@ SweepAxis parse_axis(const std::string& spec) {
   SweepAxis axis;
   axis.name = spec.substr(0, eq);
   const std::string rest = spec.substr(eq + 1);
-
-  if (rest.find(';') != std::string::npos) {
-    for (const std::string& field : split(rest, ';')) {
-      axis.values.push_back(to_double(field));
-    }
-    return axis;
-  }
+  const std::string what = "grid axis '" + axis.name + "'";
 
   const std::vector<std::string> parts = split(rest, ':');
-  if (parts.size() == 1) {
-    axis.values.push_back(to_double(parts[0]));
+  if (rest.find(';') != std::string::npos || parts.size() == 1) {
+    for (const std::string& field : split(rest, ';')) {
+      axis.values.push_back(util::read(kind, field, what));
+    }
     return axis;
   }
   if (parts.size() != 3) {
     throw std::invalid_argument(
         "sweep: range must be lo:hi:step or lo:hi:logN: '" + spec + "'");
   }
-  const double lo = to_double(parts[0]);
-  const double hi = to_double(parts[1]);
-  if (!std::isfinite(lo) || !std::isfinite(hi)) {
-    throw std::invalid_argument("sweep: range bounds must be finite: '" +
-                                spec + "'");
-  }
-  // A value count is checked as a double before the cast: NaN, inf or a
-  // count past the grid limit would make the cast undefined or the loop
-  // exhaust memory.
+  const double lo = util::read(util::ValueKind::kNumber, parts[0], what);
+  const double hi = util::read(util::ValueKind::kNumber, parts[1], what);
+  // A value count is checked as a double before the cast: a count past the
+  // grid limit would make the cast undefined or the loop exhaust memory.
   const auto too_many = [](double count) {
     return !(count < static_cast<double>(kMaxGridPoints));
   };
   if (parts[2].rfind("log", 0) == 0) {
-    const std::string count = parts[2].substr(3);
-    const double n_raw = to_double(count);
-    if (!(n_raw >= 2.0) || too_many(n_raw) || std::trunc(n_raw) != n_raw) {
+    const std::optional<double> n_raw = util::number(parts[2].substr(3));
+    if (!n_raw || *n_raw < 2.0 || too_many(*n_raw) ||
+        std::trunc(*n_raw) != *n_raw) {
       throw std::invalid_argument(
           "sweep: logN needs integer 2 <= N < 2^30: '" + spec + "'");
     }
-    const auto n = static_cast<std::size_t>(n_raw);
+    const auto n = static_cast<std::size_t>(*n_raw);
     if (lo <= 0.0 || hi <= lo) {
       throw std::invalid_argument("sweep: log axis needs 0 < lo < hi: '" +
                                   spec + "'");
@@ -166,32 +145,41 @@ SweepAxis parse_axis(const std::string& spec) {
                                    static_cast<double>(n - 1)));
     }
     axis.values.push_back(hi);  // exact endpoint, no pow() rounding
-    return axis;
+  } else {
+    const double step = util::read(util::ValueKind::kNumber, parts[2], what);
+    if (!(step > 0.0) || hi < lo) {
+      throw std::invalid_argument(
+          "sweep: linear axis needs step > 0 and hi >= lo: '" + spec + "'");
+    }
+    const double steps = (hi - lo) / step + 1e-9;
+    if (too_many(steps + 1.0)) {
+      throw std::invalid_argument("sweep: axis has more than 2^30 values: '" +
+                                  spec + "'");
+    }
+    const auto n = static_cast<std::size_t>(steps) + 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      axis.values.push_back(lo + static_cast<double>(i) * step);
+    }
   }
-  const double step = to_double(parts[2]);
-  if (!(step > 0.0) || hi < lo) {
-    throw std::invalid_argument(
-        "sweep: linear axis needs step > 0 and hi >= lo: '" + spec + "'");
-  }
-  const double steps = (hi - lo) / step + 1e-9;
-  if (too_many(steps + 1.0)) {
-    throw std::invalid_argument("sweep: axis has more than 2^30 values: '" +
-                                spec + "'");
-  }
-  const auto n = static_cast<std::size_t>(steps) + 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    axis.values.push_back(lo + static_cast<double>(i) * step);
+  // A range's values have no text of their own; quote each as read back.
+  for (const double v : axis.values) {
+    if (!util::fits(kind, v)) throw util::rejection(kind, what, fmt_double(v));
   }
   return axis;
 }
 
-std::vector<SweepAxis> parse_grid(const std::string& spec) {
+std::vector<SweepAxis> parse_grid(
+    const std::string& spec,
+    const std::function<util::ValueKind(const std::string&)>& kind_of) {
   if (spec.empty()) {
     throw std::invalid_argument("sweep: empty grid spec");
   }
   std::vector<SweepAxis> axes;
   for (const std::string& part : split(spec, ',')) {
-    SweepAxis axis = parse_axis(part);
+    const auto eq = part.find('=');
+    const bool named = kind_of && eq != std::string::npos && eq > 0;
+    SweepAxis axis = parse_axis(
+        part, named ? kind_of(part.substr(0, eq)) : util::ValueKind::kNumber);
     for (const SweepAxis& existing : axes) {
       if (existing.name == axis.name) {
         throw std::invalid_argument("sweep: duplicate axis '" + axis.name +

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/scenarios.h"
+#include "util/value.h"
 
 namespace tcpdyn::core {
 
@@ -38,12 +39,17 @@ struct SweepAxis {
 //   name=v1;v2;v3           explicit list
 //   name=lo:hi:step         linear, inclusive of hi (step > 0)
 //   name=lo:hi:logN         N points log-spaced from lo to hi (lo, hi > 0)
-// Throws std::invalid_argument on malformed specs.
-SweepAxis parse_axis(const std::string& spec);
+// Every value must keep `kind`'s rule (util/value.h), or the error names
+// "grid axis 'name'". Throws std::invalid_argument on malformed specs.
+SweepAxis parse_axis(const std::string& spec,
+                     util::ValueKind kind = util::ValueKind::kNumber);
 
 // Parses a comma-separated list of axis specs, e.g.
-// "tau=0.01:1:log10,buffer=10:80:10".
-std::vector<SweepAxis> parse_grid(const std::string& spec);
+// "tau=0.01:1:log10,buffer=10:80:10"; `kind_of` gives each axis's kind by
+// name (any number when unset) and may throw to refuse the name.
+std::vector<SweepAxis> parse_grid(
+    const std::string& spec,
+    const std::function<util::ValueKind(const std::string&)>& kind_of = {});
 
 // A single expanded grid point: parameter values in axis order plus the
 // deterministic per-point RNG seed.

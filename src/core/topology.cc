@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "util/rng.h"
+#include "util/value.h"
 
 namespace tcpdyn::core {
 
@@ -228,68 +227,154 @@ std::size_t TrafficMatrix::instantiate(Experiment& exp,
 
 namespace {
 
+using util::read_as;
+using util::ValueKind;
+
 [[noreturn]] void parse_error(std::size_t line, const std::string& msg) {
   throw std::invalid_argument("topology file line " + std::to_string(line) +
                               ": " + msg);
 }
 
-double to_double(const std::string& tok, std::size_t line,
-                 const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(tok, &pos);
-    if (pos != tok.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::exception&) {
-    parse_error(line, what + " is not a number: '" + tok + "'");
-  }
+// A malformed line; parse_topology adds the line number.
+[[noreturn]] void fail(const std::string& msg) {
+  throw std::invalid_argument(msg);
 }
 
-std::int64_t to_int(const std::string& tok, std::size_t line,
-                    const std::string& what) {
-  const double v = to_double(tok, line, what);
-  // Casting a NaN or out-of-range double to an integer is undefined.
-  if (!(v > -9.2e18 && v < 9.2e18)) {
-    parse_error(line, what + " is out of range: '" + tok + "'");
-  }
-  return static_cast<std::int64_t>(v);
-}
-
-// A non-negative integer field of type T, at most `max` (the type's own
-// limit unless the field has a tighter one).
-template <typename T>
-T to_unsigned(const std::string& tok, std::size_t line,
-              const std::string& what,
-              std::uint64_t max = std::numeric_limits<T>::max()) {
-  const std::int64_t v = to_int(tok, line, what);
-  if (v < 0 || static_cast<std::uint64_t>(v) > max) {
-    parse_error(line, what + " must be in 0.." + std::to_string(max) +
-                          ", got '" + tok + "'");
-  }
-  return static_cast<T>(v);
-}
-
-sim::Time to_time(const std::string& tok, std::size_t line,
+sim::Time seconds(ValueKind kind, const std::string& tok,
                   const std::string& what) {
-  const std::optional<sim::Time> t =
-      sim::Time::checked_seconds(to_double(tok, line, what));
-  if (!t) {
-    parse_error(line, what + " must be finite seconds with |s| < 9.2e9, got '" +
-                          tok + "'");
-  }
-  return *t;
+  return sim::Time::seconds(util::read(kind, tok, what));
 }
 
 // A buffer of at least one packet, or "inf". A 0-packet buffer cannot hold
 // the packet in service, so every packet would drop; a dead link is spelled
 // `fault down`.
-net::QueueLimit to_buffer(const std::string& tok, std::size_t line) {
+net::QueueLimit buffer(const std::string& tok) {
   if (tok == "inf") return net::QueueLimit::infinite();
-  const std::int64_t n = to_int(tok, line, "buffer");
-  if (n < 1) {
-    parse_error(line, "buffer must be >= 1 packet or 'inf', got '" + tok + "'");
+  return net::QueueLimit::of(
+      read_as<std::size_t>(ValueKind::kBuffer, tok, "buffer"));
+}
+
+// The key and value of a key=value option.
+std::pair<std::string, std::string> option(const std::string& arg,
+                                           const char* what) {
+  const auto eq = arg.find('=');
+  if (eq == std::string::npos) {
+    fail(std::string(what) + " options are key=value, got '" + arg + "'");
   }
-  return net::QueueLimit::of(static_cast<std::size_t>(n));
+  return {arg.substr(0, eq), arg.substr(eq + 1)};
+}
+
+// `link`'s optional discipline word and its key=value options.
+void parse_qdisc(net::QdiscConfig& q, const std::vector<std::string>& args) {
+  // The registry supplies the did-you-mean error text.
+  const net::QdiscChoice& choice =
+      net::qdisc_registry().require(args[6], "queue discipline");
+  q.kind = choice.kind;
+  q.red.ecn = choice.ecn;
+  const bool red = q.kind == net::QdiscKind::kRed;
+  const bool drr = q.kind == net::QdiscKind::kDrr;
+  if (!red && !drr && args.size() > 7) {
+    fail("'" + args[6] + "' takes no options");
+  }
+  // Each option belongs to one discipline; naming it on another would be
+  // accepted and then ignored.
+  const auto owned_by = [&](bool owner, const std::string& key,
+                            const char* discipline) {
+    if (!owner) {
+      fail("'" + key + "' is a " + discipline + " option, but the link runs '" +
+           args[6] + "'");
+    }
+  };
+  for (std::size_t i = 7; i < args.size(); ++i) {
+    const auto [key, val] = option(args[i], "qdisc");
+    if (key == "min_th") {
+      owned_by(red, key, "RED");
+      q.red.min_th = read_as<std::size_t>(ValueKind::kCount, val, key);
+    } else if (key == "max_th") {
+      owned_by(red, key, "RED");
+      q.red.max_th = read_as<std::size_t>(ValueKind::kCount, val, key);
+    } else if (key == "wq_shift") {
+      owned_by(red, key, "RED");
+      // The EWMA weight is 2^-wq_shift of a 64-bit average.
+      const double shift = util::read(ValueKind::kCount, val, key);
+      if (shift > 63) fail("wq_shift must be in 0..63, got '" + val + "'");
+      q.red.wq_shift = static_cast<unsigned>(shift);
+    } else if (key == "max_p") {
+      owned_by(red, key, "RED");
+      // The queue keeps max_p in 1/65536ths; a 0 there never drops early.
+      const double p = util::read(ValueKind::kProbability, val, key);
+      q.red.max_p_65536 = static_cast<std::uint32_t>(p * 65536.0 + 0.5);
+      if (q.red.max_p_65536 == 0) {
+        fail("max_p must round to at least 1/65536, got '" + val + "'");
+      }
+    } else if (key == "quantum") {
+      owned_by(drr, key, "DRR");
+      q.drr.quantum_bytes = read_as<std::size_t>(ValueKind::kCount, val, key);
+      if (q.drr.quantum_bytes == 0) {
+        fail("quantum must be >= 1 byte, got '" + val + "'");
+      }
+    } else {
+      fail("unknown qdisc option '" + key + "'");
+    }
+  }
+  // min_th >= max_th leaves RED no probabilistic band: every arrival at an
+  // average of max_th or more is force-dropped.
+  if (red && q.red.min_th >= q.red.max_th) {
+    fail("RED needs min_th < max_th, got min_th=" +
+         std::to_string(q.red.min_th) +
+         " max_th=" + std::to_string(q.red.max_th));
+  }
+}
+
+ConnSpec parse_flow(const TopoSpec& spec, const std::vector<std::string>& args,
+                    std::uint64_t seed) {
+  ConnSpec c;
+  c.src = args[0];
+  c.dst = args[1];
+  if (!spec.topo.has_node(c.src) || !spec.topo.has_node(c.dst)) {
+    fail("flow endpoints must be declared nodes");
+  }
+  c.seed = seed;
+  for (std::size_t i = 2; i < args.size(); ++i) {
+    const auto [key, val] = option(args[i], "flow");
+    if (key == "count") {
+      c.count = read_as<std::size_t>(ValueKind::kCount, val, key);
+    } else if (key == "kind") {
+      // Full CcAlgorithm zoo, straight from the registry (with
+      // did-you-mean errors).
+      c.kind = tcp::cc_registry().require(val, "sender kind");
+    } else if (key == "window") {
+      c.fixed_window = read_as<std::uint32_t>(ValueKind::kU32, val, key);
+    } else if (key == "start") {
+      c.start_time = seconds(ValueKind::kSeconds, val, key);
+    } else if (key == "spread") {
+      c.start_spread = seconds(ValueKind::kSeconds, val, key);
+    } else if (key == "stop") {
+      c.stop_time = seconds(ValueKind::kSeconds, val, key);
+    } else if (key == "seed") {
+      c.seed = util::read_seed(val, key);
+    } else if (key == "maxwnd") {
+      c.maxwnd = read_as<std::uint32_t>(ValueKind::kU32, val, key);
+    } else if (key == "delayed_ack") {
+      c.delayed_ack = util::read(ValueKind::kSwitch, val, key) != 0.0;
+    } else if (key == "ecn") {
+      c.ecn = util::read(ValueKind::kSwitch, val, key) != 0.0;
+    } else if (key == "pacing") {
+      c.pacing_interval = seconds(ValueKind::kSeconds, val, key);
+    } else if (key == "rate") {
+      // Open-loop Poisson session arrivals (flows/sec); see ConnSpec.
+      c.arrival_rate = util::read(ValueKind::kRate, val, key);
+    } else if (key == "session") {
+      c.session_time = seconds(ValueKind::kSeconds, val, key);
+    } else if (key == "data") {
+      c.data_bytes = read_as<std::uint32_t>(ValueKind::kU32, val, key);
+    } else if (key == "ack") {
+      c.ack_bytes = read_as<std::uint32_t>(ValueKind::kU32, val, key);
+    } else {
+      fail("unknown flow option '" + key + "'");
+    }
+  }
+  return c;
 }
 
 }  // namespace
@@ -298,256 +383,90 @@ TopoSpec parse_topology(std::istream& in) {
   TopoSpec spec;
   bool seen_seed = false;
   std::size_t flow_index = 0;
-  // (line, time) of each timed fault stanza (down, rate, delay), checked
-  // against the run end once warmup and duration are known.
-  std::vector<std::pair<std::size_t, sim::Time>> timed_faults;
   std::vector<std::size_t> node_lines;  // the line declaring each node
-  std::string raw;
-  std::size_t lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string word;
-    if (!(line >> word)) continue;  // blank / comment-only line
-
-    std::vector<std::string> args;
-    for (std::string tok; line >> tok;) args.push_back(tok);
-    const auto want = [&](std::size_t n, const char* usage) {
-      if (args.size() < n) parse_error(lineno, std::string("usage: ") + usage);
-    };
-
-    if (word == "name") {
-      want(1, "name NAME");
-      spec.name = args[0];
-    } else if (word == "host") {
-      want(1, "host NAME");
-      spec.topo.add_host(args[0]);
-      node_lines.push_back(lineno);
-    } else if (word == "switch") {
-      want(1, "switch NAME");
-      spec.topo.add_switch(args[0]);
-      node_lines.push_back(lineno);
-    } else if (word == "link") {
-      want(6,
-           "link A B BPS DELAY_SEC BUF_AB BUF_BA "
-           "[droptail|randomdrop|red|red-ecn|drr] [key=value...]");
-      LinkSpec l;
-      l.a = spec.topo.index(args[0]);
-      l.b = spec.topo.index(args[1]);
-      l.bits_per_second = to_int(args[2], lineno, "link rate");
-      if (l.bits_per_second <= 0) {
-        parse_error(lineno, "link rate must be > 0 b/s, got '" + args[2] + "'");
+  util::for_each_line(in, [&](std::size_t lineno,
+                              std::vector<std::string>& args) {
+    const std::string word = args.front();
+    args.erase(args.begin());
+    if (word == "fault") {
+      // Node and link references resolve when the plan is applied, after
+      // compile; the endpoints are checked here for a line-numbered error.
+      // The fault grammar names its own line.
+      const FaultLinkRef* link = parse_fault_directive(
+          spec.faults, args, lineno,
+          "topology file line " + std::to_string(lineno));
+      if (link != nullptr &&
+          !(spec.topo.has_node(link->a) && spec.topo.has_node(link->b))) {
+        parse_error(lineno, "fault endpoints must be declared nodes");
       }
-      const double delay_sec = to_double(args[3], lineno, "link delay");
-      if (!(delay_sec >= 0.0)) {
-        parse_error(lineno, "link delay must be >= 0 s, got '" + args[3] + "'");
-      }
-      l.delay = to_time(args[3], lineno, "link delay");
-      l.buffer_ab = to_buffer(args[4], lineno);
-      l.buffer_ba = to_buffer(args[5], lineno);
-      if (args.size() > 6) {
-        net::QdiscConfig& q = l.qdisc;
-        // The registry supplies the did-you-mean error text; tag it with
-        // the .topo line number.
-        try {
-          const net::QdiscChoice& choice =
-              net::qdisc_registry().require(args[6], "queue discipline");
-          q.kind = choice.kind;
-          q.red.ecn = choice.ecn;
-        } catch (const std::invalid_argument& e) {
-          parse_error(lineno, e.what());
-        }
-        const bool red = q.kind == net::QdiscKind::kRed;
-        const bool drr = q.kind == net::QdiscKind::kDrr;
-        if (!red && !drr && args.size() > 7) {
-          parse_error(lineno, "'" + args[6] + "' takes no options");
-        }
-        // Each option belongs to one discipline; naming it on another would
-        // be accepted and then ignored.
-        const auto owned_by = [&](bool owner, const std::string& key,
-                                  const char* discipline) {
-          if (!owner) {
-            parse_error(lineno, "'" + key + "' is a " + discipline +
-                                    " option, but the link runs '" +
-                                    args[6] + "'");
-          }
-        };
-        for (std::size_t i = 7; i < args.size(); ++i) {
-          const auto eq = args[i].find('=');
-          if (eq == std::string::npos) {
-            parse_error(lineno, "qdisc options are key=value, got '" +
-                                    args[i] + "'");
-          }
-          const std::string key = args[i].substr(0, eq);
-          const std::string val = args[i].substr(eq + 1);
-          if (key == "min_th") {
-            owned_by(red, key, "RED");
-            q.red.min_th = to_unsigned<std::size_t>(val, lineno, key);
-          } else if (key == "max_th") {
-            owned_by(red, key, "RED");
-            q.red.max_th = to_unsigned<std::size_t>(val, lineno, key);
-          } else if (key == "wq_shift") {
-            owned_by(red, key, "RED");
-            // The EWMA weight is 2^-wq_shift of a 64-bit average.
-            q.red.wq_shift = to_unsigned<unsigned>(val, lineno, key, 63);
-          } else if (key == "max_p") {
-            owned_by(red, key, "RED");
-            const double p = to_double(val, lineno, key);
-            if (p <= 0.0 || p > 1.0) {
-              parse_error(lineno, "max_p must be in (0, 1]");
-            }
-            q.red.max_p_65536 = static_cast<std::uint32_t>(p * 65536.0 + 0.5);
-          } else if (key == "quantum") {
-            owned_by(drr, key, "DRR");
-            q.drr.quantum_bytes = to_unsigned<std::size_t>(val, lineno, key);
-            if (q.drr.quantum_bytes == 0) {
-              parse_error(lineno, "quantum must be >= 1 byte, got '" + val +
-                                      "'");
-            }
-          } else {
-            parse_error(lineno, "unknown qdisc option '" + key + "'");
-          }
-        }
-        // min_th >= max_th leaves RED no probabilistic band: every arrival
-        // at an average of max_th or more is force-dropped.
-        if (red && q.red.min_th >= q.red.max_th) {
-          parse_error(lineno, "RED needs min_th < max_th, got min_th=" +
-                                  std::to_string(q.red.min_th) + " max_th=" +
-                                  std::to_string(q.red.max_th));
-        }
-      }
-      spec.topo.add_link(l);
-    } else if (word == "monitor") {
-      want(2, "monitor A B");
-      spec.topo.monitor(spec.topo.index(args[0]), spec.topo.index(args[1]));
-    } else if (word == "flow") {
-      want(2, "flow SRC DST [key=value...]");
-      ConnSpec c;
-      c.src = args[0];
-      c.dst = args[1];
-      if (!spec.topo.has_node(c.src) || !spec.topo.has_node(c.dst)) {
-        parse_error(lineno, "flow endpoints must be declared nodes");
-      }
-      c.seed = util::mix_seed(spec.seed, flow_index);
-      for (std::size_t i = 2; i < args.size(); ++i) {
-        const auto eq = args[i].find('=');
-        if (eq == std::string::npos) {
-          parse_error(lineno, "flow options are key=value, got '" + args[i] +
-                                  "'");
-        }
-        const std::string key = args[i].substr(0, eq);
-        const std::string val = args[i].substr(eq + 1);
-        if (key == "count") {
-          c.count = to_unsigned<std::size_t>(val, lineno, key);
-        } else if (key == "kind") {
-          // Full CcAlgorithm zoo, straight from the registry (with
-          // did-you-mean errors tagged with the .topo line number).
-          try {
-            c.kind = tcp::cc_registry().require(val, "sender kind");
-          } catch (const std::invalid_argument& e) {
-            parse_error(lineno, e.what());
-          }
-        } else if (key == "window") {
-          c.fixed_window = to_unsigned<std::uint32_t>(val, lineno, key);
-        } else if (key == "start") {
-          c.start_time = to_time(val, lineno, key);
-        } else if (key == "spread") {
-          c.start_spread = to_time(val, lineno, key);
-        } else if (key == "stop") {
-          c.stop_time = to_time(val, lineno, key);
-        } else if (key == "seed") {
-          c.seed = static_cast<std::uint64_t>(to_int(val, lineno, key));
-        } else if (key == "maxwnd") {
-          c.maxwnd = to_unsigned<std::uint32_t>(val, lineno, key);
-        } else if (key == "delayed_ack") {
-          c.delayed_ack = to_int(val, lineno, key) != 0;
-        } else if (key == "ecn") {
-          c.ecn = to_int(val, lineno, key) != 0;
-        } else if (key == "pacing") {
-          c.pacing_interval = to_time(val, lineno, key);
-        } else if (key == "rate") {
-          // Open-loop Poisson session arrivals (flows/sec); see ConnSpec.
-          c.arrival_rate = to_double(val, lineno, key);
-          if (c.arrival_rate < 0.0) {
-            parse_error(lineno, "rate must be >= 0");
-          }
-        } else if (key == "session") {
-          c.session_time = to_time(val, lineno, key);
-        } else if (key == "data") {
-          c.data_bytes = to_unsigned<std::uint32_t>(val, lineno, key);
-        } else if (key == "ack") {
-          c.ack_bytes = to_unsigned<std::uint32_t>(val, lineno, key);
-        } else {
-          parse_error(lineno, "unknown flow option '" + key + "'");
-        }
-      }
-      spec.traffic.add(std::move(c));
-      ++flow_index;
-    } else if (word == "fault") {
-      want(1, "fault down|rate|delay|loss|gilbert|corrupt|reorder|seed ...");
-      // Node/link references resolve at FaultPlan::apply time (after
-      // compile); here only the directive grammar is validated. Validate
-      // node names eagerly where the directive's positional layout lets us,
-      // for a line-numbered error. A dir= token may stand anywhere, so the
-      // endpoints are the first two words after the kind that are not one.
-      std::vector<std::string> positional = args;
-      std::erase_if(positional, [](const std::string& a) {
-        return a.rfind("dir=", 0) == 0;
-      });
-      if (positional.size() >= 3 && positional[0] != "seed") {
-        if (!spec.topo.has_node(positional[1]) ||
-            !spec.topo.has_node(positional[2])) {
-          parse_error(lineno, "fault endpoints must be declared nodes");
-        }
-      }
-      parse_fault_directive(spec.faults, args, static_cast<int>(lineno));
-      const FaultPlan& f = spec.faults;
-      if (args[0] == "down") {
-        timed_faults.emplace_back(lineno, f.outages().back().at);
-      } else if (args[0] == "rate") {
-        timed_faults.emplace_back(lineno, f.rate_changes().back().at);
-      } else if (args[0] == "delay") {
-        timed_faults.emplace_back(lineno, f.delay_changes().back().at);
-      }
-    } else if (word == "warmup") {
-      want(1, "warmup SEC");
-      spec.warmup = to_time(args[0], lineno, word);
-    } else if (word == "duration") {
-      want(1, "duration SEC");
-      spec.duration = to_time(args[0], lineno, word);
-    } else if (word == "epoch_gap") {
-      want(1, "epoch_gap SEC");
-      spec.epoch_gap_sec = to_double(args[0], lineno, word);
-    } else if (word == "seed") {
-      want(1, "seed N");
-      if (seen_seed) parse_error(lineno, "duplicate seed directive");
-      if (flow_index > 0) {
-        parse_error(lineno, "seed must come before the first flow");
-      }
-      seen_seed = true;
-      spec.seed = static_cast<std::uint64_t>(to_int(args[0], lineno, word));
-    } else {
-      parse_error(lineno, "unknown directive '" + word + "'");
+      return;
     }
-  }
+    const auto want = [&](std::size_t n, const char* usage) {
+      if (args.size() < n) fail(std::string("usage: ") + usage);
+    };
+    try {
+      if (word == "name") {
+        want(1, "name NAME");
+        spec.name = args[0];
+      } else if (word == "host" || word == "switch") {
+        want(1, word == "host" ? "host NAME" : "switch NAME");
+        if (word == "host") {
+          spec.topo.add_host(args[0]);
+        } else {
+          spec.topo.add_switch(args[0]);
+        }
+        node_lines.push_back(lineno);
+      } else if (word == "link") {
+        want(6,
+             "link A B BPS DELAY_SEC BUF_AB BUF_BA "
+             "[droptail|randomdrop|red|red-ecn|drr] [key=value...]");
+        LinkSpec l;
+        l.a = spec.topo.index(args[0]);
+        l.b = spec.topo.index(args[1]);
+        l.bits_per_second = read_as<std::int64_t>(ValueKind::kBitsPerSecond,
+                                                  args[2], "link rate");
+        l.delay = seconds(ValueKind::kDelay, args[3], "link delay");
+        l.buffer_ab = buffer(args[4]);
+        l.buffer_ba = buffer(args[5]);
+        if (args.size() > 6) parse_qdisc(l.qdisc, args);
+        spec.topo.add_link(l);
+      } else if (word == "monitor") {
+        want(2, "monitor A B");
+        spec.topo.monitor(spec.topo.index(args[0]), spec.topo.index(args[1]));
+      } else if (word == "flow") {
+        want(2, "flow SRC DST [key=value...]");
+        spec.traffic.add(
+            parse_flow(spec, args, util::mix_seed(spec.seed, flow_index)));
+        ++flow_index;
+      } else if (word == "warmup") {
+        want(1, "warmup SEC");
+        spec.warmup = seconds(ValueKind::kDelay, args[0], word);
+      } else if (word == "duration") {
+        want(1, "duration SEC");
+        spec.duration = seconds(ValueKind::kDelay, args[0], word);
+      } else if (word == "epoch_gap") {
+        want(1, "epoch_gap SEC");
+        spec.epoch_gap_sec = util::read(ValueKind::kDelay, args[0], word);
+      } else if (word == "seed") {
+        want(1, "seed N");
+        if (seen_seed) fail("duplicate seed directive");
+        if (flow_index > 0) fail("seed must come before the first flow");
+        seen_seed = true;
+        spec.seed = util::read_seed(args[0], word);
+      } else {
+        fail("unknown directive '" + word + "'");
+      }
+    } catch (const std::logic_error& e) {  // invalid_argument, out_of_range
+      parse_error(lineno, e.what());
+    }
+  });
   if (spec.topo.node_count() == 0) {
     throw std::invalid_argument("topology file declares no nodes");
   }
   if (const auto node = spec.topo.first_unreachable()) {
     parse_error(node_lines[*node], spec.topo.unreachable_message(*node));
   }
-  // A fault after the run end would never fire. One at the end still runs.
-  const sim::Time end = spec.warmup + spec.duration;
-  for (const auto& [line, at] : timed_faults) {
-    if (at > end) {
-      std::ostringstream msg;
-      msg << "fault at " << at.sec() << " s is past the run end (warmup + "
-          << "duration = " << end.sec() << " s)";
-      parse_error(line, msg.str());
-    }
-  }
+  spec.faults.check_run_end(spec.warmup + spec.duration);
   return spec;
 }
 

@@ -162,7 +162,9 @@ struct TopoSpec {
   bool per_flow_traces = true;
 };
 
-// Parses the text topology format (see examples/topos/*.topo):
+// Parses the text topology format (see examples/topos/*.topo). Each number
+// is read by its field's kind (util/value.h; README "Input values" lists
+// every field's rule and message):
 //   name NAME                  scenario name
 //   host NAME | switch NAME    node declarations
 //   link A B BPS DELAY_SEC BUF_AB BUF_BA
@@ -170,8 +172,10 @@ struct TopoSpec {
 //        [min_th=N] [max_th=N] [wq_shift=N] [max_p=P] [quantum=BYTES]
 //                              BUF is packets (>= 1) or "inf"; the key=value
 //                              options tune RED (red/red-ecn, with
-//                              min_th < max_th) or DRR (quantum >= 1);
-//                              an option of another discipline is an error
+//                              min_th < max_th, wq_shift <= 63 and max_p
+//                              rounding to >= 1/65536) or DRR
+//                              (quantum >= 1); an option of another
+//                              discipline is an error
 //   monitor A B                trace the A->B transmit port
 //   flow SRC DST [count=N] [kind=tahoe|reno|fixed] [window=W] [start=SEC]
 //        [spread=SEC] [stop=SEC] [seed=N] [maxwnd=W] [delayed_ack=0|1]
@@ -181,9 +185,10 @@ struct TopoSpec {
 //                              open-loop Poisson session process (see
 //                              ConnSpec::arrival_rate)
 //   fault down|rate|delay|loss|gilbert|corrupt|reorder|seed ...
-//                              mid-run link events (see core/fault_plan.h);
-//                              a down, rate or delay event must not fall
-//                              after warmup + duration
+//                              mid-run link events (see core/fault_plan.h),
+//                              each with its line as origin; a down, rate
+//                              or delay event must not fall after
+//                              warmup + duration
 //   warmup SEC | duration SEC | epoch_gap SEC | seed N
 // '#' starts a comment. Throws std::invalid_argument with the line number
 // on malformed input.

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 
 namespace tcpdyn::sim {
@@ -19,16 +18,11 @@ class Time {
   static constexpr Time milliseconds(std::int64_t ms) {
     return Time(ms * 1'000'000);
   }
+  // |s| must stay below 9.2e9, or the int64 nanosecond count overflows (an
+  // undefined conversion); text is read as util::ValueKind kSeconds or
+  // kDelay, which check it.
   static constexpr Time seconds(double s) {
     return Time(static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5)));
-  }
-  // Seconds read from text (a file field or a flag), or nullopt where
-  // seconds() cannot represent them: NaN, +-inf and |s| >= 9.2e9, which
-  // overflow the int64 nanosecond count (an undefined conversion). Every
-  // text input that becomes a Time goes through here.
-  static constexpr std::optional<Time> checked_seconds(double s) {
-    if (!(s > -9.2e9 && s < 9.2e9)) return std::nullopt;
-    return seconds(s);
   }
   static constexpr Time zero() { return Time(0); }
   static constexpr Time max() { return Time(INT64_MAX); }

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/value.h"
+
 namespace tcpdyn::util {
 
 Flags& Flags::add_spec(Spec spec) {
@@ -150,39 +152,23 @@ std::string Flags::get(const std::string& name,
 double Flags::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name +
-                                " is not a number: " + it->second);
-  }
+  return read(ValueKind::kNumber, it->second, "--" + name);
 }
 
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name +
-                                " is not an integer: " + it->second);
-  }
+  return read_as<std::int64_t>(ValueKind::kInteger, it->second, "--" + name);
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  throw std::invalid_argument("flag --" + name + " is not a boolean: " + v);
+  if (v == "true" || v == "yes") return true;
+  if (v == "false" || v == "no") return false;
+  return read(ValueKind::kSwitch, v, "--" + name) != 0.0;
 }
 
 std::string Flags::get(const std::string& name) const {
@@ -192,16 +178,15 @@ std::string Flags::get(const std::string& name) const {
 
 double Flags::get_double(const std::string& name) const {
   const Spec& s = require_spec(name);
-  return get_double(name, s.default_value.empty()
-                              ? 0.0
-                              : std::stod(s.default_value));
+  if (!has(name) && s.default_value.empty()) return 0.0;
+  return read(ValueKind::kNumber, get(name, s.default_value), "--" + name);
 }
 
 std::int64_t Flags::get_int(const std::string& name) const {
   const Spec& s = require_spec(name);
-  return get_int(name, s.default_value.empty()
-                           ? 0
-                           : std::stoll(s.default_value));
+  if (!has(name) && s.default_value.empty()) return 0;
+  return read_as<std::int64_t>(ValueKind::kInteger,
+                               get(name, s.default_value), "--" + name);
 }
 
 bool Flags::get_bool(const std::string& name) const {

@@ -9,8 +9,8 @@
 // Syntax: --name=value, --name value, bare boolean --name, plus positional
 // arguments. A boolean never consumes the next token, so "--trace --csv
 // out" parses as two flags. Repeated flags keep the last value
-// (last-wins). Malformed numeric values throw std::invalid_argument naming
-// the flag and the offending value.
+// (last-wins). Numbers read through util/value.h: a malformed value throws
+// std::invalid_argument naming the flag and the offending value.
 #pragma once
 
 #include <cstdint>
@@ -55,12 +55,15 @@ class Flags {
 
   bool has(const std::string& name) const;
 
-  // Typed accessors with explicit fallbacks. Malformed numeric values throw
-  // std::invalid_argument naming the flag and value.
+  // Typed accessors with explicit fallbacks: get_double takes any number,
+  // get_int a whole one an int64 holds (ValueKind kNumber and kInteger).
+  // Malformed numeric values throw std::invalid_argument naming the flag
+  // and value.
   std::string get(const std::string& name, const std::string& fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
-  // --name and --name=true/1/yes are true; --name=false/0/no is false.
+  // --name and --name=true/yes are true; --name=false/no is false; any
+  // other value is a 0|1 switch (ValueKind::kSwitch), as a .topo ecn=.
   bool get_bool(const std::string& name, bool fallback) const;
 
   // Single-argument accessors: the declared default is the fallback; for a

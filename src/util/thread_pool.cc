@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
+
+#include "util/value.h"
 
 namespace tcpdyn::util {
 
@@ -55,9 +58,9 @@ void ThreadPool::worker() {
 
 std::size_t ThreadPool::default_jobs() {
   if (const char* env = std::getenv("TCPDYN_JOBS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) {
-      return static_cast<std::size_t>(n);
+    const std::optional<double> n = number(env);
+    if (n && *n >= 1.0 && fits(ValueKind::kCount, *n)) {
+      return static_cast<std::size_t>(*n);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -44,7 +44,8 @@ class ThreadPool {
   }
 
   // Number of threads to use when the caller expressed no preference: the
-  // TCPDYN_JOBS environment variable if set, else hardware concurrency.
+  // TCPDYN_JOBS environment variable if it is a whole number >= 1, else
+  // hardware concurrency.
   static std::size_t default_jobs();
 
  private:

@@ -329,7 +329,7 @@ TEST(FaultFile, TimesMustBeRepresentable) {
       return std::string(e.what());
     }
   };
-  const std::string tail = " must be finite seconds with |s| < 9.2e9, got '";
+  const std::string tail = " must be finite seconds with 0 <= s < 9.2e9, got '";
   EXPECT_EQ(error_of("down S1 S2 nan 1"),
             "fault directive, line 7: outage time" + tail + "nan'");
   EXPECT_EQ(error_of("down S1 S2 1 inf"),
@@ -343,7 +343,7 @@ TEST(FaultFile, TimesMustBeRepresentable) {
   EXPECT_EQ(error_of("reorder S1 S2 0.1 inf"),
             "fault directive, line 7: reorder bound" + tail + "inf'");
   EXPECT_EQ(error_of("reorder S1 S2 0.1 -0.5"),
-            "fault directive, line 7: reorder bound must be non-negative");
+            "fault directive, line 7: reorder bound" + tail + "-0.5'");
   EXPECT_EQ(error_of("down S1 S2 9.1e9 1 discard"), "no error");
 }
 
@@ -391,7 +391,9 @@ TEST(FaultFile, LoadAppendsToThePlan) {
         plan);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "fault directive, line 3: bad change time 'x'");
+    EXPECT_STREQ(e.what(),
+                 "fault directive, line 3: change time must be finite "
+                 "seconds with 0 <= s < 9.2e9, got 'x'");
   }
   EXPECT_THROW(core::load_fault_file(
                    testing::TempDir() + "no-such-dir/faults.txt", plan),

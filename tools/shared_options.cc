@@ -1,12 +1,10 @@
 #include "shared_options.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -17,140 +15,88 @@
 #include "core/topo_scenarios.h"
 #include "core/topology.h"
 #include "sim/time.h"
+#include "util/value.h"
 
 namespace tcpdyn::tools {
 
 namespace {
 
-// How the tools check each scenario parameter, as a flag or a grid axis.
-// NaN, inf and |s| >= 9.2e9 seconds overflow sim::Time's int64
-// nanoseconds; a negative, fractional or too large count wraps or is
-// undefined when cast to an unsigned type; a 0-packet buffer drops every
-// packet (a dead link is spelled `fault down`). A probability lies in
-// [0, 1], as the fault grammar's loss_bad, and a rate is finite and >= 0,
-// as the .topo `rate=` key. A boolean is a flag only, never an axis.
-enum class Kind { kSeconds, kSize, kBuffer, kU32, kProbability, kRate, kBool };
-using enum Kind;
+using util::ValueKind;
+using enum util::ValueKind;
 
+// Every scenario parameter, as a flag and, unless it is a 0|1 switch (a
+// boolean flag), as a grid axis. Its kind checks both (util/value.h).
 struct Param {
   const char* name;
-  Kind kind;
-  const char* placeholder;  // the usage text's value name; none for kBool
+  ValueKind kind;
+  const char* placeholder;  // the usage text's value name; none for kSwitch
   const char* help;
 };
 
 constexpr Param kParams[] = {
-    {"tau", kSeconds, "SEC", "bottleneck propagation delay"},
+    {"tau", kDelay, "SEC", "bottleneck propagation delay"},
     {"buffer", kBuffer, "PKTS", "bottleneck buffer"},
-    {"conns", kSize, "N", "connection / flow count"},
+    {"conns", kCount, "N", "connection / flow count"},
     {"w1", kU32, "PKTS", "fixed-window size, forward"},
     {"w2", kU32, "PKTS", "fixed-window size, reverse"},
     {"maxwnd", kU32, "PKTS", "delayed-ack scenario window cap"},
-    {"spread", kSeconds, "SEC", "rtt scenario access-delay spread"},
+    {"spread", kDelay, "SEC", "rtt scenario access-delay spread"},
     {"pacing", kSeconds, "SEC", "oneway/twoway pacing interval (0 = none)"},
-    {"delayed-ack", kBool, "", "oneway/twoway receivers delay their ACKs"},
-    {"ecn", kBool, "", "flows negotiate ECN (oneway/twoway/red-wave)"},
-    {"hops", kSize, "N", "parking-lot/red-wave trunk links"},
-    {"long-flows", kSize, "N", "parking-lot end-to-end flows"},
-    {"cross-per-hop", kSize, "N", "parking-lot cross flows per trunk"},
-    {"switches", kSize, "N", "ring/waxman switch count"},
+    {"delayed-ack", kSwitch, "", "oneway/twoway receivers delay their ACKs"},
+    {"ecn", kSwitch, "", "flows negotiate ECN (oneway/twoway/red-wave)"},
+    {"hops", kCount, "N", "parking-lot/red-wave trunk links"},
+    {"long-flows", kCount, "N", "parking-lot end-to-end flows"},
+    {"cross-per-hop", kCount, "N", "parking-lot cross flows per trunk"},
+    {"switches", kCount, "N", "ring/waxman switch count"},
     {"loss", kProbability, "PROB", "chaos reverse-trunk burst-loss peak"},
-    {"outage", kSeconds, "SEC", "chaos trunk-flap duration"},
-    {"flap-period", kSeconds, "SEC", "chaos gap between trunk flaps"},
-    {"flaps", kSize, "N", "chaos trunk-flap count"},
-    {"discard-on-down", kBool, "", "chaos down links discard, not drain"},
-    {"senders", kSize, "N", "datacenter fan-in width (sender hosts)"},
-    {"flows-per-sender", kSize, "N", "datacenter sessions per sender"},
+    {"outage", kDelay, "SEC", "chaos trunk-flap duration"},
+    {"flap-period", kDelay, "SEC", "chaos gap between trunk flaps"},
+    {"flaps", kCount, "N", "chaos trunk-flap count"},
+    {"discard-on-down", kSwitch, "", "chaos down links discard, not drain"},
+    {"senders", kCount, "N", "datacenter fan-in width (sender hosts)"},
+    {"flows-per-sender", kCount, "N", "datacenter sessions per sender"},
     {"arrival-rate", kRate, "R",
      "datacenter per-sender session arrivals/sec (0 = closed population)"},
     {"session", kSeconds, "SEC", "datacenter session length (0 = forever)"},
-    {"warmup", kSeconds, "SEC", "scenario warmup"},
-    {"duration", kSeconds, "SEC", "measured duration"},
+    {"warmup", kDelay, "SEC", "scenario warmup"},
+    {"duration", kDelay, "SEC", "measured duration"},
 };
 
-std::invalid_argument bad_value(const std::string& what,
-                                const std::string& rule,
-                                const std::string& got) {
-  return std::invalid_argument(what + " must be " + rule + ", got '" + got +
-                               "'");
-}
-
-// The shortest text that reads back as `value`.
-std::string shortest(double value) {
-  char text[32];
-  const auto end = std::to_chars(text, text + sizeof(text), value).ptr;
-  return std::string(text, end);
-}
-
-// `value` as a T, or throws naming `what` and quoting `got`.
-template <class T>
-T checked_count(double value, const std::string& what,
-                const std::string& got) {
-  // 2^digits is the first value above T's range, exact as a double. NaN
-  // fails both comparisons.
-  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(value >= 0.0 && value < limit) || std::trunc(value) != value) {
-    throw bad_value(what,
-                    "a whole number from 0 to " +
-                        std::to_string(std::numeric_limits<T>::max()),
-                    got);
-  }
-  return static_cast<T>(value);
-}
-
-void check(Kind kind, double value, const std::string& what,
-           const std::string& got) {
-  switch (kind) {
-    case kSeconds:
-      if (!sim::Time::checked_seconds(value)) {
-        throw bad_value(what, "finite seconds with |s| < 9.2e9", got);
-      }
-      return;
-    case kSize:
-      checked_count<std::size_t>(value, what, got);
-      return;
-    case kBuffer:
-      if (checked_count<std::size_t>(value, what, got) == 0) {
-        throw bad_value(what, ">= 1 packet", got);
-      }
-      return;
-    case kU32:
-      checked_count<std::uint32_t>(value, what, got);
-      return;
-    case kProbability:
-      if (!(value >= 0.0 && value <= 1.0)) {
-        throw bad_value(what, "a probability in [0, 1]", got);
-      }
-      return;
-    case kRate:
-      if (!(value >= 0.0 && std::isfinite(value))) {
-        throw bad_value(what, "a finite rate >= 0", got);
-      }
-      return;
-    case kBool:
-      return;
-  }
-}
+// The flags beyond kParams that a scenario reads or ignores.
+constexpr const char* kTextParams[] = {"file", "cc", "qdisc"};
 
 // One scenario's parameter values: the point's axis, else the flag, else
 // `fallback`, the scenario's default. Every value was checked by its kind,
-// so the casts are exact.
+// so the casts are exact. Each parameter read is noted, so a parameter that
+// is set but never read, which the run would ignore, can be refused.
 struct Inputs {
   const core::SweepPoint& point;
   const util::Flags& flags;
   const SharedOptions& opts;
+  mutable std::set<std::string> read = {};
 
   bool has(const std::string& name) const {
+    read.insert(name);
     return point.has(name) || flags.has(name);
   }
   double num(const std::string& name, double fallback) const {
+    read.insert(name);
     return point.value_or(name, flags.get_double(name, fallback));
   }
   template <class T>
   T count(const std::string& name, T fallback) const {
     return static_cast<T>(num(name, static_cast<double>(fallback)));
   }
-  bool on(const std::string& name) const { return flags.get_bool(name); }
+  bool on(const std::string& name) const {
+    read.insert(name);
+    return flags.get_bool(name);
+  }
+  // `value`, a text parameter's (--file, --cc, --qdisc), noted as read.
+  template <class T>
+  const T& note(const std::string& name, const T& value) const {
+    read.insert(name);
+    return value;
+  }
   // The dumbbell's bottleneck at the paper's small pipe, and its flows.
   double tau(double fallback = 0.01) const { return num("tau", fallback); }
   std::size_t buffer(std::size_t fallback = 20) const {
@@ -158,6 +104,25 @@ struct Inputs {
   }
   std::size_t conns(std::size_t fallback) const {
     return count("conns", fallback);
+  }
+
+  // Throws naming `scenario` and the first axis (but rep) or parameter
+  // flag that is set but was never read.
+  void reject_unread(const std::string& scenario) const {
+    const auto refuse = [&](const std::string& param) {
+      throw std::invalid_argument("scenario '" + scenario +
+                                  "' does not read " + param);
+    };
+    for (const auto& [name, value] : point.params) {
+      if (name != "rep" && !read.contains(name)) {
+        refuse("grid axis '" + name + "'");
+      }
+    }
+    const auto check_flag = [&](const std::string& name) {
+      if (flags.has(name) && !read.contains(name)) refuse("--" + name);
+    };
+    for (const char* name : kTextParams) check_flag(name);
+    for (const Param& p : kParams) check_flag(p.name);
   }
 };
 using In = const Inputs&;
@@ -168,7 +133,7 @@ using In = const Inputs&;
 core::TopoSpec custom_dumbbell(In in, bool two_way) {
   core::DumbbellParams p =
       core::dumbbell_params(in.tau(), net::QueueLimit::of(in.buffer()));
-  if (in.opts.qdisc) p.bottleneck_qdisc = *in.opts.qdisc;
+  if (in.note("qdisc", in.opts.qdisc)) p.bottleneck_qdisc = *in.opts.qdisc;
 
   core::TopoSpec spec;
   spec.name = two_way ? "twoway" : "oneway";
@@ -177,13 +142,16 @@ core::TopoSpec custom_dumbbell(In in, bool two_way) {
   spec.duration = sim::Time::seconds(400.0);
   spec.epoch_gap_sec = p.tau >= sim::Time::seconds(0.5) ? 8.0 : 2.0;
   const std::size_t n = in.conns(2);
-  const std::vector<tcp::CcAlgorithm>& cc = in.opts.cc;
+  const std::vector<tcp::CcAlgorithm>& cc = in.note("cc", in.opts.cc);
+  const bool delayed_ack = in.on("delayed-ack");
+  const bool ecn = in.on("ecn");
+  const sim::Time pacing = sim::Time::seconds(in.num("pacing", 0.0));
   for (std::size_t i = 0; i < n; ++i) {
     core::ConnSpec c = core::dumbbell_flow(!two_way || i < (n + 1) / 2);
     if (!cc.empty()) c.kind = cc[i % cc.size()];
-    c.delayed_ack = in.on("delayed-ack");
-    c.ecn = in.on("ecn");
-    c.pacing_interval = sim::Time::seconds(in.num("pacing", 0.0));
+    c.delayed_ack = delayed_ack;
+    c.ecn = ecn;
+    c.pacing_interval = pacing;
     c.start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
     spec.traffic.add(std::move(c));
   }
@@ -236,7 +204,7 @@ core::TopoSpec chaos(In in) {
   p.flap_period_sec = in.num("flap-period", p.flap_period_sec);
   p.flaps = in.count("flaps", p.flaps);
   p.discard_on_down = in.on("discard-on-down");
-  p.cc = in.opts.cc;
+  p.cc = in.note("cc", in.opts.cc);
   // The flaps are timed from the warmup boundary, so a shortened run must
   // reach the params, not only the built spec.
   p.warmup_sec = in.num("warmup", p.warmup_sec);
@@ -251,9 +219,9 @@ core::TopoSpec red_wave(In in) {
   p.tau_sec = in.tau(p.tau_sec);
   p.buffer = in.buffer(p.buffer);
   p.flows = in.conns(p.flows);
-  if (in.opts.qdisc) p.qdisc = *in.opts.qdisc;
+  if (in.note("qdisc", in.opts.qdisc)) p.qdisc = *in.opts.qdisc;
   p.ecn = in.on("ecn");
-  if (!in.opts.cc.empty()) p.cc = in.opts.cc.front();
+  if (!in.note("cc", in.opts.cc).empty()) p.cc = in.opts.cc.front();
   p.seed = in.point.seed;
   return core::red_wave_spec(p);
 }
@@ -265,13 +233,13 @@ core::TopoSpec datacenter(In in) {
   p.buffer = in.buffer(p.buffer);
   p.arrival_rate = in.num("arrival-rate", p.arrival_rate);
   p.session_sec = in.num("session", p.session_sec);
-  if (!in.opts.cc.empty()) p.cc = in.opts.cc.front();
+  if (!in.note("cc", in.opts.cc).empty()) p.cc = in.opts.cc.front();
   p.seed = in.point.seed;
   return core::incast_spec(p);
 }
 
 core::TopoSpec topo_file(In in) {
-  const std::string file = in.flags.get("file");
+  const std::string file = in.note("file", in.flags.get("file"));
   if (file.empty()) {
     throw std::invalid_argument("scenario topo requires --file");
   }
@@ -319,7 +287,7 @@ constexpr ScenarioEntry kScenarios[] = {
      [](In in) {
        using enum tcp::CcAlgorithm;
        return core::ccmix_twoway(
-           in.opts.cc.empty()
+           in.note("cc", in.opts.cc).empty()
                ? std::vector{kTahoe, kReno, kNewReno, kCubic, kVegas}
                : in.opts.cc,
            in.conns(6), in.tau(), in.buffer());
@@ -361,7 +329,7 @@ void declare_scenario_flags(util::Flags& flags) {
                 "); oneway/twoway/red-wave",
             "");
   for (const Param& p : kParams) {
-    if (p.kind == kBool) {
+    if (p.kind == kSwitch) {
       flags.flag(p.name, p.help, false);
     } else {
       flags.flag(p.name, p.placeholder, p.help, "");
@@ -382,16 +350,18 @@ std::string scenario_names() {
 SharedOptions parse_shared_flags(const util::Flags& flags) {
   for (const Param& param : kParams) {
     if (!flags.has(param.name)) continue;
-    if (param.kind == kBool) {
+    if (param.kind == kSwitch) {
       flags.get_bool(param.name);  // throws naming the flag and value
     } else {
-      check(param.kind, flags.get_double(param.name, 0.0),
-            std::string("--") + param.name, flags.get(param.name));
+      util::read(param.kind, flags.get(param.name),
+                 std::string("--") + param.name);
     }
   }
-  if (flags.has("jobs")) count_flag<std::size_t>(flags, "jobs");
 
   SharedOptions opts;
+  if (flags.has("jobs")) {
+    opts.jobs = util::read_as<std::size_t>(kCount, flags.get("jobs"), "--jobs");
+  }
   // "--cc tahoe,cubic,vegas"; the registry throws on an unknown name with a
   // did-you-mean suggestion and the valid list.
   const std::string list = flags.get("cc");
@@ -419,31 +389,25 @@ SharedOptions parse_shared_flags(const util::Flags& flags) {
                                   flags.get("audit") + "' (off|counters|full)");
     }
   }
-  const std::int64_t shards = flags.get_int("shards");
-  if (shards < 1) throw std::invalid_argument("--shards must be >= 1");
-  opts.shards = static_cast<std::size_t>(shards);
+  opts.shards =
+      util::read_as<std::size_t>(kCount, flags.get("shards"), "--shards");
+  if (opts.shards < 1) throw std::invalid_argument("--shards must be >= 1");
   return opts;
 }
 
-void check_grid_axes(std::span<const core::SweepAxis> axes) {
-  for (const core::SweepAxis& axis : axes) {
-    if (axis.name == "rep") continue;
-    const Param* param = nullptr;
+std::vector<core::SweepAxis> parse_grid(const std::string& spec) {
+  return core::parse_grid(spec, [](const std::string& name) {
+    if (name == "rep") return kNumber;
     std::string numeric;  // the names an axis may take
     for (const Param& p : kParams) {
-      if (p.kind == kBool) continue;
-      if (axis.name == p.name) param = &p;
+      if (p.kind == kSwitch) continue;
+      if (name == p.name) return p.kind;
       numeric += std::string(p.name) + '|';
     }
-    if (param == nullptr) {
-      throw std::invalid_argument("grid axis '" + axis.name +
-                                  "' names no numeric scenario parameter (" +
-                                  numeric + "rep)");
-    }
-    for (const double v : axis.values) {
-      check(param->kind, v, "grid axis '" + axis.name + "'", shortest(v));
-    }
-  }
+    throw std::invalid_argument("grid axis '" + name +
+                                "' names no numeric scenario parameter (" +
+                                numeric + "rep)");
+  });
 }
 
 core::TopoSpec scenario_spec(const std::string& which,
@@ -467,19 +431,27 @@ core::TopoSpec scenario_spec(const std::string& which,
   if (in.has("duration")) {
     spec.duration = sim::Time::seconds(in.num("duration", 0));
   }
+  in.reject_unread(which);
+  spec.faults.check_run_end(spec.warmup + spec.duration);
   return spec;
 }
 
-template <class T>
-T count_flag(const util::Flags& flags, const std::string& name) {
-  return checked_count<T>(flags.get_double(name), "--" + name,
-                          flags.get(name));
+core::CcMatrixParams cc_matrix_params(const util::Flags& flags,
+                                      const SharedOptions& opts) {
+  const core::SweepPoint point;
+  const Inputs in{point, flags, opts};
+  core::CcMatrixParams p;
+  if (!in.note("cc", opts.cc).empty()) p.algos = opts.cc;
+  p.tau_sec = in.tau(p.tau_sec);
+  p.buffer = in.buffer(p.buffer);
+  p.flows_per_algo = in.conns(p.flows_per_algo);
+  p.fixed_window = in.count("w1", p.fixed_window);
+  p.warmup_sec = in.num("warmup", p.warmup_sec);
+  p.duration_sec = in.num("duration", p.duration_sec);
+  if (opts.audit) p.audit = *opts.audit;
+  in.reject_unread("cc-matrix");
+  return p;
 }
-
-template std::size_t count_flag<std::size_t>(const util::Flags&,
-                                             const std::string&);
-template std::uint32_t count_flag<std::uint32_t>(const util::Flags&,
-                                                 const std::string&);
 
 core::ScenarioSummary run_spec(const core::TopoSpec& spec,
                                const SharedOptions& opts,

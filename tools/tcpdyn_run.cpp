@@ -25,6 +25,7 @@
 #include "core/sweep.h"
 #include "shared_options.h"
 #include "util/flags.h"
+#include "util/value.h"
 
 using namespace tcpdyn;
 using tools::SharedOptions;
@@ -95,20 +96,11 @@ int main(int argc, char** argv) {
       }
     }
     core::CcMatrixParams p;
-    if (!opts.cc.empty()) p.algos = opts.cc;
-    if (flags.has("tau")) p.tau_sec = flags.get_double("tau");
-    if (flags.has("buffer")) {
-      p.buffer = tools::count_flag<std::size_t>(flags, "buffer");
+    try {
+      p = tools::cc_matrix_params(flags, opts);
+    } catch (const std::exception& e) {
+      return fail(flags, e.what());
     }
-    if (flags.has("conns")) {
-      p.flows_per_algo = tools::count_flag<std::size_t>(flags, "conns");
-    }
-    if (flags.has("w1")) {
-      p.fixed_window = tools::count_flag<std::uint32_t>(flags, "w1");
-    }
-    if (flags.has("warmup")) p.warmup_sec = flags.get_double("warmup");
-    if (flags.has("duration")) p.duration_sec = flags.get_double("duration");
-    if (opts.audit) p.audit = *opts.audit;
     core::print_cc_matrix(std::cout, core::run_cc_matrix(p));
     return 0;
   }
@@ -117,7 +109,7 @@ int main(int argc, char** argv) {
   core::ScenarioSummary s;
   try {
     core::SweepPoint point;
-    point.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+    point.seed = util::read_seed(flags.get("seed"), "--seed");
     const core::TopoSpec spec = tools::scenario_spec(which, point, flags, opts);
     // Made before the run, so a directory that cannot be made costs no run.
     if (flags.has("csv-dir")) {

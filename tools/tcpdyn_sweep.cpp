@@ -27,6 +27,7 @@
 #include "util/flags.h"
 #include "util/logging.h"
 #include "util/table.h"
+#include "util/value.h"
 
 using namespace tcpdyn;
 using tools::SharedOptions;
@@ -91,20 +92,17 @@ int main(int argc, char** argv) {
   }
 
   core::SweepGrid grid;
-  try {
-    grid = core::SweepGrid(core::parse_grid(flags.get("grid")));
-    // Flags were checked by parse_shared_flags and axes are checked here,
-    // so scenario_spec sees only valid values.
-    tools::check_grid_axes(grid.axes());
-  } catch (const std::exception& e) {
-    return usage(flags, e.what());
-  }
-
   core::SweepOptions opts;
   try {
-    opts.jobs = tools::count_flag<std::size_t>(flags, "jobs");
-    opts.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+    // Flags were checked by parse_shared_flags and axes are checked here,
+    // so scenario_spec sees only valid values. Building the first point
+    // refuses, before any point runs, a parameter the scenario never reads
+    // (every point reads the same ones).
+    grid = core::SweepGrid(tools::parse_grid(flags.get("grid")));
+    opts.jobs = shared.jobs;
+    opts.seed = util::read_seed(flags.get("seed"), "--seed");
     opts.progress = flags.get_bool("progress");
+    tools::scenario_spec(which, grid.point(0, opts.seed), flags, shared);
   } catch (const std::exception& e) {
     return usage(flags, e.what());
   }
