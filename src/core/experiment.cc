@@ -2,9 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
 #include <stdexcept>
 
+#include "util/value.h"
+
 namespace tcpdyn::core {
+
+sim::Time run_end(sim::Time warmup, sim::Time duration) {
+  using util::ValueKind;
+  if (!util::fits(ValueKind::kDelay, warmup.sec() + duration.sec())) {
+    std::ostringstream got;
+    got << warmup.sec() << " + " << duration.sec();
+    throw util::rejection(ValueKind::kDelay, "warmup + duration", got.str());
+  }
+  return warmup + duration;
+}
 
 void Experiment::hook_host(net::NodeId host_id) {
   if (std::find(hooked_hosts_.begin(), hooked_hosts_.end(), host_id) !=
@@ -143,7 +156,7 @@ ExperimentResult Experiment::run(sim::Time warmup, sim::Time duration) {
     }
   });
 
-  const sim::Time end = warmup + duration;
+  const sim::Time end = run_end(warmup, duration);
   sim_.run_until(end);
 
   ExperimentResult r = assemble_result(warmup, end, delivered_at_warmup);

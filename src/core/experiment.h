@@ -25,6 +25,11 @@
 
 namespace tcpdyn::core {
 
+// warmup + duration, the end of a run. Throws std::invalid_argument naming
+// both when the sum breaks util::ValueKind kDelay's rule (0 <= s < 9.2e9),
+// past which sim::Time's nanoseconds overflow.
+sim::Time run_end(sim::Time warmup, sim::Time duration);
+
 // One packet drop at a monitored port.
 struct DropEvent {
   double time = 0.0;          // seconds

@@ -147,9 +147,10 @@ void load_fault_file(const std::string& path, FaultPlan& plan) {
 
 void FaultPlan::check_run_end(sim::Time end) const {
   const auto check = [end](sim::Time at, const std::string& origin) {
-    if (origin.empty() || at <= end) return;
+    if (at <= end) return;
     std::ostringstream msg;
-    msg << origin << ": fault at " << at.sec()
+    if (!origin.empty()) msg << origin << ": ";
+    msg << "fault at " << at.sec()
         << " s is past the run end (warmup + duration = " << end.sec()
         << " s)";
     throw std::invalid_argument(msg.str());

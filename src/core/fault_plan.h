@@ -39,9 +39,10 @@ struct FaultLinkRef {
   FaultDir dir = FaultDir::kBoth;
 };
 
-// What every entry has: its link, and where it was parsed from ("topology
-// file line 4", "fault file 'f.txt' line 2"), so a later check can name the
-// line. An entry built in code has no origin.
+// What every entry has: its link, and where it came from ("topology file
+// line 4", "fault file 'f.txt' line 2", "chaos flap 3 (--flaps,
+// --flap-period)"), so a later check can name it. An entry built in code
+// may have no origin.
 struct FaultEntry {
   FaultLinkRef link;
   std::string origin;
@@ -107,9 +108,9 @@ class FaultPlan {
   // naming the entry's origin.
   void apply(Experiment& exp, const CompiledTopology& topo) const;
 
-  // Throws std::invalid_argument naming its origin when a parsed down, rate
-  // or delay entry is timed after `end` (warmup + duration): it would never
-  // fire. One at `end` still runs; entries built in code are not checked.
+  // Throws std::invalid_argument naming its origin when a down, rate or
+  // delay entry is timed after `end` (warmup + duration): it would never
+  // fire. One at `end` still runs.
   void check_run_end(sim::Time end) const;
 
  private:

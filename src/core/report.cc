@@ -11,6 +11,12 @@ namespace tcpdyn::core {
 using util::fmt;
 using util::fmt_pct;
 
+double max_ack_compression(const ScenarioSummary& s) {
+  double m = 0.0;
+  for (const auto& [conn, a] : s.ack) m = std::max(m, a.compressed_fraction);
+  return m;
+}
+
 void print_summary(std::ostream& os, const std::string& name,
                    const ScenarioSummary& s) {
   os << "== " << name << " ==\n";
@@ -49,12 +55,8 @@ void print_summary(std::ostream& os, const std::string& name,
   t.add_row({"queue fluct fwd (mean range/tx)", fmt(s.fluct_fwd.mean_range)});
   t.add_row({"queue fluct fwd (max burst rise)", fmt(s.fluct_fwd.max_burst_rise)});
   if (!s.ack.empty()) {
-    double max_compressed = 0.0;
-    for (const auto& [conn, a] : s.ack) {
-      max_compressed = std::max(max_compressed, a.compressed_fraction);
-    }
     t.add_row({"ACK-compressed gap fraction (max over conns)",
-               fmt_pct(max_compressed)});
+               fmt_pct(max_ack_compression(s))});
   }
   if (s.period_fwd) {
     t.add_row({"fwd queue oscillation period", fmt(*s.period_fwd, 1) + "s"});

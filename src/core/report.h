@@ -19,6 +19,10 @@ struct Claim {
   bool holds = false;    // does the measured value match the paper's shape?
 };
 
+// The largest ACK-compressed gap fraction over the summary's connections;
+// 0 when it has none.
+double max_ack_compression(const ScenarioSummary& summary);
+
 // Prints the standard summary block for a scenario.
 void print_summary(std::ostream& os, const std::string& name,
                    const ScenarioSummary& summary);

@@ -132,7 +132,7 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
                              AuditMode audit_mode)
     : plan_(plan_shards(spec.topo, spec.faults, shards)),
       warmup_(spec.warmup),
-      end_(spec.warmup + spec.duration) {
+      end_(run_end(spec.warmup, spec.duration)) {
   const std::size_t n = plan_.shards;
   sims_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {

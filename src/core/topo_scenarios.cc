@@ -74,6 +74,8 @@ TopoSpec chaos_spec(const ChaosParams& p) {
   for (std::size_t k = 0; k < p.flaps && p.outage_sec > 0.0; ++k) {
     LinkOutage o;
     o.link = {"S1", "S2", FaultDir::kBoth};
+    o.origin =
+        "chaos flap " + std::to_string(k + 1) + " (--flaps, --flap-period)";
     o.at = sim::Time::seconds(p.warmup_sec +
                               p.flap_period_sec * static_cast<double>(k + 1));
     o.duration = sim::Time::seconds(p.outage_sec);

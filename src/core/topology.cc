@@ -240,9 +240,9 @@ using util::ValueKind;
   throw std::invalid_argument(msg);
 }
 
-sim::Time seconds(ValueKind kind, const std::string& tok,
-                  const std::string& what) {
-  return sim::Time::seconds(util::read(kind, tok, what));
+// Non-negative seconds: every time, length and delay of the format.
+sim::Time seconds(const std::string& tok, const std::string& what) {
+  return sim::Time::seconds(util::read(ValueKind::kDelay, tok, what));
 }
 
 // A buffer of at least one packet, or "inf". A 0-packet buffer cannot hold
@@ -346,11 +346,11 @@ ConnSpec parse_flow(const TopoSpec& spec, const std::vector<std::string>& args,
     } else if (key == "window") {
       c.fixed_window = read_as<std::uint32_t>(ValueKind::kU32, val, key);
     } else if (key == "start") {
-      c.start_time = seconds(ValueKind::kSeconds, val, key);
+      c.start_time = seconds(val, key);
     } else if (key == "spread") {
-      c.start_spread = seconds(ValueKind::kSeconds, val, key);
+      c.start_spread = seconds(val, key);
     } else if (key == "stop") {
-      c.stop_time = seconds(ValueKind::kSeconds, val, key);
+      c.stop_time = seconds(val, key);
     } else if (key == "seed") {
       c.seed = util::read_seed(val, key);
     } else if (key == "maxwnd") {
@@ -360,12 +360,12 @@ ConnSpec parse_flow(const TopoSpec& spec, const std::vector<std::string>& args,
     } else if (key == "ecn") {
       c.ecn = util::read(ValueKind::kSwitch, val, key) != 0.0;
     } else if (key == "pacing") {
-      c.pacing_interval = seconds(ValueKind::kSeconds, val, key);
+      c.pacing_interval = seconds(val, key);
     } else if (key == "rate") {
       // Open-loop Poisson session arrivals (flows/sec); see ConnSpec.
       c.arrival_rate = util::read(ValueKind::kRate, val, key);
     } else if (key == "session") {
-      c.session_time = seconds(ValueKind::kSeconds, val, key);
+      c.session_time = seconds(val, key);
     } else if (key == "data") {
       c.data_bytes = read_as<std::uint32_t>(ValueKind::kU32, val, key);
     } else if (key == "ack") {
@@ -425,7 +425,7 @@ TopoSpec parse_topology(std::istream& in) {
         l.b = spec.topo.index(args[1]);
         l.bits_per_second = read_as<std::int64_t>(ValueKind::kBitsPerSecond,
                                                   args[2], "link rate");
-        l.delay = seconds(ValueKind::kDelay, args[3], "link delay");
+        l.delay = seconds(args[3], "link delay");
         l.buffer_ab = buffer(args[4]);
         l.buffer_ba = buffer(args[5]);
         if (args.size() > 6) parse_qdisc(l.qdisc, args);
@@ -440,10 +440,12 @@ TopoSpec parse_topology(std::istream& in) {
         ++flow_index;
       } else if (word == "warmup") {
         want(1, "warmup SEC");
-        spec.warmup = seconds(ValueKind::kDelay, args[0], word);
+        spec.warmup = seconds(args[0], word);
+        run_end(spec.warmup, spec.duration);  // the sum, checked on its line
       } else if (word == "duration") {
         want(1, "duration SEC");
-        spec.duration = seconds(ValueKind::kDelay, args[0], word);
+        spec.duration = seconds(args[0], word);
+        run_end(spec.warmup, spec.duration);  // the sum, checked on its line
       } else if (word == "epoch_gap") {
         want(1, "epoch_gap SEC");
         spec.epoch_gap_sec = util::read(ValueKind::kDelay, args[0], word);
@@ -466,7 +468,7 @@ TopoSpec parse_topology(std::istream& in) {
   if (const auto node = spec.topo.first_unreachable()) {
     parse_error(node_lines[*node], spec.topo.unreachable_message(*node));
   }
-  spec.faults.check_run_end(spec.warmup + spec.duration);
+  spec.faults.check_run_end(run_end(spec.warmup, spec.duration));
   return spec;
 }
 

@@ -19,8 +19,8 @@ class Time {
     return Time(ms * 1'000'000);
   }
   // |s| must stay below 9.2e9, or the int64 nanosecond count overflows (an
-  // undefined conversion); text is read as util::ValueKind kSeconds or
-  // kDelay, which check it.
+  // undefined conversion); text is read as util::ValueKind kDelay, which
+  // checks it, and core::run_end checks a run's warmup + duration.
   static constexpr Time seconds(double s) {
     return Time(static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5)));
   }

@@ -8,7 +8,7 @@
 //
 // The paper conjectures that ACK-compression and the synchronization modes
 // afflict ANY nonpaced window-based algorithm; RenoCc exists to test that
-// conjecture (bench_reno_twoway) — Reno changes the loss response, not the
+// conjecture (claim set reno_twoway) — Reno changes the loss response, not the
 // ACK-triggered transmission pattern, so the phenomena should persist.
 #pragma once
 

@@ -26,15 +26,13 @@ struct Rule {
 constexpr double k2p32 = 4294967296.0;
 constexpr double k2p63 = 9223372036854775808.0;
 constexpr double k2p64 = 18446744073709551616.0;
-// sim::Time holds int64 nanoseconds: |s| < 9.2e9 stays clear of 2^63 ns.
+// sim::Time holds int64 nanoseconds: s < 9.2e9 stays clear of 2^63 ns.
 constexpr double kMaxSeconds = 9.2e9;
 
 constexpr Rule kRules[] = {
     {-DBL_MAX, DBL_MAX, false, false, false, "a finite decimal number"},
     {-k2p63, k2p63, false, true, true,
      "a whole number from -9223372036854775808 to 9223372036854775807"},
-    {-kMaxSeconds, kMaxSeconds, true, true, false,
-     "finite seconds with |s| < 9.2e9"},
     {0.0, kMaxSeconds, false, true, false,
      "finite seconds with 0 <= s < 9.2e9"},
     {0.0, k2p64, false, true, true,

@@ -21,8 +21,7 @@ namespace tcpdyn::util {
 enum class ValueKind : std::uint8_t {
   kNumber,         // any number (the rep axis, range bounds, bench flags)
   kInteger,        // a whole number an int64 holds
-  kSeconds,        // |s| < 9.2e9, which sim::Time's int64 ns hold
-  kDelay,          // seconds, 0 <= s < 9.2e9
+  kDelay,          // seconds, 0 <= s < 9.2e9, which sim::Time's ns hold
   kCount,          // a whole number a size_t holds
   kU32,            // a whole number a uint32 holds
   kBuffer,         // a whole number of packets, at least 1

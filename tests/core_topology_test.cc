@@ -462,7 +462,8 @@ TEST(TopologyFile, FaultDirectionMayStandAnywhere) {
 }
 
 // Every field that becomes a sim::Time goes through one checked conversion:
-// NaN, +-inf and |s| >= 9.2e9 would overflow the nanosecond count.
+// NaN, +-inf and s >= 9.2e9 would overflow the nanosecond count, and a
+// negative flow time would run as 0 or as no stop.
 TEST(TopologyFile, TimeFieldsMustBeRepresentable) {
   const auto error_of = [](const std::string& line) {
     std::istringstream in("host H1\nhost H2\nlink H1 H2 50000 0.01 20 20\n" +
@@ -474,26 +475,31 @@ TEST(TopologyFile, TimeFieldsMustBeRepresentable) {
       return std::string(e.what());
     }
   };
-  const std::string tail = " must be finite seconds with |s| < 9.2e9, got '";
   const std::string run = " must be finite seconds with 0 <= s < 9.2e9, got '";
   EXPECT_EQ(error_of("warmup nan"),
             "topology file line 4: warmup" + run + "nan'");
   EXPECT_EQ(error_of("duration 9.2e9"),
             "topology file line 4: duration" + run + "9.2e9'");
   EXPECT_EQ(error_of("flow H1 H2 start=inf"),
-            "topology file line 4: start" + tail + "inf'");
+            "topology file line 4: start" + run + "inf'");
   EXPECT_EQ(error_of("flow H1 H2 spread=-inf"),
-            "topology file line 4: spread" + tail + "-inf'");
+            "topology file line 4: spread" + run + "-inf'");
   EXPECT_EQ(error_of("flow H1 H2 stop=1e300"),
-            "topology file line 4: stop" + tail + "1e300'");
+            "topology file line 4: stop" + run + "1e300'");
   EXPECT_EQ(error_of("flow H1 H2 rate=1 session=nan"),
-            "topology file line 4: session" + tail + "nan'");
+            "topology file line 4: session" + run + "nan'");
   EXPECT_EQ(error_of("flow H1 H2 pacing=-9.3e9"),
-            "topology file line 4: pacing" + tail + "-9.3e9'");
+            "topology file line 4: pacing" + run + "-9.3e9'");
   EXPECT_EQ(error_of("link H2 H1 50000 inf 20 20"),
             "topology file line 4: link delay must be finite seconds with "
             "0 <= s < 9.2e9, got 'inf'");
-  EXPECT_EQ(error_of("flow H1 H2 start=9.1e9 stop=-9.1e9"), "no error");
+  EXPECT_EQ(error_of("flow H1 H2 start=9.1e9 stop=-9.1e9"),
+            "topology file line 4: stop" + run + "-9.1e9'");
+  EXPECT_EQ(error_of("flow H1 H2 stop=-10"),
+            "topology file line 4: stop" + run + "-10'");
+  EXPECT_EQ(error_of("flow H1 H2 spread=-3"),
+            "topology file line 4: spread" + run + "-3'");
+  EXPECT_EQ(error_of("flow H1 H2 start=9.1e9 stop=9.1e9"), "no error");
 }
 
 // Unsigned fields are range-checked against their type, so a negative

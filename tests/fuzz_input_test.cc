@@ -213,7 +213,7 @@ TEST(FuzzInputFaults, FaultScriptMutantsAreRejectedOrRun) {
     core::TopoSpec spec = base;
     try {
       core::load_fault_file(path, spec.faults);
-      spec.faults.check_run_end(spec.warmup + spec.duration);
+      spec.faults.check_run_end(core::run_end(spec.warmup, spec.duration));
       run_capped(spec, tally);
     } catch (const std::invalid_argument& e) {
       expect_named(e.what(), "line ", mutant, tally);

@@ -18,7 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "core/cc_matrix.h"
 #include "core/fault_plan.h"
+#include "core/scenarios.h"
+#include "core/shard_engine.h"
 #include "core/sweep.h"
 #include "core/topology.h"
 #include "shared_options.h"
@@ -73,7 +76,6 @@ const std::vector<std::string> kHostile = {
 
 // The hostile tokens each kind accepts; it rejects the rest.
 const std::map<ValueKind, std::set<std::string>> kAccepted = {
-    {ValueKind::kSeconds, {"-0", "-1", "2.5"}},
     {ValueKind::kDelay, {"-0", "2.5"}},
     {ValueKind::kCount, {"-0"}},
     {ValueKind::kU32, {"-0"}},
@@ -165,10 +167,15 @@ TEST(InputValues, EveryKindHasOneVerdictAndMessageOnEverySurface) {
   };
   const std::set<std::string> positional = {""};
   const std::vector<Field> fields = {
-      {ValueKind::kSeconds, "start", topo("flow H1 H2 start=TOKEN")},
-      {ValueKind::kSeconds, "stop", topo("flow H1 H2 stop=TOKEN")},
-      {ValueKind::kSeconds, "--pacing", flag("pacing")},
-      {ValueKind::kSeconds, "grid axis 'session'", axis("session")},
+      {ValueKind::kDelay, "start", topo("flow H1 H2 start=TOKEN")},
+      {ValueKind::kDelay, "spread", topo("flow H1 H2 spread=TOKEN")},
+      {ValueKind::kDelay, "stop", topo("flow H1 H2 stop=TOKEN")},
+      {ValueKind::kDelay, "pacing", topo("flow H1 H2 pacing=TOKEN")},
+      {ValueKind::kDelay, "session", topo("flow H1 H2 rate=1 session=TOKEN")},
+      {ValueKind::kDelay, "--pacing", flag("pacing")},
+      {ValueKind::kDelay, "--session", flag("session")},
+      {ValueKind::kDelay, "grid axis 'pacing'", axis("pacing")},
+      {ValueKind::kDelay, "grid axis 'session'", axis("session")},
       {ValueKind::kDelay, "warmup", topo("warmup TOKEN"), positional},
       {ValueKind::kDelay, "--duration", flag("duration")},
       {ValueKind::kDelay, "grid axis 'duration'", axis("duration")},
@@ -432,8 +439,66 @@ TEST(ScenarioReads, FaultsPastTheFinalRunEndAreRefused) {
                 "duration = 500 s)");
   EXPECT_EQ(error_of("fig4", {"--faults", faults, "--duration", "8900"}, {}),
             "ok");
-  // A scenario's own schedule, built in code, is not a parsed input.
-  EXPECT_EQ(error_of("chaos", {"--duration", "10"}, {}), "ok");
+  // So is a flap of the chaos scenario's own schedule, naming the flags
+  // that time it.
+  EXPECT_EQ(error_of("chaos", {"--duration", "10"}, {}),
+            "chaos flap 1 (--flaps, --flap-period): fault at 160 s is past "
+            "the run end (warmup + duration = 110 s)");
+  EXPECT_EQ(error_of("chaos", {"--duration", "120", "--warmup", "20"}, {}),
+            "chaos flap 3 (--flaps, --flap-period): fault at 200 s is past "
+            "the run end (warmup + duration = 140 s)");
+  EXPECT_EQ(error_of("chaos", {"--duration", "120", "--flaps", "2"}, {}),
+            "ok");
+  // An entry built in code without an origin is checked too.
+  core::FaultPlan plan;
+  plan.add_outage({{{"S1", "S2"}, ""}, sim::Time::seconds(9.0), {}});
+  EXPECT_EQ(outcome([&] { plan.check_run_end(sim::Time::seconds(8.0)); }),
+            "fault at 9 s is past the run end (warmup + duration = 8 s)");
+}
+
+// warmup + duration past sim::Time's range fails naming both fields on
+// every surface that sets a run length: a .topo's lines (the one that
+// overflows the sum), the tools' flags and a sweep's axes. Each part alone
+// is in range.
+const std::string kRunEndTooLate =
+    "warmup + duration must be finite seconds with 0 <= s < 9.2e9, got "
+    "'9e+09 + 9e+09'";
+
+TEST(RunEnd, TopoLinesNameTheSum) {
+  EXPECT_EQ(topo("warmup TOKEN")("9e9"), "ok");
+  std::istringstream in("host H1\nhost H2\nlink H1 H2 50000 0.01 20 20\n"
+                        "duration 9e9\nwarmup 9e9\n");
+  EXPECT_EQ(outcome([&] { core::parse_topology(in); }),
+            "topology file line 5: " + kRunEndTooLate);
+}
+
+TEST(RunEnd, FlagsNameTheSum) {
+  const util::Flags f = tool_flags({"--warmup", "9e9", "--duration", "9e9"});
+  const tools::SharedOptions opts = tools::parse_shared_flags(f);
+  EXPECT_EQ(outcome([&] { tools::scenario_spec("fig4", {}, f, opts); }),
+            kRunEndTooLate);
+  // cc-matrix builds its cells outside scenario_spec; their runs refuse it.
+  EXPECT_EQ(outcome([&] {
+              core::run_cc_matrix(tools::cc_matrix_params(f, opts));
+            }),
+            kRunEndTooLate);
+}
+
+TEST(RunEnd, AxesNameTheSum) {
+  const util::Flags f = tool_flags({"--duration", "9e9"});
+  const tools::SharedOptions opts = tools::parse_shared_flags(f);
+  core::SweepPoint point;
+  point.params = {{"warmup", 9e9}};
+  EXPECT_EQ(outcome([&] { tools::scenario_spec("fig2", point, f, opts); }),
+            kRunEndTooLate);
+  // Both engines check the sum they run to.
+  core::TopoSpec spec = core::fig4_twoway();
+  spec.warmup = sim::Time::seconds(9e9);
+  spec.duration = sim::Time::seconds(9e9);
+  EXPECT_EQ(outcome([&] { core::ShardedEngine engine(spec, 2); }),
+            kRunEndTooLate);
+  core::Scenario sc(spec);
+  EXPECT_EQ(outcome([&] { core::run_scenario(sc); }), kRunEndTooLate);
 }
 
 // Half of a sweep's point seeds lie above 2^63; tcpdyn_run --seed reads

@@ -41,7 +41,7 @@ constexpr Param kParams[] = {
     {"w2", kU32, "PKTS", "fixed-window size, reverse"},
     {"maxwnd", kU32, "PKTS", "delayed-ack scenario window cap"},
     {"spread", kDelay, "SEC", "rtt scenario access-delay spread"},
-    {"pacing", kSeconds, "SEC", "oneway/twoway pacing interval (0 = none)"},
+    {"pacing", kDelay, "SEC", "oneway/twoway pacing interval (0 = none)"},
     {"delayed-ack", kSwitch, "", "oneway/twoway receivers delay their ACKs"},
     {"ecn", kSwitch, "", "flows negotiate ECN (oneway/twoway/red-wave)"},
     {"hops", kCount, "N", "parking-lot/red-wave trunk links"},
@@ -57,7 +57,7 @@ constexpr Param kParams[] = {
     {"flows-per-sender", kCount, "N", "datacenter sessions per sender"},
     {"arrival-rate", kRate, "R",
      "datacenter per-sender session arrivals/sec (0 = closed population)"},
-    {"session", kSeconds, "SEC", "datacenter session length (0 = forever)"},
+    {"session", kDelay, "SEC", "datacenter session length (0 = forever)"},
     {"warmup", kDelay, "SEC", "scenario warmup"},
     {"duration", kDelay, "SEC", "measured duration"},
 };
@@ -432,7 +432,7 @@ core::TopoSpec scenario_spec(const std::string& which,
     spec.duration = sim::Time::seconds(in.num("duration", 0));
   }
   in.reject_unread(which);
-  spec.faults.check_run_end(spec.warmup + spec.duration);
+  spec.faults.check_run_end(core::run_end(spec.warmup, spec.duration));
   return spec;
 }
 

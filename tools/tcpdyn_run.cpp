@@ -95,13 +95,13 @@ int main(int argc, char** argv) {
         return fail(flags, std::string("cc-matrix does not support --") + flag);
       }
     }
-    core::CcMatrixParams p;
+    core::CcMatrixResult matrix;
     try {
-      p = tools::cc_matrix_params(flags, opts);
+      matrix = core::run_cc_matrix(tools::cc_matrix_params(flags, opts));
     } catch (const std::exception& e) {
       return fail(flags, e.what());
     }
-    core::print_cc_matrix(std::cout, core::run_cc_matrix(p));
+    core::print_cc_matrix(std::cout, matrix);
     return 0;
   }
 

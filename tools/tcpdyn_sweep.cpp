@@ -95,14 +95,17 @@ int main(int argc, char** argv) {
   core::SweepOptions opts;
   try {
     // Flags were checked by parse_shared_flags and axes are checked here,
-    // so scenario_spec sees only valid values. Building the first point
+    // so scenario_spec sees only valid values. Building every point
     // refuses, before any point runs, a parameter the scenario never reads
-    // (every point reads the same ones).
+    // and a value only some points break (a run end past sim::Time's
+    // range, a fault past the run end).
     grid = core::SweepGrid(tools::parse_grid(flags.get("grid")));
     opts.jobs = shared.jobs;
     opts.seed = util::read_seed(flags.get("seed"), "--seed");
     opts.progress = flags.get_bool("progress");
-    tools::scenario_spec(which, grid.point(0, opts.seed), flags, shared);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      tools::scenario_spec(which, grid.point(i, opts.seed), flags, shared);
+    }
   } catch (const std::exception& e) {
     return usage(flags, e.what());
   }
