@@ -1,6 +1,8 @@
-// Experiment: owns a simulator, a network, and a set of connections, and
+// Experiment: owns a simulator, a network, and a set of flows, and
 // instruments designated ports (queue-length traces, drop events, departure
-// order) and all connections (cwnd traces, ACK arrival times at sources).
+// order) and all flows (cwnd traces, ACK arrival times at sources). A flow
+// is a closed connection, built at setup, or a session of an open-loop
+// Poisson spec, whose endpoints exist only while it runs (DESIGN.md §13.4).
 // Running it produces an ExperimentResult that the analysis layer and the
 // bench harnesses consume.
 #pragma once
@@ -10,16 +12,17 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/audit.h"
+#include "core/conn_spec.h"
 #include "core/event_trace.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
 #include "tcp/connection.h"
+#include "util/rng.h"
 #include "util/streaming_series.h"
 #include "util/time_series.h"
 
@@ -89,6 +92,28 @@ struct ExperimentResult {
   AuditTotals audit;
 };
 
+// The record of one declared flow, kept for the whole run whether or not
+// its endpoints still exist; ExperimentResult::senders and ::delivered are
+// read from it. In a sharded run the source half is written only on the
+// source host's shard and the destination half only on the destination
+// host's.
+struct FlowRecord {
+  net::ConnId id = 0;
+  net::NodeId dst = net::kInvalidNode;
+  tcp::Connection* connection = nullptr;  // a closed flow's endpoints
+  // --- source half ---------------------------------------------------
+  // When the flow starts and stops sending (stop zero: never). A session's
+  // are set when it arrives, and after the run also for the sessions it
+  // ended before, at the times their spec's stream drew for them.
+  sim::Time start;
+  sim::Time stop;
+  std::unique_ptr<tcp::WindowSender> sender;  // a session, while it runs
+  tcp::SenderCounters sent;                   // a session, once it stopped
+  // --- destination half ----------------------------------------------
+  std::unique_ptr<tcp::Receiver> receiver;  // a session, from its first data
+  std::uint64_t delivered_at_warmup = 0;    // in-order count at warmup
+};
+
 class Experiment {
  public:
   Experiment() : net_(sim_) {}
@@ -98,13 +123,31 @@ class Experiment {
   sim::Simulator& sim() { return sim_; }
   net::Network& network() { return net_; }
 
-  // Adds a connection (the network's routes must already be computed) and
-  // instruments it: cwnd trace for Tahoe senders, ACK-arrival trace at the
-  // source host.
+  // Adds a closed connection (the network's routes must already be
+  // computed) and instruments it: cwnd trace for adaptive senders, ACK
+  // arrival trace at the source host.
   tcp::Connection& add_connection(const tcp::ConnectionConfig& config);
 
+  // Declares the spec.count sessions of an open-loop spec
+  // (spec.arrival_rate > 0) from `src` to `dst`, with ids flow_count()
+  // onwards. Only the spec's next arrival is pending: a session's sender
+  // is built when it arrives and freed when it stops, and its receiver is
+  // built by the destination host when the first data packet lands. Each
+  // arrival and stop runs at the key it would have had as a connection
+  // added here, because its ties are reserved from the source host's
+  // context now.
+  void add_sessions(const ConnSpec& spec, net::NodeId src, net::NodeId dst);
+
+  // The closed connections, in add order; sessions are not among them.
   std::size_t connection_count() const { return conns_.size(); }
   tcp::Connection& connection(std::size_t i) { return *conns_.at(i); }
+
+  // Every declared flow, closed or session, in declaration order.
+  std::size_t flow_count() const { return flows_.size(); }
+  const FlowRecord& flow(std::size_t i) const { return flows_.at(i); }
+  // Room for `n` records in all, so a large declaration grows the table
+  // once.
+  void reserve_flows(std::size_t n);
 
   // Attaches queue/drop/departure tracing to the transmit port from->to.
   // Ports are reported in ExperimentResult::ports in monitor() call order.
@@ -164,15 +207,71 @@ class Experiment {
     util::StreamingSeries stream{64};
   };
 
+  // One open-loop spec's sessions: what they share and the chain of
+  // arrivals, of which only the next is pending. Its events key under the
+  // source host's context with ties reserved at setup: session j's arrival
+  // takes first_tie + ties_each * j and its stop the tie after.
+  struct SessionSource {
+    SessionSource() = default;
+    SessionSource(const SessionSource&) = delete;  // events hold its address
+    SessionSource& operator=(const SessionSource&) = delete;
+
+    tcp::ConnectionConfig config;  // every session's, but id and times
+    std::size_t first = 0;         // flows_ index (and id) of session 0
+    std::size_t count = 0;
+    sim::Time session;  // each session's length; zero: config.stop_time
+    double rate = 0.0;
+    net::Host* host = nullptr;      // the source host
+    sim::Simulator* sim = nullptr;  // the source host's
+    std::uint64_t birth = 0;  // setup clock (ns), every key's birth time
+    std::uint64_t first_tie = 0;
+    std::uint64_t ties_each = 1;  // 2 when sessions stop
+    // The controller's facts, read once from a prototype.
+    bool sack = false;
+    bool adaptive = false;
+    double initial_cwnd = 0.0;
+    bool traced = false;  // per-flow traces were on when declared
+    // The chain, advanced on the source host's shard: the pending
+    // arrival's session index and its accumulated Poisson gaps.
+    util::Rng rng{0};
+    std::size_t next = 0;
+    double arrival_sec = 0.0;
+  };
+
   void hook_host(net::NodeId host_id);
+  // The trace entries of an instrumented flow, made at setup so no shared
+  // map grows during the run. The recorders attach to its sender when the
+  // sender is built.
+  void declare_traces(net::ConnId id, bool adaptive);
+  void trace_sender(tcp::WindowSender& sender, net::ConnId id);
+
+  // The session chain. An arrival stamps its record, builds and starts its
+  // sender, schedules its own stop and the next arrival; a stop folds the
+  // sender's counters into the record and frees it. stamp_arrival sets the
+  // pending arrival's times (and, traced, its first cwnd point);
+  // draw_next_arrival moves the chain on and is false past the last.
+  FlowRecord& stamp_arrival(SessionSource& s);
+  bool draw_next_arrival(SessionSource& s);
+  void schedule_arrival(SessionSource& s);
+  void schedule_stop(SessionSource& s, std::size_t j, sim::Time at);
+  void arrive(SessionSource& s);
+  void retire(SessionSource& s, std::size_t j);
+  // The demux miss at a session's hosts: the destination builds the
+  // receiver at the first data packet, and an ACK for a retired sender is
+  // ignored. Null for a packet of no session.
+  const SessionSource* source_of(net::ConnId id) const;
+  net::PacketSink* session_endpoint(const net::Packet& p);
+  // After the run: stamps the sessions it ended before.
+  void finish_sessions();
+
+  // A flow's counters and in-order delivery count, wherever they live now.
+  static const tcp::SenderCounters& counters(const FlowRecord& f);
+  static std::uint64_t next_expected(const FlowRecord& f);
 
   // Result assembly shared by run() and the sharded engine: port traces,
-  // drops, per-connection series, and window-relative delivery counts.
-  // delivered_at_warmup[i] is conns_[i]'s delivery count at the start of
-  // the window. Leaves the audit section to close_audit.
-  ExperimentResult assemble_result(
-      sim::Time warmup, sim::Time end,
-      std::span<const std::uint64_t> delivered_at_warmup);
+  // drops, per-flow series, and window-relative delivery counts from the
+  // records. Leaves the audit section to close_audit.
+  ExperimentResult assemble_result(sim::Time warmup, sim::Time end);
 
   // Closes the run's conservation books into r.audit, shared by run() and
   // the sharded engine: finalizes `ledger` at `end` when there is one, else
@@ -183,6 +282,8 @@ class Experiment {
   sim::Simulator sim_;
   net::Network net_;
   std::vector<std::unique_ptr<tcp::Connection>> conns_;
+  std::vector<FlowRecord> flows_;  // sized at setup, never during the run
+  std::deque<SessionSource> sessions_;  // deque: events hold references
   std::vector<std::unique_ptr<MonitoredPort>> monitored_;
   std::vector<DropEvent> drops_;
   std::map<net::ConnId, util::TimeSeries> cwnd_;

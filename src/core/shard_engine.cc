@@ -195,31 +195,18 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
     }
   }
 
-  // Per-connection traces that serial runs create lazily at the first
-  // sample would rehash their map concurrently here; pre-create every entry
-  // (empty ones are erased after assembly to match serial output exactly),
-  // and snapshot warmup delivery counts shard-locally: each shard writes
-  // only its own connections' slots.
-  const auto& conns = exp_->conns_;
-  delivered_at_warmup_.assign(conns.size(), 0);
-  std::vector<std::vector<std::size_t>> by_dst_shard(n);
-  for (std::size_t i = 0; i < conns.size(); ++i) {
-    const tcp::ConnectionConfig& config = conns[i]->config();
-    if (exp_->instrument_flows_) {
-      instrumented_conns_.push_back(config.id);
-      exp_->rtt_samples_.try_emplace(config.id);
-    }
-    by_dst_shard[plan_.shard_of.at(config.dst_host)].push_back(i);
-  }
+  // Snapshot warmup delivery counts shard-locally: each shard writes the
+  // destination half of the records whose receivers it owns. (The per-flow
+  // trace entries already exist: the experiment makes them at setup.)
   for (std::size_t s = 0; s < n; ++s) {
     sims_[s]->activate_engine_context();
-    sims_[s]->schedule_at(
-        warmup_, [this, indices = std::move(by_dst_shard[s])] {
-          for (const std::size_t i : indices) {
-            delivered_at_warmup_[i] =
-                exp_->conns_[i]->receiver().next_expected();
-          }
-        });
+    sims_[s]->schedule_at(warmup_, [this, s] {
+      for (FlowRecord& f : exp_->flows_) {
+        if (plan_.shard_of[f.dst] == s) {
+          f.delivered_at_warmup = Experiment::next_expected(f);
+        }
+      }
+    });
   }
 }
 
@@ -349,17 +336,7 @@ ExperimentResult ShardedEngine::run() {
     exp_->drops_ = std::move(merged);
   }
 
-  ExperimentResult r =
-      exp_->assemble_result(warmup_, end_, delivered_at_warmup_);
-  // Serial runs create a connection's RTT series lazily at its first
-  // accepted sample; drop the pre-created empty ones so the assembled
-  // result is byte-identical.
-  for (net::ConnId id : instrumented_conns_) {
-    auto it = r.rtt_samples.find(id);
-    if (it != r.rtt_samples.end() && it->second.empty()) {
-      r.rtt_samples.erase(it);
-    }
-  }
+  ExperimentResult r = exp_->assemble_result(warmup_, end_);
 
   Audit* ledger = nullptr;
   if (!audits_.empty()) {

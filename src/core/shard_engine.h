@@ -134,8 +134,6 @@ class ShardedEngine {
   std::deque<Audit> audits_;  // per shard; empty unless kFull
   std::vector<std::vector<std::vector<MailEntry>>> mail_;  // [src][dst]
   std::vector<std::vector<DropEvent>> drop_bufs_;  // per monitored port
-  std::vector<std::uint64_t> delivered_at_warmup_;  // by connection index
-  std::vector<net::ConnId> instrumented_conns_;
 
   // Barrier-round state. H_ and done_ are written only by the barrier
   // completion function and read by workers after the barrier releases

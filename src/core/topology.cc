@@ -193,34 +193,30 @@ std::size_t TrafficMatrix::flow_count() const {
 
 std::size_t TrafficMatrix::instantiate(Experiment& exp,
                                        const CompiledTopology& topo) const {
-  net::ConnId next_id = static_cast<net::ConnId>(exp.connection_count());
-  std::size_t added = 0;
+  const std::size_t before = exp.flow_count();
+  exp.reserve_flows(before + flow_count());
   for (const ConnSpec& s : specs_) {
     const net::NodeId src = topo.id(s.src);
     const net::NodeId dst = topo.id(s.dst);
+    if (s.arrival_rate > 0.0) {
+      exp.add_sessions(s, src, dst);
+      continue;
+    }
     util::Rng rng(s.seed);
-    double arrival_sec = 0.0;  // accumulated Poisson inter-arrival gaps
     for (std::size_t j = 0; j < s.count; ++j) {
       tcp::ConnectionConfig cfg = s.to_config();
-      cfg.id = next_id++;
+      cfg.id = static_cast<net::ConnId>(exp.flow_count());
       cfg.src_host = src;
       cfg.dst_host = dst;
-      if (s.arrival_rate > 0.0) {
-        arrival_sec += rng.exponential(s.arrival_rate);
-        cfg.start_time = s.start_time + sim::Time::seconds(arrival_sec);
-        if (s.session_time > sim::Time::zero()) {
-          cfg.stop_time = cfg.start_time + s.session_time;
-        }
-      } else if (s.start_spread > sim::Time::zero()) {
+      if (s.start_spread > sim::Time::zero()) {
         cfg.start_time =
             s.start_time +
             sim::Time::seconds(rng.uniform(0.0, s.start_spread.sec()));
       }
       exp.add_connection(cfg);
-      ++added;
     }
   }
-  return added;
+  return exp.flow_count() - before;
 }
 
 // ----------------------------------------------------------- file parser

@@ -131,12 +131,15 @@ class TrafficMatrix {
   // Total flows across all specs (sum of counts).
   std::size_t flow_count() const;
 
-  // Expands every spec into its flows and adds them to `exp`, resolving
-  // named endpoints via `topo`. Connection ids are assigned densely in spec
-  // order starting at exp.connection_count(). Start jitter for spec k's
-  // flows is drawn from Rng(spec.seed), one uniform draw per flow, so specs
-  // never perturb each other. Returns the number of flows added. Throws
-  // std::out_of_range for an endpoint `topo` does not name.
+  // Expands every spec into its flows and declares them on `exp`,
+  // resolving named endpoints via `topo`. Flow ids are assigned densely in
+  // spec order starting at exp.flow_count(). A closed spec's flows are
+  // connections built now, their start jitter drawn from Rng(spec.seed),
+  // one uniform draw per flow, so specs never perturb each other. An
+  // open-loop spec (arrival_rate > 0) declares sessions that are built as
+  // they arrive (Experiment::add_sessions). Returns the number of flows
+  // declared. Throws std::out_of_range for an endpoint `topo` does not
+  // name.
   std::size_t instantiate(Experiment& exp, const CompiledTopology& topo) const;
 
  private:

@@ -8,6 +8,19 @@ void Host::register_endpoint(ConnId conn, PacketKind kind, PacketSink* sink) {
   endpoints_[key(conn, kind)] = sink;
 }
 
+void Host::unregister_endpoint(ConnId conn, PacketKind kind) {
+  endpoints_.erase(key(conn, kind));
+}
+
+PacketSink* Host::resolve_miss(const Packet& p) {
+  PacketSink* sink = on_miss_ ? on_miss_(p) : nullptr;
+  if (sink == nullptr) {
+    throw std::logic_error(name() + ": no endpoint for conn " +
+                           std::to_string(p.conn));
+  }
+  return sink;
+}
+
 void Host::send(Packet pkt) {
   if (!port_) throw std::logic_error(name() + ": host has no access link");
   ++counters_.created;
@@ -19,15 +32,13 @@ void Host::send(Packet pkt) {
 void Host::receive(Packet pkt) {
   auto process = [this, p = std::move(pkt)]() {
     auto it = endpoints_.find(key(p.conn, p.kind));
-    if (it == endpoints_.end()) {
-      throw std::logic_error(name() + ": no endpoint for conn " +
-                             std::to_string(p.conn));
-    }
+    PacketSink* sink =
+        it != endpoints_.end() ? it->second : resolve_miss(p);
     ++counters_.delivered;
     counters_.bytes_delivered += p.size_bytes;
     if (observer_ != nullptr) observer_->on_deliver(sim_.now(), p);
     if (on_deliver) on_deliver(sim_.now(), p);
-    it->second->deliver(p);
+    sink->deliver(p);
   };
   static_assert(sim::Scheduler::Action::fits<decltype(process)>,
                 "host-processing event (pointer + Packet) must stay inline");

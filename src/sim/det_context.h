@@ -34,4 +34,24 @@ inline std::uint64_t det_tie_next(DetContext& ctx) {
          ctx.emitted++;
 }
 
+// Reserves the next `n` ties of `ctx` at once: the ties `n` det_tie_next
+// draws would return are first, first + 1, ..., first + n - 1, and the
+// context moves on as they would move it. Throws det_tie_next's error when
+// one of them would pass the 2^40 bound. Events keyed later from a
+// reservation (Simulator::schedule_at_keyed) sort exactly where events
+// drawn one by one would have.
+inline std::uint64_t det_tie_reserve(DetContext& ctx, std::uint64_t n) {
+  constexpr std::uint64_t kTies = std::uint64_t{1} << kDetTieEmittedBits;
+  if (n > 0 && (ctx.emitted >= kTies || n > kTies - ctx.emitted))
+      [[unlikely]] {
+    DetContext spent{ctx.id, kTies};
+    det_tie_next(spent);  // throws its error
+  }
+  const std::uint64_t first =
+      (static_cast<std::uint64_t>(ctx.id) << kDetTieEmittedBits) |
+      ctx.emitted;
+  ctx.emitted += n;
+  return first;
+}
+
 }  // namespace tcpdyn::sim

@@ -2,8 +2,7 @@
 
 namespace tcpdyn::tcp {
 
-Connection::Connection(net::Network& network, ConnectionConfig config)
-    : config_(config) {
+SenderParams sender_params(const ConnectionConfig& config) {
   SenderParams sp;
   sp.conn = config.id;
   sp.self = config.src_host;
@@ -14,14 +13,10 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
   sp.pacing_interval = config.pacing_interval;
   sp.ecn = config.ecn;
   sp.rtt = config.rtt;
+  return sp;
+}
 
-  auto& src = network.host(config.src_host);
-  auto& dst = network.host(config.dst_host);
-
-  sender_ = std::make_unique<WindowSender>(network.sim_for(config.src_host),
-                                           src, sp,
-                                           make_congestion_control(config));
-
+ReceiverParams receiver_params(const ConnectionConfig& config, bool sack) {
   ReceiverParams rp;
   rp.conn = config.id;
   rp.self = config.dst_host;
@@ -29,11 +24,19 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
   rp.ack_bytes = config.ack_bytes;
   rp.delayed_ack = config.delayed_ack;
   rp.ecn = config.ecn;
-  // The receiver advertises SACK blocks exactly when the sender's
-  // controller runs scoreboard recovery (both ends negotiate the option).
-  rp.sack = sender_->cc().wants_sack();
-  receiver_ =
-      std::make_unique<Receiver>(network.sim_for(config.dst_host), dst, rp);
+  rp.sack = sack;
+  return rp;
+}
+
+Connection::Connection(net::Network& network, ConnectionConfig config)
+    : config_(config) {
+  auto& src = network.host(config.src_host);
+  sender_ = std::make_unique<WindowSender>(network.sim_for(config.src_host),
+                                           src, sender_params(config),
+                                           make_congestion_control(config));
+  receiver_ = std::make_unique<Receiver>(
+      network.sim_for(config.dst_host), network.host(config.dst_host),
+      receiver_params(config, sender_->cc().wants_sack()));
 
   // The start/stop events are the only ones a connection schedules at
   // setup. They key under the source host's context, and the sender's first

@@ -42,6 +42,12 @@ struct ConnectionConfig : CcConfig {
   RttParams rtt;
 };
 
+// The two endpoints' halves of a connection's configuration. `sack` says
+// whether the sender's controller runs scoreboard recovery, which the
+// receiver then supports with SACK blocks (both ends negotiate the option).
+SenderParams sender_params(const ConnectionConfig& config);
+ReceiverParams receiver_params(const ConnectionConfig& config, bool sack);
+
 class Connection {
  public:
   // Creates both endpoints and schedules the sender's start. The network's

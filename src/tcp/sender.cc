@@ -29,11 +29,13 @@ const SackScoreboard& WindowSender::scoreboard() const {
 
 void WindowSender::start(sim::Time at) {
   assert(at >= sim_.now());
-  sim_.schedule(at - sim_.now(), [this] {
-    started_ = true;
-    next_pacing_slot_ = sim_.now();
-    send_available();
-  });
+  sim_.schedule(at - sim_.now(), [this] { start_now(); });
+}
+
+void WindowSender::start_now() {
+  started_ = true;
+  next_pacing_slot_ = sim_.now();
+  send_available();
 }
 
 void WindowSender::stop(sim::Time at) {

@@ -76,8 +76,12 @@ class WindowSender : public net::PacketSink {
   WindowSender(sim::Simulator& sim, net::Host& host, SenderParams params,
                std::unique_ptr<CongestionControl> cc);
 
-  // Begins transmitting at absolute time `at` (>= now).
+  // Begins transmitting at absolute time `at` (>= now): schedules
+  // start_now() there.
   void start(sim::Time at);
+  // Begins transmitting now: the first window leaves at once. A session's
+  // arrival event calls it on the sender it has just built.
+  void start_now();
 
   // Stops transmitting at absolute time `at` (>= now): no new data or
   // retransmissions leave after that point and all timers are cancelled.

@@ -54,21 +54,57 @@ TEST(IncastChurn, PoissonArrivalsAreOrderedAndSessionsBounded) {
   Experiment exp;
   const CompiledTopology topo = spec.topo.compile(exp);
   ASSERT_EQ(spec.traffic.instantiate(exp, topo), 128u);
-  // Every session stops exactly session_sec after it starts, and within a
-  // spec (= one sender, flows contiguous in add order) the Poisson arrival
-  // times are strictly increasing.
-  for (std::size_t i = 0; i < exp.connection_count(); ++i) {
-    const tcp::ConnectionConfig& cfg = exp.connection(i).config();
-    EXPECT_GT(cfg.start_time, sim::Time::zero());
-    EXPECT_EQ(cfg.stop_time - cfg.start_time, sim::Time::seconds(0.5));
+  EXPECT_EQ(exp.connection_count(), 0u);  // sessions are built as they arrive
+  ASSERT_EQ(exp.flow_count(), 128u);
+  exp.run(sim::Time::seconds(p.warmup_sec), sim::Time::seconds(p.duration_sec));
+  // Every session's record holds its arrival and stop, also for a session
+  // the run ended before. Each stops exactly session_sec after it starts,
+  // and within a spec (= one sender, records contiguous in declaration
+  // order) the Poisson arrival times are strictly increasing.
+  for (std::size_t i = 0; i < exp.flow_count(); ++i) {
+    const FlowRecord& f = exp.flow(i);
+    EXPECT_EQ(f.id, i);
+    EXPECT_GT(f.start, sim::Time::zero());
+    EXPECT_EQ(f.stop - f.start, sim::Time::seconds(0.5));
   }
   for (std::size_t k = 0; k < p.senders; ++k) {
     for (std::size_t j = 1; j < p.flows_per_sender; ++j) {
       const std::size_t i = k * p.flows_per_sender + j;
-      EXPECT_LT(exp.connection(i - 1).config().start_time,
-                exp.connection(i).config().start_time);
+      EXPECT_LT(exp.flow(i - 1).start, exp.flow(i).start);
     }
   }
+}
+
+// Sessions exist only while they run: once every session has stopped, no
+// sender is left at a source host, each record still carries its sender's
+// counters (the ones the result reports), and the destination keeps one
+// receiver per session whose data reached it.
+TEST(IncastChurn, StoppedSessionsLeaveOnlyTheirRecords) {
+  IncastParams p = small_churn_params();
+  p.duration_sec = 30.0;  // every session arrives and stops before the end
+  const TopoSpec spec = incast_spec(p);
+  Scenario sc = make_topo_scenario(spec);
+  const ScenarioSummary s = run_scenario(sc);
+  const Experiment& exp = *sc.exp;
+  ASSERT_EQ(exp.flow_count(), 128u);
+  std::size_t receivers = 0;
+  for (std::size_t i = 0; i < exp.flow_count(); ++i) {
+    const FlowRecord& f = exp.flow(i);
+    EXPECT_EQ(f.sender, nullptr);
+    EXPECT_LT(f.stop, sim::Time::seconds(p.warmup_sec + p.duration_sec));
+    EXPECT_GT(f.sent.data_sent, 0u);
+    EXPECT_EQ(s.result.senders.at(f.id).data_sent, f.sent.data_sent);
+    EXPECT_EQ(s.result.senders.at(f.id).acks_received, f.sent.acks_received);
+    receivers += f.receiver != nullptr;
+  }
+  EXPECT_GT(receivers, 0u);
+  net::Network& net = sc.exp->network();
+  for (std::size_t k = 1; k <= p.senders; ++k) {
+    EXPECT_EQ(net.host(spec.topo.index("S" + std::to_string(k)))
+                  .endpoint_count(),
+              0u);
+  }
+  EXPECT_EQ(net.host(spec.topo.index("R")).endpoint_count(), receivers);
 }
 
 TEST(IncastChurn, DoubleRunIsIdenticalAndSeedMatters) {

@@ -442,6 +442,52 @@ TEST(Host, UnregisteredConnectionThrows) {
   EXPECT_THROW(sim.run_until(sim::Time::seconds(1.0)), std::logic_error);
 }
 
+// The demux miss path: a packet no endpoint takes goes to the miss handler,
+// which may build (and register) its endpoint or hand it to one that
+// ignores it. Either way the host counts and observes it like any delivered
+// packet; a null answer is the unregistered-connection error.
+TEST(Host, MissPathBuildsOrIgnoresAndStillCounts) {
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId h1 = net.add_host("H1");
+  const NodeId h2 = net.add_host("H2");
+  const NodeId s = net.add_switch("S");
+  const auto inf = QueueLimit::infinite();
+  net.connect(h1, s, 10'000'000, sim::Time::microseconds(100), inf, inf);
+  net.connect(s, h2, 10'000'000, sim::Time::microseconds(100), inf, inf);
+  net.compute_routes();
+  Host& host = net.host(h2);
+  CollectingSink built;
+  CollectingSink ignored;
+  int misses = 0;
+  int hooked = 0;
+  host.on_deliver = [&](sim::Time, const Packet&) { ++hooked; };
+  host.set_miss_handler([&](const Packet& p) -> PacketSink* {
+    ++misses;
+    if (p.conn == 9) return nullptr;
+    if (is_ack(p)) return &ignored;
+    host.register_endpoint(p.conn, PacketKind::kData, &built);
+    return &built;
+  });
+  for (int k = 0; k < 2; ++k) {
+    net.host(h1).send(make_packet(1, PacketKind::kData, h1, h2));
+  }
+  net.host(h1).send(make_packet(1, PacketKind::kAck, h1, h2));
+  sim.run_until(sim::Time::seconds(1.0));
+  EXPECT_EQ(misses, 2);  // the first data packet and the ACK
+  EXPECT_EQ(built.packets.size(), 2u);
+  EXPECT_EQ(ignored.packets.size(), 1u);
+  EXPECT_EQ(hooked, 3);
+  EXPECT_EQ(host.counters().delivered, 3u);
+  EXPECT_EQ(host.endpoint_count(), 1u);
+  host.unregister_endpoint(1, PacketKind::kData);
+  EXPECT_EQ(host.endpoint_count(), 0u);
+
+  net.host(h1).send(make_packet(9, PacketKind::kData, h1, h2));
+  EXPECT_THROW(sim.run_until(sim::Time::seconds(2.0)), std::logic_error);
+  EXPECT_EQ(host.counters().delivered, 3u);
+}
+
 TEST(Host, ProcessingDelayApplied) {
   sim::Simulator sim;
   Network net(sim, sim::Time::milliseconds(5));  // exaggerated for the test

@@ -170,6 +170,87 @@ TEST(ShardEquivalence, IncastChurn) {
   expect_invariant(incast_spec(p));
 }
 
+// Dense session churn: 32 senders, each opening 400 sessions/s, and 5 ms
+// links, so the run takes 100 barrier rounds of 5 ms with ~64 arrivals
+// each. The sessions last 50 ms (two to three round trips), so about as
+// many senders retire. At 4 shards (7, 1, 1 and 23 senders) each shard
+// built a sender in at least 90 of the 100 rounds and retired one in at
+// least 80 (none can retire in the first 10). S1 also sends a closed flow
+// declared before its sessions and one after them, so its context
+// reserves ties around a block of session ties; S2 adds sessions that all
+// stop at the spec's stop time (the later ones arrive after it and never
+// send) and S3 sessions that never stop. About a sixth of the sessions
+// arrive after the run's end. The serial digest is pinned as well: it is
+// the digest of the build that made every session at setup.
+TopoSpec dense_churn(bool traces) {
+  IncastParams p;
+  p.senders = 32;
+  p.flows_per_sender = 240;
+  p.arrival_rate = 400.0;
+  p.session_sec = 0.05;
+  p.link_bps = 10'000'000;
+  p.access_delay_sec = 0.005;
+  p.link_delay_sec = 0.005;
+  p.warmup_sec = 0.1;
+  p.duration_sec = 0.4;
+  p.per_flow_traces = traces;
+  const TopoSpec churn = incast_spec(p);
+  TopoSpec spec = churn;
+  spec.name = "dense-churn";
+  spec.traffic = TrafficMatrix();
+  ConnSpec closed;
+  closed.src = "S1";
+  closed.dst = "R";
+  closed.start_time = sim::Time::seconds(0.05);
+  spec.traffic.add(closed);
+  for (const ConnSpec& s : churn.traffic.specs()) spec.traffic.add(s);
+  ConnSpec until = churn.traffic.specs()[1];  // S2
+  until.count = 40;
+  until.seed = 99;
+  until.session_time = sim::Time::zero();
+  until.stop_time = sim::Time::seconds(0.2);
+  spec.traffic.add(until);
+  ConnSpec forever = churn.traffic.specs()[2];  // S3
+  forever.count = 3;
+  forever.arrival_rate = 20.0;
+  forever.seed = 7;
+  forever.session_time = sim::Time::zero();
+  spec.traffic.add(forever);
+  closed.start_time = sim::Time::seconds(0.12);
+  closed.stop_time = sim::Time::seconds(0.3);
+  spec.traffic.add(closed);
+  return spec;
+}
+
+// One line per digest: an FNV-1a hash of its text and its last line.
+std::string pinned(const std::string& digest) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : digest) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  const std::size_t last = digest.rfind('\n', digest.size() - 2);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "text=%016" PRIx64 " ", h);
+  return buf + digest.substr(last + 1);
+}
+
+TEST(ShardEquivalence, DenseSessionChurnTraced) {
+  const TopoSpec spec = dense_churn(true);
+  expect_invariant(spec);
+  EXPECT_EQ(pinned(serial_digest(spec)),
+            "text=8370c32194235233 drops=7230 hash=f7f7681b1437fb48"
+            " created=9845 delivered=2421 dropped=7230\n");
+}
+
+TEST(ShardEquivalence, DenseSessionChurnUntraced) {
+  const TopoSpec spec = dense_churn(false);
+  expect_invariant(spec);
+  EXPECT_EQ(pinned(serial_digest(spec)),
+            "text=395ae1c438752546 drops=7230 hash=14650fb0739d0383"
+            " created=9845 delivered=2421 dropped=7230\n");
+}
+
 // Two flows start at the same instant and cross on the trunk (A->D beside
 // B->C), so their first packets tie at S1 on (firing time, birth time) and
 // the emitting context's id decides which the queue serves first. Each

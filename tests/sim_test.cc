@@ -201,6 +201,39 @@ TEST(DetContext, ExhaustedTieCounterThrows) {
   }
 }
 
+TEST(DetContext, ReservationMatchesDrawsOneByOne) {
+  DetContext drawn{5, 3};
+  DetContext reserved{5, 3};
+  const std::uint64_t first = det_tie_reserve(reserved, 4);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(det_tie_next(drawn), first + k);
+  }
+  EXPECT_EQ(reserved.emitted, drawn.emitted);
+  det_tie_reserve(reserved, 0);  // reserves nothing
+  EXPECT_EQ(det_tie_next(reserved), det_tie_next(drawn));
+}
+
+TEST(DetContext, ReservationPastTheBoundThrows) {
+  // Two ties are left: reserving three throws as the third draw would,
+  // reserving both succeeds, and then one more throws.
+  constexpr std::uint64_t kTies = std::uint64_t{1} << kDetTieEmittedBits;
+  DetContext two{7, kTies - 2};
+  EXPECT_THROW(det_tie_reserve(two, 3), std::overflow_error);
+  EXPECT_EQ(det_tie_reserve(two, 2),
+            (std::uint64_t{7} << kDetTieEmittedBits) | (kTies - 2));
+  EXPECT_EQ(two.emitted, kTies);
+  try {
+    det_tie_reserve(two, 1);
+    FAIL() << "expected std::overflow_error";
+  } catch (const std::overflow_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "det-key context 7 emitted 2^40 events; its ties are "
+                 "exhausted");
+  }
+  DetContext fresh{1, 0};
+  EXPECT_THROW(det_tie_reserve(fresh, ~std::uint64_t{0}), std::overflow_error);
+}
+
 TEST(Simulator, SameTimeEventsOrderByBirthThenContext) {
   // The deterministic key: firing time, then birth time, then the emitting
   // context's id, then its emission count. The engine context sorts after

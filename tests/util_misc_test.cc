@@ -80,6 +80,22 @@ TEST(Table, AlignsColumns) {
   EXPECT_EQ(t.rows(), 1u);
 }
 
+// Cells are measured in UTF-8 code points, so a two-byte '§' or 'τ' takes
+// one column and the next column starts where it does on ASCII rows.
+TEST(Table, PadsMultiByteCellsByCodePoint) {
+  Table t({"claim", "paper", "measured"});
+  t.add_row({"x", "never (§4.2)", "yes"});
+  t.add_row({"y", "τ = 0.01 s", "no"});
+  t.add_row({"z", "ascii cell", "ok"});
+  const std::string out = t.to_string();
+  EXPECT_NE(out.find("x      never (§4.2)  yes"), std::string::npos);
+  EXPECT_NE(out.find("y      τ = 0.01 s    no"), std::string::npos);
+  EXPECT_NE(out.find("z      ascii cell    ok"), std::string::npos);
+  // The separator spans the code-point widths: 5+2 + 12+2 + 8+2.
+  EXPECT_NE(out.find("\n" + std::string(31, '-') + "\n"), std::string::npos);
+  EXPECT_EQ(out.find(std::string(32, '-')), std::string::npos);
+}
+
 TEST(Table, ShortAndLongRows) {
   Table t({"a", "b"});
   t.add_row({"only-one"});
