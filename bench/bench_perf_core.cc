@@ -18,6 +18,7 @@
 //
 // The committed baseline lives at the repo root as BENCH_core.json; refresh
 // it by re-running on the reference machine (see README "Benchmarking").
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -51,9 +52,9 @@ struct WorkloadResult {
   double sim_seconds = 0.0;       // simulated time covered (0 for micros)
   bool gated = true;              // participates in the regression gate
   std::uint64_t flows = 0;        // flow count (incast workload)
-  // Peak-RSS growth during scenario construction divided by flow count —
-  // the flyweight metric. Gated downward: growing it past the threshold
-  // fails the baseline comparison.
+  // Heap held by the workload's own construction and run divided by flow
+  // count — the flyweight metric. Gated downward: growing it past the
+  // threshold fails the baseline comparison.
   double bytes_per_flow = 0.0;
 
   double events_per_sec() const {
@@ -79,6 +80,20 @@ long peak_rss_kb() {
   struct rusage ru;
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return ru.ru_maxrss;  // kilobytes on Linux
+}
+
+// Heap bytes in use now: malloc's main-arena chunks plus its mmapped ones.
+// Unlike the process's peak RSS, the difference of two readings counts
+// only what was allocated in between and is still held, whatever earlier
+// workloads left behind. 0 where glibc's mallinfo2 is missing.
+std::uint64_t heap_in_use_bytes() {
+#if defined(__GLIBC__)
+#if __GLIBC_PREREQ(2, 33)
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#endif
+#endif
+  return 0;
 }
 
 // ------------------------------------------------------------- workloads
@@ -194,9 +209,10 @@ WorkloadResult run_cc_matrix_small(double scale) {
 // 100k-session datacenter incast: the million-flow-scale configuration —
 // streaming monitors, per-flow traces off — on a 200-wide fan-in with
 // open-loop Poisson session churn. Reports events/sec (gated like the other
-// workloads) plus bytes/flow: peak-RSS growth across scenario construction
-// and the run, divided by the session count, gated *upward* so a
-// regression that fattens per-flow state fails the baseline comparison.
+// workloads) plus bytes/flow: the heap the scenario and its result hold
+// after construction and the run, divided by the session count, gated
+// *upward* so a regression that fattens per-flow state fails the baseline
+// comparison.
 // The run is inside the measured span because that is where a session's
 // endpoints are built: construction alone declares the sessions' records.
 // Construction is inside the timed region (as in topo512): declaring 100k
@@ -213,20 +229,23 @@ WorkloadResult run_incast100k(double scale) {
   p.duration_sec = 55.0 * scale;
   p.streaming = true;
   p.per_flow_traces = false;
-  const long rss_before_kb = peak_rss_kb();
+  const std::uint64_t heap_before = heap_in_use_bytes();
   const double t0 = now_sec();
   core::Scenario sc = core::make_topo_scenario(core::incast_spec(p));
   const std::uint64_t flows =
       static_cast<std::uint64_t>(p.senders) * p.flows_per_sender;
   core::ExperimentResult result = sc.exp->run(sc.warmup, sc.duration);
   r.wall_sec = now_sec() - t0;
-  const long rss_after_kb = peak_rss_kb();
+  const std::uint64_t heap_after = heap_in_use_bytes();
   r.events = sc.exp->sim().events_executed();
   for (const auto& port : result.ports) r.packets += port.counters.arrivals;
   r.sim_seconds = (sc.warmup + sc.duration).sec();
   r.flows = flows;
-  r.bytes_per_flow = static_cast<double>(rss_after_kb - rss_before_kb) *
-                     1024.0 / static_cast<double>(flows);
+  r.bytes_per_flow =
+      heap_after > heap_before
+          ? static_cast<double>(heap_after - heap_before) /
+                static_cast<double>(flows)
+          : 0.0;
   return r;
 }
 
@@ -400,8 +419,8 @@ int compare_to_baseline(const std::vector<WorkloadResult>& results,
       ++failures;
     }
     // Memory gate (incast): bytes/flow may not grow past the threshold.
-    // RSS deltas are coarser than throughput, so give it double headroom.
-    // A reading of 0 (the peak did not grow) is printed, not skipped.
+    // Heap deltas are coarser than throughput, so give it double headroom.
+    // A reading of 0 (no heap held) is printed, not skipped.
     double base_bpf = 0.0;
     if (baseline_field(json, w.name, "bytes_per_flow", &base_bpf) &&
         base_bpf > 0.0) {

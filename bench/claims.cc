@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <ostream>
 #include <utility>
@@ -32,6 +33,42 @@ Section block(std::function<void(std::ostream&, const Runs&)> print) {
 Section table(std::string title, std::vector<Claim> claims) {
   return {{}, std::move(title), std::move(claims)};
 }
+
+// Each run's wave statistics, computed at most once per evaluate() or
+// print_set() call: analyze_waves passes over every monitored port's
+// series, and red_wave's claims and printed block read the same three runs
+// thirteen times. Each call holds a WaveMemo while it runs, and the
+// outermost one's end forgets every entry, so a later call on other runs at
+// the same address recomputes. Outside any call nothing is kept. The memo
+// is thread_local: calls on different threads never share entries.
+class WaveMemo {
+ public:
+  WaveMemo() { ++depth_; }
+  ~WaveMemo() {
+    if (--depth_ == 0) stats_.clear();
+  }
+  WaveMemo(const WaveMemo&) = delete;
+  WaveMemo& operator=(const WaveMemo&) = delete;
+
+  static core::WaveStats of(const ScenarioSummary& s) {
+    const auto compute = [&] {
+      return core::analyze_waves(s.result.ports, s.result.t_start,
+                                 s.result.t_end);
+    };
+    if (depth_ == 0) return compute();
+    auto it = stats_.find(&s);
+    if (it == stats_.end()) it = stats_.emplace(&s, compute()).first;
+    return it->second;
+  }
+
+ private:
+  static thread_local int depth_;
+  static thread_local std::map<const ScenarioSummary*, core::WaveStats> stats_;
+};
+
+thread_local int WaveMemo::depth_ = 0;
+thread_local std::map<const ScenarioSummary*, core::WaveStats>
+    WaveMemo::stats_;
 
 // The section's claims evaluated on `runs`; none for a printed block.
 std::vector<core::Claim> evaluate(const Section& section, const Runs& runs) {
@@ -1168,10 +1205,7 @@ ClaimSet red_wave() {
     p.ecn = ecn;
     return core::red_wave_spec(p);
   };
-  const auto wave = [](const ScenarioSummary& s) {
-    return core::analyze_waves(s.result.ports, s.result.t_start,
-                               s.result.t_end);
-  };
+  const auto wave = [](const ScenarioSummary& s) { return WaveMemo::of(s); };
   // Run `i`'s wave amplitude against drop-tail's.
   const auto damps = [wave](std::string what, std::size_t i) {
     return Claim{std::move(what), "amplitude < drop-tail",
@@ -1280,6 +1314,7 @@ Runs run_set(const ClaimSet& set, std::size_t jobs) {
 }
 
 std::vector<core::Claim> evaluate(const ClaimSet& set, const Runs& runs) {
+  const WaveMemo memo;
   std::vector<core::Claim> rows;
   for (const Section& section : set.sections) {
     for (core::Claim& row : evaluate(section, runs)) {
@@ -1290,6 +1325,7 @@ std::vector<core::Claim> evaluate(const ClaimSet& set, const Runs& runs) {
 }
 
 int print_set(std::ostream& os, const ClaimSet& set, const Runs& runs) {
+  const WaveMemo memo;
   int failed = 0;
   for (const Section& section : set.sections) {
     if (section.print) {

@@ -5,11 +5,11 @@
 namespace tcpdyn::net {
 
 void Host::register_endpoint(ConnId conn, PacketKind kind, PacketSink* sink) {
-  endpoints_[key(conn, kind)] = sink;
+  endpoints_.insert_or_assign(conn_kind_key(conn, kind), sink);
 }
 
 void Host::unregister_endpoint(ConnId conn, PacketKind kind) {
-  endpoints_.erase(key(conn, kind));
+  endpoints_.erase(conn_kind_key(conn, kind));
 }
 
 PacketSink* Host::resolve_miss(const Packet& p) {
@@ -31,9 +31,9 @@ void Host::send(Packet pkt) {
 
 void Host::receive(Packet pkt) {
   auto process = [this, p = std::move(pkt)]() {
-    auto it = endpoints_.find(key(p.conn, p.kind));
-    PacketSink* sink =
-        it != endpoints_.end() ? it->second : resolve_miss(p);
+    PacketSink* const* found =
+        endpoints_.find(conn_kind_key(p.conn, p.kind));
+    PacketSink* sink = found != nullptr ? *found : resolve_miss(p);
     ++counters_.delivered;
     counters_.bytes_delivered += p.size_bytes;
     if (observer_ != nullptr) observer_->on_deliver(sim_.now(), p);

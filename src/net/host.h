@@ -11,8 +11,8 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
+#include "net/key_table.h"
 #include "net/node.h"
 #include "net/packet.h"
 #include "net/port.h"
@@ -90,8 +90,10 @@ class Host : public Node {
   std::unique_ptr<OutputPort> port_;
   PacketObserver* observer_ = nullptr;
   HostCounters counters_;
-  // Key: (conn << 1) | kind bit.
-  std::unordered_map<std::uint64_t, PacketSink*> endpoints_;
+  // Keyed by conn_kind_key. A flat table: a delivery reads a slot or two of
+  // one array, and an unregistered endpoint leaves no tombstone, so
+  // session churn keeps it at the most endpoints registered at once.
+  KeyTable<PacketSink*> endpoints_;
   // Last, behind the members every delivery reads: a miss is rare, and
   // declared before them it moved them 32 bytes on, which made mesh_zoo
   // run ~7% slower.
@@ -99,11 +101,6 @@ class Host : public Node {
 
   // The miss path: the handler's endpoint, or the no-endpoint error.
   PacketSink* resolve_miss(const Packet& p);
-
-  static std::uint64_t key(ConnId conn, PacketKind kind) {
-    return (static_cast<std::uint64_t>(conn) << 1) |
-           (kind == PacketKind::kAck ? 1u : 0u);
-  }
 };
 
 }  // namespace tcpdyn::net

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <utility>
 
 namespace tcpdyn::net {
 
@@ -157,10 +159,10 @@ std::optional<Packet> RedQueue::pop() {
 void DrrQueue::commit_head() {
   if (head_committed_ || total_packets_ == 0) return;
   for (;;) {
-    Flow& f = flows_[round_.front()];
-    assert(!f.packets.empty() && "active flow with no packets");
+    Flow& f = flows_[front_];
+    assert(f.packets > 0 && "active flow with no packets");
     if (f.deficit >=
-        static_cast<std::int64_t>(f.packets.front().size_bytes)) {
+        static_cast<std::int64_t>(nodes_[f.head].pkt.size_bytes)) {
       head_committed_ = true;
       return;
     }
@@ -173,67 +175,168 @@ void DrrQueue::commit_head() {
       f.deficit += static_cast<std::int64_t>(params_.quantum_bytes);
       continue;
     }
-    round_.push_back(round_.front());
-    round_.pop_front();
+    front_ = f.next;  // the front flow moves to the back of the round
     front_credited_ = false;
   }
+}
+
+DrrQueue::Slot DrrQueue::steal_victim(std::uint64_t key, Slot own) const {
+  // The arrival's flow counts with the arrival in it. The committed head —
+  // the front packet of the round's front flow, which the port may already
+  // be transmitting — is never the victim, so that flow competes only with
+  // the packets behind its head. Ties go to the smallest flow key.
+  Slot victim = kNil;
+  std::size_t victim_size = (own == kNil ? 0 : flows_[own].packets) + 1;
+  std::uint64_t victim_key = key;
+  if (front_ == kNil) return victim;
+  Slot s = front_;
+  do {
+    const Flow& f = flows_[s];
+    const bool lone_head = head_committed_ && s == front_ && f.packets == 1;
+    if (s != own && !lone_head &&
+        (f.packets > victim_size ||
+         (f.packets == victim_size && f.key < victim_key))) {
+      victim = s;
+      victim_size = f.packets;
+      victim_key = f.key;
+    }
+    s = f.next;
+  } while (s != front_);
+  return victim;
+}
+
+DrrQueue::Slot DrrQueue::open_flow(std::uint64_t key) {
+  Slot s = free_flow_;
+  if (s != kNil) {
+    free_flow_ = flows_[s].next;
+  } else {
+    if (flows_.size() >= kNil) {
+      throw std::length_error("DrrQueue: too many flows");
+    }
+    s = static_cast<Slot>(flows_.size());
+    if (flows_.empty()) flows_.reserve(PacketRing::kInitialCapacity);
+    flows_.emplace_back();
+  }
+  Flow& f = flows_[s];
+  f = Flow{};
+  f.key = key;
+  if (front_ == kNil) {
+    front_ = f.prev = f.next = s;
+  } else {
+    // Last in the round: just behind the front.
+    const Slot back = flows_[front_].prev;
+    f.prev = back;
+    f.next = front_;
+    flows_[back].next = s;
+    flows_[front_].prev = s;
+  }
+  index_.insert_or_assign(key, s);
+  return s;
+}
+
+void DrrQueue::close_flow(Slot s) {
+  Flow& f = flows_[s];
+  assert(f.packets == 0);
+  if (front_ == s) {
+    // The next flow up starts a fresh (uncredited) visit.
+    front_ = f.next == s ? kNil : f.next;
+    front_credited_ = false;
+  }
+  flows_[f.prev].next = f.next;
+  flows_[f.next].prev = f.prev;
+  index_.erase(f.key);
+  f.next = free_flow_;
+  free_flow_ = s;
+}
+
+void DrrQueue::push_packet(Slot s, const Packet& pkt) {
+  Slot n = free_node_;
+  if (n != kNil) {
+    free_node_ = nodes_[n].newer;
+  } else {
+    if (nodes_.size() >= kNil) {
+      throw std::length_error("DrrQueue: too many packets");
+    }
+    n = static_cast<Slot>(nodes_.size());
+    // Start where a FIFO's ring starts, then double.
+    if (nodes_.empty()) nodes_.reserve(PacketRing::kInitialCapacity);
+    nodes_.emplace_back();
+  }
+  Flow& f = flows_[s];
+  nodes_[n] = {pkt, f.tail, kNil};
+  if (f.tail != kNil) {
+    nodes_[f.tail].newer = n;
+  } else {
+    f.head = n;
+  }
+  f.tail = n;
+  ++f.packets;
+}
+
+Packet DrrQueue::pop_oldest(Slot s) {
+  Flow& f = flows_[s];
+  const Slot n = f.head;
+  f.head = nodes_[n].newer;
+  if (f.head != kNil) {
+    nodes_[f.head].older = kNil;
+  } else {
+    f.tail = kNil;
+  }
+  --f.packets;
+  nodes_[n].newer = free_node_;
+  free_node_ = n;
+  return nodes_[n].pkt;
+}
+
+Packet DrrQueue::pop_newest(Slot s) {
+  Flow& f = flows_[s];
+  const Slot n = f.tail;
+  f.tail = nodes_[n].older;
+  if (f.tail != kNil) {
+    nodes_[f.tail].newer = kNil;
+  } else {
+    f.head = kNil;
+  }
+  --f.packets;
+  nodes_[n].newer = free_node_;
+  free_node_ = n;
+  return nodes_[n].pkt;
 }
 
 EnqueueResult DrrQueue::offer(Packet pkt, bool /*protect_front*/) {
   count_arrival(pkt);
   EnqueueResult result;
-  const std::uint64_t key = flow_key(pkt);
-  Flow& f = flows_[key];
-  if (f.packets.empty()) round_.push_back(key);  // flow becomes active
-  bytes_ += pkt.size_bytes;
-  f.packets.push_back(std::move(pkt));
-  ++total_packets_;
-  if (!limit_.is_infinite() && total_packets_ > *limit_.packets) {
+  const std::uint64_t key = conn_kind_key(pkt.conn, pkt.kind);
+  const Slot* found = index_.find(key);
+  Slot own = found != nullptr ? *found : kNil;
+  if (!limit_.is_infinite() && total_packets_ >= *limit_.packets) {
     // Buffer stealing (McKenney): the arrival is admitted and the newest
     // packet of the longest flow is evicted instead, so one heavy flow
-    // cannot monopolize the shared buffer and starve the others. The
-    // committed head — the front packet of the round's front flow, which
-    // the port may already be transmitting — is never the victim; the
-    // arrival itself is always a legal fallback, so a victim always
-    // exists. Ties go to the smallest flow key (deterministic; no RNG).
-    const std::uint64_t front_key = round_.front();
-    std::uint64_t victim_key = key;
-    std::size_t victim_size = 0;
-    for (const auto& [k, fl] : flows_) {
-      if (fl.packets.empty()) continue;
-      if (head_committed_ && k == front_key && fl.packets.size() == 1) {
-        continue;  // the lone packet is the committed head
-      }
-      if (fl.packets.size() > victim_size) {
-        victim_size = fl.packets.size();
-        victim_key = k;
-      }
-    }
-    Flow& v = flows_[victim_key];
-    Packet victim = std::move(v.packets.back());
-    v.packets.pop_back();
-    bytes_ -= victim.size_bytes;
-    --total_packets_;
-    // The newest packet of flow `key` is the arrival we just pushed, so a
-    // victim from the arrival's own flow is the arrival itself — report it
-    // as a plain full-buffer arrival drop (the packet was never queued),
-    // like the random-drop arrival-victim path.
-    if (victim_key == key) {
+    // cannot monopolize the shared buffer and starve the others.
+    const Slot victim = steal_victim(key, own);
+    if (victim == kNil) {
+      // The newest packet of the arrival's own flow is the arrival: report
+      // a plain full-buffer arrival drop (the packet was never queued),
+      // like the random-drop arrival-victim path.
+      count_drop(pkt);
       result.accepted = false;
       result.cause = DropCause::kQueueTail;
-    } else {
-      result.cause = DropCause::kQueueVictim;
+      result.dropped = pkt;
+      note_length(total_packets_);
+      return result;
     }
-    if (v.packets.empty()) {
-      v.deficit = 0;
-      const auto it = std::find(round_.begin(), round_.end(), victim_key);
-      assert(it != round_.end() && "victim flow missing from round");
-      if (it == round_.begin()) front_credited_ = false;
-      round_.erase(it);
-    }
-    count_drop(victim);
-    result.dropped = std::move(victim);
+    Packet evicted = pop_newest(victim);
+    bytes_ -= evicted.size_bytes;
+    --total_packets_;
+    if (flows_[victim].packets == 0) close_flow(victim);
+    count_drop(evicted);
+    result.cause = DropCause::kQueueVictim;
+    result.dropped = evicted;
   }
+  if (own == kNil) own = open_flow(key);  // the flow becomes active
+  push_packet(own, pkt);
+  bytes_ += pkt.size_bytes;
+  ++total_packets_;
   note_length(total_packets_);
   commit_head();
   return result;
@@ -241,26 +344,20 @@ EnqueueResult DrrQueue::offer(Packet pkt, bool /*protect_front*/) {
 
 const Packet& DrrQueue::front() const {
   assert(head_committed_ && "front() on an empty DRR queue");
-  return flows_.at(round_.front()).packets.front();
+  return nodes_[flows_[front_].head].pkt;
 }
 
 std::optional<Packet> DrrQueue::pop() {
   if (total_packets_ == 0) return std::nullopt;
   commit_head();
-  Flow& f = flows_[round_.front()];
-  Packet pkt = std::move(f.packets.front());
-  f.packets.pop_front();
-  f.deficit -= static_cast<std::int64_t>(pkt.size_bytes);
+  const Slot s = front_;
+  Packet pkt = pop_oldest(s);
+  flows_[s].deficit -= static_cast<std::int64_t>(pkt.size_bytes);
   bytes_ -= pkt.size_bytes;
   --total_packets_;
   head_committed_ = false;
-  if (f.packets.empty()) {
-    // An emptied flow leaves the round and forfeits its leftover deficit;
-    // the next flow up starts a fresh (uncredited) visit.
-    f.deficit = 0;
-    round_.pop_front();
-    front_credited_ = false;
-  }
+  // An emptied flow leaves the round and forfeits its leftover deficit.
+  if (flows_[s].packets == 0) close_flow(s);
   count_departure(pkt);
   commit_head();
   return pkt;
@@ -270,16 +367,29 @@ std::vector<Packet> DrrQueue::flush() {
   std::vector<Packet> flushed;
   flushed.reserve(total_packets_);
   // Deterministic drain order: ascending flow key, FIFO within each flow.
-  for (auto& [key, f] : flows_) {
-    for (Packet& pkt : f.packets) {
+  std::vector<std::pair<std::uint64_t, Slot>> order;
+  order.reserve(index_.size());
+  if (front_ != kNil) {
+    Slot s = front_;
+    do {
+      order.emplace_back(flows_[s].key, s);
+      s = flows_[s].next;
+    } while (s != front_);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [key, s] : order) {
+    for (Slot n = flows_[s].head; n != kNil; n = nodes_[n].newer) {
+      const Packet& pkt = nodes_[n].pkt;
       bytes_ -= pkt.size_bytes;
       count_drop(pkt);
-      flushed.push_back(std::move(pkt));
+      flushed.push_back(pkt);
     }
-    f.packets.clear();
-    f.deficit = 0;
+    index_.erase(key);
   }
-  round_.clear();
+  // Every slot is free again; the pools keep their capacity.
+  nodes_.clear();
+  flows_.clear();
+  free_node_ = free_flow_ = front_ = kNil;
   head_committed_ = false;
   front_credited_ = false;
   total_packets_ = 0;

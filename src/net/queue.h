@@ -33,15 +33,14 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
 #include "net/fault.h"
+#include "net/key_table.h"
 #include "net/packet.h"
 #include "net/packet_ring.h"
 #include "util/registry.h"
@@ -58,6 +57,16 @@ struct QueueLimit {
   static QueueLimit of(std::size_t n) { return {n}; }
   bool is_infinite() const { return !packets.has_value(); }
 };
+
+// The ring behind a FIFO discipline. It starts at PacketRing's small
+// initial capacity whatever the limit, and grows with the packets queued up
+// to the bounded limit's power of two: a port's memory follows what it
+// holds, so a 10^19-packet buffer costs what a 20-packet one does until
+// packets arrive.
+inline PacketRing ring_for(QueueLimit limit) {
+  return PacketRing(PacketRing::kInitialCapacity,
+                    limit.packets.value_or(PacketRing::kMaxCapacity));
+}
 
 // Counters maintained natively by the queue for the analysis layer and the
 // conservation audit. Invariants (checked by core::audit_counters_check
@@ -190,9 +199,7 @@ class DropTailQueue final : public QueueDiscipline {
       : QueueDiscipline(limit),
         random_drop_(random_drop),
         rng_(seed),
-        // Bounded queues never exceed their limit, so sizing the ring up
-        // front makes every subsequent operation allocation-free.
-        packets_(limit.is_infinite() ? 32 : *limit.packets) {}
+        packets_(ring_for(limit)) {}
 
   EnqueueResult offer(Packet pkt, bool protect_front = false) override;
   std::optional<Packet> pop() override;
@@ -209,7 +216,7 @@ class DropTailQueue final : public QueueDiscipline {
  private:
   bool random_drop_;
   util::Rng rng_;
-  PacketRing packets_;  // ring buffer: allocation-free once at working size
+  PacketRing packets_;  // allocation-free once at its working size
   std::size_t bytes_ = 0;
 };
 
@@ -250,7 +257,7 @@ class RedQueue final : public QueueDiscipline {
       : QueueDiscipline(limit),
         params_(params),
         rng_(seed),
-        packets_(limit.is_infinite() ? 32 : *limit.packets) {}
+        packets_(ring_for(limit)) {}
 
   EnqueueResult offer(Packet pkt, bool protect_front = false) override;
   std::optional<Packet> pop() override;
@@ -315,28 +322,59 @@ class DrrQueue final : public QueueDiscipline {
   const char* name() const override { return "drr"; }
 
   const DrrParams& params() const { return params_; }
-  std::size_t active_flows() const { return round_.size(); }
+  std::size_t active_flows() const { return index_.size(); }
 
  private:
-  struct Flow {
-    std::deque<Packet> packets;
-    std::int64_t deficit = 0;
-  };
+  // Layout: flat, and sized by what the queue holds. A flow has a slot in
+  // flows_ only while it has packets; an emptied flow's state is a fresh
+  // flow's (no packets, deficit 0), so it leaves index_ and its slot is
+  // reused. Packets live in one pool, nodes_, each flow's FIFO a doubly
+  // linked list through it (stealing takes a flow's newest packet), and the
+  // round is a circular list through the active slots. Memory follows the
+  // most packets and flows held at once, not the flows ever seen; offer()
+  // and pop() cost O(1) plus one index probe, and only an overflow scans
+  // the active flows, at most the occupancy.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNil = ~Slot{0};
 
-  static std::uint64_t flow_key(const Packet& pkt) {
-    return (static_cast<std::uint64_t>(pkt.conn) << 1) |
-           (is_ack(pkt) ? 1u : 0u);
-  }
+  struct Node {
+    Packet pkt;
+    Slot older = kNil;  // toward the flow's head
+    Slot newer = kNil;  // toward its tail; the free list's link
+  };
+  struct Flow {
+    std::uint64_t key = 0;
+    std::int64_t deficit = 0;
+    std::size_t packets = 0;
+    Slot head = kNil;  // oldest packet
+    Slot tail = kNil;  // newest packet
+    Slot prev = kNil;  // round neighbours
+    Slot next = kNil;  // also the free list's link
+  };
 
   // Advances the round-robin until the front flow's head packet is covered
   // by its deficit (adding one quantum per visit). The committed head then
   // stays put until the next pop().
   void commit_head();
+  // The flow whose newest packet buffer stealing evicts when an arrival of
+  // flow `key` (slot `own`, or kNil when inactive) finds the buffer full;
+  // kNil when that packet is the arrival itself.
+  Slot steal_victim(std::uint64_t key, Slot own) const;
+  // A fresh flow for `key`, indexed and last in the round.
+  Slot open_flow(std::uint64_t key);
+  // Removes an emptied flow from the round and the index.
+  void close_flow(Slot f);
+  void push_packet(Slot f, const Packet& pkt);
+  Packet pop_oldest(Slot f);
+  Packet pop_newest(Slot f);
 
   DrrParams params_;
-  // Flow table: std::map so flush() drains in a deterministic key order.
-  std::map<std::uint64_t, Flow> flows_;
-  std::deque<std::uint64_t> round_;  // active flows, round-robin order
+  std::vector<Node> nodes_;
+  std::vector<Flow> flows_;
+  KeyTable<Slot> index_;  // flow key -> slot, active flows only
+  Slot free_node_ = kNil;
+  Slot free_flow_ = kNil;
+  Slot front_ = kNil;  // the round's front flow; kNil when empty
   bool head_committed_ = false;
   // The current front flow has already received this visit's quantum.
   bool front_credited_ = false;

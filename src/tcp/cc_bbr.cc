@@ -107,9 +107,9 @@ void BbrCc::advance_round(const AckContext& ctx) {
   next_round_seq_ = highest_sent_;
   round_start_ = true;
   // Age out bandwidth samples that fell off the back of the window.
-  while (!bw_filter_.empty() &&
-         bw_filter_.front().round + params_.bw_window_rounds <= round_) {
-    bw_filter_.pop_front();
+  while (bw_head_ < bw_filter_.size() &&
+         bw_filter_[bw_head_].round + params_.bw_window_rounds <= round_) {
+    ++bw_head_;
   }
 }
 
@@ -129,8 +129,13 @@ void BbrCc::sample_bandwidth(const AckContext& ctx) {
       static_cast<unsigned __int128>(delta) *
       static_cast<std::uint64_t>(kNsPerSec) /
       static_cast<std::uint64_t>(interval_ns));
-  while (!bw_filter_.empty() && bw_filter_.back().bw_Bps <= bw) {
+  while (bw_head_ < bw_filter_.size() && bw_filter_.back().bw_Bps <= bw) {
     bw_filter_.pop_back();
+  }
+  if (bw_head_ > 0 && bw_head_ >= bw_filter_.size() - bw_head_) {
+    const auto dead = static_cast<std::ptrdiff_t>(bw_head_);
+    bw_filter_.erase(bw_filter_.begin(), bw_filter_.begin() + dead);
+    bw_head_ = 0;
   }
   bw_filter_.push_back(BwSample{round_, bw});
   anchor_time_ = ctx.now;

@@ -45,7 +45,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "tcp/congestion_control.h"
 #include "tcp/sender.h"
@@ -90,7 +90,7 @@ class BbrCc final : public CongestionControl {
   Mode mode() const { return mode_; }
   // Windowed-max bottleneck-bandwidth estimate, bytes/sec (0 = no sample).
   std::uint64_t bandwidth_Bps() const {
-    return bw_filter_.empty() ? 0 : bw_filter_.front().bw_Bps;
+    return bw_head_ == bw_filter_.size() ? 0 : bw_filter_[bw_head_].bw_Bps;
   }
   bool has_min_rtt() const { return have_min_rtt_; }
   sim::Time min_rtt() const { return min_rtt_; }
@@ -140,8 +140,14 @@ class BbrCc final : public CongestionControl {
   std::uint64_t anchor_delivered_bytes_ = 0;
 
   // Monotonic max-deque: bw descending, round ascending; front is the
-  // windowed max, expired as rounds pass.
-  std::deque<BwSample> bw_filter_;
+  // windowed max, expired as rounds pass. The live samples are
+  // bw_filter_[bw_head_, size()): expiry advances bw_head_, and a push
+  // first erases the expired prefix once it is as long as the live part.
+  // The vector so holds at most about twice the most samples ever live, and
+  // allocates only to reach that, not as the window slides (a std::deque
+  // allocates a chunk every 32 samples).
+  std::vector<BwSample> bw_filter_;
+  std::size_t bw_head_ = 0;
 
   // Windowed-min RTT filter and the ProbeRTT dwell.
   bool have_min_rtt_ = false;

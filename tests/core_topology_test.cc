@@ -752,5 +752,28 @@ TEST(TopologyEquivalence, ChainMatchesLegacyConstruction) {
   expect_same_run(legacy.run(window, dur), run_spec(spec, window, dur));
 }
 
+// A declared buffer past any memory (a buffer may name up to 2^64 - 1
+// packets) builds a queue that grows with what it holds, so the Figs. 4-5
+// dumbbell with 10^19-packet trunk buffers runs, and runs exactly as with
+// infinite ones: neither buffer ever fills.
+TEST(TopologyEquivalence, HugeDeclaredBufferRunsAsInfinite) {
+  const auto dumbbell = [](const std::string& buffers) {
+    std::istringstream in(
+        "host H1\nhost H2\nswitch S1\nswitch S2\n"
+        "link H1 S1 10000000 0.0001 inf inf\n"
+        "link S1 S2 50000 0.01 " + buffers + " droptail\n"
+        "link S2 H2 10000000 0.0001 inf inf\n"
+        "monitor S1 S2\nmonitor S2 S1\n"
+        "flow H1 H2 start=0.7\nflow H2 H1 start=1.3\n");
+    return parse_topology(in);
+  };
+  const auto window = sim::Time::seconds(20.0);
+  const auto dur = sim::Time::seconds(50.0);
+  const ExperimentResult huge = run_spec(
+      dumbbell("10000000000000000000 10000000000000000000"), window, dur);
+  EXPECT_GT(huge.audit.created, 0u);
+  expect_same_run(huge, run_spec(dumbbell("inf inf"), window, dur));
+}
+
 }  // namespace
 }  // namespace tcpdyn::core

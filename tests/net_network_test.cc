@@ -1,6 +1,7 @@
 // Switch routing, host demux, and Network topology/route computation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <map>
@@ -485,6 +486,57 @@ TEST(Host, MissPathBuildsOrIgnoresAndStillCounts) {
 
   net.host(h1).send(make_packet(9, PacketKind::kData, h1, h2));
   EXPECT_THROW(sim.run_until(sim::Time::seconds(2.0)), std::logic_error);
+  EXPECT_EQ(host.counters().delivered, 3u);
+}
+
+// The endpoint table under session churn, the pattern of a sender host
+// whose sessions come and go: 10^4 register/unregister cycles with at most
+// 64 sessions live keep endpoint_count() exact. A re-registration
+// overwrites, and an unregistered endpoint's packet takes the miss path and
+// is still counted.
+TEST(Host, EndpointChurnKeepsCountExact) {
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId h1 = net.add_host("H1");
+  const NodeId h2 = net.add_host("H2");
+  const NodeId s = net.add_switch("S");
+  const auto inf = QueueLimit::infinite();
+  net.connect(h1, s, 10'000'000, sim::Time::microseconds(100), inf, inf);
+  net.connect(s, h2, 10'000'000, sim::Time::microseconds(100), inf, inf);
+  net.compute_routes();
+  Host& host = net.host(h2);
+  CollectingSink first;
+  CollectingSink second;
+  CollectingSink missed;
+  int misses = 0;
+  host.set_miss_handler([&](const Packet&) -> PacketSink* {
+    ++misses;
+    return &missed;
+  });
+  constexpr ConnId kLive = 64;
+  for (ConnId c = 0; c < 10'000; ++c) {
+    host.register_endpoint(c, PacketKind::kData, &first);
+    host.register_endpoint(c, PacketKind::kAck, &first);
+    if (c >= kLive) {
+      host.unregister_endpoint(c - kLive, PacketKind::kData);
+      host.unregister_endpoint(c - kLive, PacketKind::kAck);
+    }
+    ASSERT_EQ(host.endpoint_count(), 2 * std::min<std::size_t>(c + 1, kLive));
+  }
+  host.unregister_endpoint(5, PacketKind::kData);  // long gone: no effect
+  EXPECT_EQ(host.endpoint_count(), 2 * kLive);
+
+  const ConnId live = 10'000 - 1;
+  host.register_endpoint(live, PacketKind::kData, &second);  // overwrites
+  EXPECT_EQ(host.endpoint_count(), 2 * kLive);
+  net.host(h1).send(make_packet(live, PacketKind::kData, h1, h2));
+  net.host(h1).send(make_packet(live, PacketKind::kAck, h1, h2));
+  net.host(h1).send(make_packet(7, PacketKind::kData, h1, h2));
+  sim.run_until(sim::Time::seconds(1.0));
+  EXPECT_EQ(second.packets.size(), 1u);
+  EXPECT_EQ(first.packets.size(), 1u);
+  EXPECT_EQ(missed.packets.size(), 1u);
+  EXPECT_EQ(misses, 1);
   EXPECT_EQ(host.counters().delivered, 3u);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+
 namespace tcpdyn::net {
 namespace {
 
@@ -405,6 +408,52 @@ TEST(DrrQueue, CountersConserveUnderChurn) {
   }
   EXPECT_EQ(q.counters().arrivals,
             q.counters().departures + q.counters().drops);
+}
+
+// ------------------------------------------------------- declared buffers
+
+// A queue's memory follows what it holds, so a declared buffer far past any
+// memory costs nothing at construction: every discipline builds at the
+// largest limit a .topo buffer or --buffer can name, and at 2^40, then
+// queues, drops nothing and serves in order.
+TEST(QueueLimit, HugeDeclaredBuffersConstructAndRun) {
+  for (const std::size_t packets :
+       {std::numeric_limits<std::size_t>::max(), std::size_t{1} << 40}) {
+    for (const QdiscKind kind : {QdiscKind::kDropTail, QdiscKind::kRandomDrop,
+                                 QdiscKind::kRed, QdiscKind::kDrr}) {
+      for (const bool ecn : {false, true}) {
+        if (ecn && kind != QdiscKind::kRed) continue;
+        QdiscConfig config;
+        config.kind = kind;
+        config.limit = QueueLimit::of(packets);
+        config.red.ecn = ecn;
+        const std::unique_ptr<QueueDiscipline> q = make_qdisc(config, 7);
+        SCOPED_TRACE(q->name());
+        for (std::uint32_t i = 0; i < 300; ++i) {
+          Packet p = data_pkt();
+          p.seq = i;
+          // RED may mark or drop early; the buffer itself never fills.
+          const EnqueueResult r = q->offer(std::move(p));
+          if (!r.accepted) {
+            EXPECT_EQ(r.cause, DropCause::kQueueEarly);
+          }
+        }
+        std::uint32_t last = 0;
+        std::size_t served = 0;
+        while (auto p = q->pop()) {
+          if (served > 0) {
+            EXPECT_GT(p->seq, last);
+          }
+          last = p->seq;
+          ++served;
+        }
+        EXPECT_EQ(served + q->counters().drops, 300u);
+        if (kind != QdiscKind::kRed) {
+          EXPECT_EQ(served, 300u);
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ selection surface

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -287,6 +288,42 @@ TEST(ShardEquivalence, SimultaneousStartsAcrossTheCut) {
   spec.warmup = sim::Time::seconds(2.0);
   spec.duration = sim::Time::seconds(20.0);
   expect_invariant(spec);
+}
+
+// A six-switch mesh in the shape of the mesh_zoo benchmark: trunks cycle
+// drop-tail, RED+ECN and DRR, flows run the five adaptive controllers with
+// ECN, and one drop-tail trunk declares 10^19-packet buffers. Each shard's
+// thread then grows its own ports' rings, DRR pools and flow indexes, and
+// its hosts' endpoint tables; the digest must not depend on how.
+TEST(ShardEquivalence, DrrRedMesh) {
+  std::istringstream in(
+      "name drr_red_mesh\n"
+      "switch W1\nswitch W2\nswitch W3\nswitch W4\nswitch W5\nswitch W6\n"
+      "host H1\nhost H2\nhost H3\nhost H4\nhost H5\nhost H6\n"
+      "link W1 W2 1000000 0.005 30 30 droptail\n"
+      "link W2 W3 1000000 0.005 30 30 red-ecn\n"
+      "link W1 W4 1000000 0.005 30 30 drr\n"
+      "link W3 W6 1000000 0.005 30 30 droptail\n"
+      "link W4 W5 1000000 0.005 30 30 red-ecn\n"
+      "link W5 W6 1000000 0.005 30 30 drr\n"
+      "link W2 W5 1000000 0.005 10000000000000000000 10000000000000000000"
+      " droptail\n"
+      "link W1 W5 1000000 0.005 30 30 red-ecn\n"
+      "link W3 W5 1000000 0.005 30 30 drr\n"
+      "link H1 W1 10000000 0.0001 inf inf\n"
+      "link H2 W2 10000000 0.0001 inf inf\n"
+      "link H3 W3 10000000 0.0001 inf inf\n"
+      "link H4 W4 10000000 0.0001 inf inf\n"
+      "link H5 W5 10000000 0.0001 inf inf\n"
+      "link H6 W6 10000000 0.0001 inf inf\n"
+      "monitor W2 W5\nmonitor W3 W5\nmonitor W5 W6\n"
+      "flow H1 H6 kind=tahoe count=2 spread=1.0 ecn=1\n"
+      "flow H4 H3 kind=newreno count=2 spread=1.0 ecn=1\n"
+      "flow H2 H5 kind=cubic count=2 spread=1.0 ecn=1\n"
+      "flow H5 H1 kind=vegas count=2 spread=1.0 ecn=1\n"
+      "flow H6 H2 kind=bbr count=2 spread=1.0 ecn=1\n"
+      "warmup 10\nduration 30\n");
+  expect_invariant(parse_topology(in));
 }
 
 // The partitioner itself is deterministic and conservative: the plan for a
