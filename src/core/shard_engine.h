@@ -28,7 +28,7 @@
 //    function of per-node event histories only, never of the partition, so
 //    the merged execution order is the serial run's at every shard count
 //    (shard_equivalence_test pins serial and 1/2/4 shards, whose schedulers
-//    stage different shares of their events on the timer wheel).
+//    hold pending sets of different sizes).
 //
 //  * Audit: each shard keeps its own packet-lifecycle ledger; a crossing
 //    packet is handed between ledgers at the barrier (exactly-once

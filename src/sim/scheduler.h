@@ -3,7 +3,9 @@
 // generation-counted event slots. The key is a strict total order, so
 // simultaneous events always fire in the same order, and it is a function
 // of per-entity event histories only, so a serial run and a sharded run at
-// any shard count dispatch every event in the same order.
+// any shard count dispatch every event in the same order. The heap is the
+// scheduler's only store: every pending event has exactly one entry in it,
+// so the firing order follows from the one comparator (DESIGN.md §13.1).
 //
 // Steady-state operation is allocation-free: actions are stored in a
 // small-buffer callable inside slab slots that are recycled through a free
@@ -12,16 +14,7 @@
 // generation bump — no per-event shared_ptr, no std::function heap traffic.
 // Cancelled events leave a tombstone in the heap that is dropped lazily when
 // it surfaces, with a compaction sweep bounding tombstone build-up under
-// cancel-heavy workloads.
-//
-// While many events are pending, new ones are staged on a hierarchical
-// timer wheel (sim/timer_wheel.h: O(1) arm/cancel, no tombstones) and are
-// merged into the heap only when the wheel cursor reaches their slot; while
-// few are pending, every event goes straight into the heap. The choice is
-// made per insert from the live pending count (kWheelStagingMin), and it
-// never changes the order: the heap uses one key comparator, and every
-// wheel entry is merged before it could become the minimum, so a heap
-// entry past the cursor is as exact as one below it (DESIGN.md §13.1).
+// cancel-heavy workloads (an RTO timer re-armed on every ACK).
 #pragma once
 
 #include <cstddef>
@@ -30,7 +23,6 @@
 
 #include "sim/det_context.h"
 #include "sim/time.h"
-#include "sim/timer_wheel.h"
 #include "util/inline_function.h"
 
 namespace tcpdyn::sim {
@@ -71,13 +63,6 @@ class Scheduler {
  public:
   using Action = util::InlineAction<kActionInlineCapacity>;
 
-  // An insert is staged on the wheel when, counting it, more than this
-  // many events are pending and its tick is at or past the wheel cursor;
-  // every other insert goes into the heap. The paper's dumbbells stay
-  // below it (at most ~120 pending: heap only); meshes and incast churn
-  // hold a thousand to 200k pending events and stage nearly all of them.
-  static constexpr std::size_t kWheelStagingMin = 256;
-
   // Enqueues `action` to run at absolute time `at` (>= the time of the last
   // event popped), ordered by the key (at, seq, det_tie): seq is the event's
   // birth time, det_tie a per-entity draw from det_tie_next. `ctx` is
@@ -108,20 +93,13 @@ class Scheduler {
 
   // One slab slot. `generation` advances every time the slot's event is
   // cancelled or fired, invalidating outstanding handles and heap entries
-  // that still reference the old incarnation. The wheel_* fields thread the
-  // slot into a timer-wheel bucket's doubly-linked list while the event is
-  // staged there; `bucket == kNoBucket` means the event lives in the heap.
+  // that still reference the old incarnation. The event's key lives only in
+  // its heap entry.
   struct Slot {
     Action action;
-    Time at;                    // wheel only: absolute firing time
-    std::uint64_t seq = 0;      // wheel only: birth time (second key)
-    std::uint64_t det_tie = 0;  // wheel only: det tie (third key)
     DetContext* ctx = nullptr;  // dispatch context
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNilSlot;
-    std::uint32_t wheel_prev = kNilSlot;
-    std::uint32_t wheel_next = kNilSlot;
-    std::uint16_t bucket = TimerWheelState::kNoBucket;
   };
 
   // Heap entry: POD, so moves during sift are cheap. It carries the whole
@@ -150,8 +128,8 @@ class Scheduler {
   // Invalidates handles, releases the action, and recycles the slot.
   void release_slot(std::uint32_t slot);
 
-  // The dispatch heap is 4-ary: half the depth of a binary heap, and a
-  // node's four 32-byte children sit in 128 contiguous bytes.
+  // The heap is 4-ary: half the depth of a binary heap, and a node's four
+  // 32-byte children sit in 128 contiguous bytes.
   static constexpr std::size_t kHeapArity = 4;
 
   void heap_push(Entry entry);
@@ -164,23 +142,11 @@ class Scheduler {
   // O(1) per cancel, and order-preserving (the comparator is a total order).
   void maybe_compact();
 
-  // Wheel staging. Invariant between calls: every live event whose time is
-  // below the wheel cursor is in the heap, so a heap front strictly below
-  // the cursor is the global minimum.
-  void wheel_insert(std::uint32_t slot);         // buckets slots_[slot] by its at
-  void wheel_unlink(std::uint32_t slot);         // O(1) removal (cancel path)
-  void wheel_settle();                           // restore the invariant
-  void wheel_advance_step();                     // consume/cascade one bucket
-  void wheel_consume_level0(int idx);            // bucket -> dispatch heap
-  void wheel_cascade(int level, int idx);        // bucket -> lower levels
-  void wheel_far_jump();                         // re-bucket beyond-horizon set
-
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t live_events_ = 0;
   DetContext** active_ref_ = nullptr;
-  TimerWheelState wheel_;
 };
 
 }  // namespace tcpdyn::sim

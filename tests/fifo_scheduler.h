@@ -1,7 +1,7 @@
 // A bare sim::Scheduler keyed the way a Simulator keys one context's
 // events: birth time `birth`, ties in insertion order, so simultaneous
-// events of equal birth fire FIFO. Lets scheduler tests drive the heap and
-// wheel directly without a Simulator's clock.
+// events of equal birth fire FIFO. Lets scheduler tests drive the heap
+// directly without a Simulator's clock.
 #pragma once
 
 #include <cstdint>

@@ -434,9 +434,8 @@ TopoSpec random_spec(std::uint64_t seed) {
 
 class FuzzShardedTopology : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Draws only the shard count. The "backend" in the name is each shard
-// simulator's own heap/wheel mix, which it picks per insert from its
-// pending-set size.
+// Draws only the shard count. The "backend" in the name is each
+// simulator's event store, of which there is one.
 TEST_P(FuzzShardedTopology, ShardCountAndBackendInvariant) {
   const std::uint64_t seed = GetParam();
   // Harness draws come from an independent stream so the spec stays a pure

@@ -1,10 +1,10 @@
 // Shard-count invariance lock for the ShardedEngine: the same TopoSpec must
 // produce a bit-for-bit identical ExperimentResult on the serial
 // Experiment::run path and at --shards 1, 2, and 4 (every run orders events
-// by the same deterministic keys). Each shard's scheduler stages its events
-// on the timer wheel only while its own pending set is large, so the runs
-// compared here also mix heap and wheel differently. The digest
-// covers every per-connection counter, every monitored-port counter,
+// by the same deterministic keys). Each shard's scheduler holds only its
+// own shard's pending events, so the runs compared here also order events
+// in heaps of different sizes and shapes. The digest covers every
+// per-connection counter, every monitored-port counter,
 // the full cwnd trajectories (hashed over the raw doubles), the drop log
 // size, and the conservation-audit totals — if any event executes in a
 // different order on any shard layout, some counter or cwnd sample moves

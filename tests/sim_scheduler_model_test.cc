@@ -1,13 +1,16 @@
-// Tests for the scheduler's timer-wheel staging and the RAII sim::Timer
-// handle. The scheduler stages an insert on the wheel only while more than
-// Scheduler::kWheelStagingMin events are pending, so each wheel unit test
-// first arms that many far-future fillers (stage_on_wheel). The
-// load-bearing property is that staging never changes the firing order:
-// the randomized workloads compare the full firing trace against a
-// reference model, a std::set ordered by the scheduler's key. Larger
-// end-to-end digests live in timer_equivalence_test.cc.
+// Tests for the scheduler's firing order and the RAII sim::Timer handle.
+// The load-bearing property is that the heap fires every event in key
+// order, (firing time, birth, tie), whatever mix of arms, cancels and
+// re-arms reached it: the randomized workloads compare the full firing
+// trace against a reference model, a std::set ordered by the scheduler's
+// key, at pending sets from a handful of events to about 5,000 (the peak
+// of the largest benchmark mesh). The unit cases arm kFillers far-future
+// events first, so their own events sit among a few hundred others in a
+// heap several levels deep. Larger end-to-end digests live in
+// timer_equivalence_test.cc.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <tuple>
@@ -19,32 +22,19 @@
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "sim/timer.h"
-#include "sim/timer_wheel.h"
 
 namespace tcpdyn::sim {
 namespace {
 
-TEST(TimerWheelState, BucketSelection) {
-  TimerWheelState w;  // cursor = 0
-  // Level 0: ticks within the first 256.
-  EXPECT_EQ(w.bucket_for(0), 0);
-  EXPECT_EQ(w.bucket_for(1), 1);
-  EXPECT_EQ(w.bucket_for(255), 255);
-  // Level 1 starts where tick and cursor first differ above bit 7.
-  EXPECT_EQ(w.bucket_for(256), TimerWheelState::kSlotsPerLevel + 1);
-  EXPECT_EQ(w.bucket_for(511), TimerWheelState::kSlotsPerLevel + 1);
-  EXPECT_EQ(w.bucket_for(512), TimerWheelState::kSlotsPerLevel + 2);
-  // Level 2.
-  EXPECT_EQ(w.bucket_for(65536), 2 * TimerWheelState::kSlotsPerLevel + 1);
-  // Beyond the wheel horizon: the far bucket.
-  EXPECT_EQ(w.bucket_for(std::int64_t{1} << 50), TimerWheelState::kFarBucket);
-}
+// Far-future events a unit case arms before its own, and the pending count
+// run_oscillating keeps crossing.
+constexpr std::size_t kFillers = 256;
 
-// Arms kWheelStagingMin no-op events at distinct times an hour out, after
-// every test's own events, so the pending set is above the staging
-// threshold and the test's own inserts are staged on the wheel.
-void stage_on_wheel(FifoScheduler& sched) {
-  for (std::size_t i = 0; i < Scheduler::kWheelStagingMin; ++i) {
+// Arms kFillers no-op events at distinct times an hour out, after every
+// test's own events, so the test's events are pushed into a populated heap
+// and must sift past the fillers.
+void arm_fillers(FifoScheduler& sched) {
+  for (std::size_t i = 0; i < kFillers; ++i) {
     sched.schedule_at(
         Time::seconds(3600.0) + Time::nanoseconds(static_cast<std::int64_t>(i)),
         [] {});
@@ -109,21 +99,20 @@ class ModelCheck {
   std::vector<int> expected_;
 };
 
-// 400 events across many time scales (same-tick ties, level-0
-// neighbours, mid-level spans, far-future outliers), every third cancelled,
-// then re-scheduling from inside the run. The first 256 inserts go to the
-// heap and the next 144 are staged on the wheel; once cancels and firing
-// drain the set below the threshold, re-arms go to the heap again while
-// staged events are still pending.
+// 400 events across many time scales (exact ties, sub-microsecond
+// neighbours, spans of milliseconds to tens of seconds, outliers up to
+// 2^60 ns), every third cancelled, then re-scheduling from inside the run,
+// so the heap holds tombstones among live events of every scale while it
+// drains.
 void run_mixed_scales(ModelCheck& m, std::uint64_t seed) {
   Rng rng{seed};
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t r = rng.next();
     std::int64_t at_ns = 0;
     switch (r % 4) {
-      case 0: at_ns = static_cast<std::int64_t>(r % 2048); break;        // ties & level 0
-      case 1: at_ns = static_cast<std::int64_t>(r % 3'000'000); break;   // levels 0-2
-      case 2: at_ns = static_cast<std::int64_t>(r % 40'000'000'000); break;  // deep levels
+      case 0: at_ns = static_cast<std::int64_t>(r % 2048); break;        // ties
+      case 1: at_ns = static_cast<std::int64_t>(r % 3'000'000); break;   // ms
+      case 2: at_ns = static_cast<std::int64_t>(r % 40'000'000'000); break;  // s
       default: at_ns = static_cast<std::int64_t>(r % (std::int64_t{1} << 60)); break;  // far
     }
     m.arm(at_ns);
@@ -138,22 +127,22 @@ void run_mixed_scales(ModelCheck& m, std::uint64_t seed) {
   }
 }
 
-// Keeps the pending count oscillating around kWheelStagingMin: each fired
-// event re-arms more events while below it and fewer while above, within a
-// dense few-millisecond window (many events per wheel block, exact ties),
-// and now and then cancels a random earlier event. Returns how many times
-// the count crossed the threshold upward.
+// Keeps the pending count oscillating around kFillers: each fired event
+// re-arms more events while below it and fewer while above, within a dense
+// few-millisecond window (many events per microsecond, exact ties), and
+// now and then cancels a random earlier event, so the heap grows and
+// shrinks across a level boundary with tombstones inside it. Returns how
+// many times the count crossed kFillers upward.
 int run_oscillating(ModelCheck& m, std::uint64_t seed) {
-  constexpr std::size_t kMin = Scheduler::kWheelStagingMin;
   Rng rng{seed};
-  for (std::size_t i = 0; i + 16 < kMin; ++i) {
+  for (std::size_t i = 0; i + 16 < kFillers; ++i) {
     m.arm(static_cast<std::int64_t>(rng.next() % 3'000'000));
   }
   int crossings = 0;
   bool above = false;
   for (int executed = 0; executed < 20'000 && !m.empty(); ++executed) {
     const Time now = m.step();
-    const std::uint64_t k = rng.next() % (m.pending() < kMin ? 4 : 2);
+    const std::uint64_t k = rng.next() % (m.pending() < kFillers ? 4 : 2);
     for (std::uint64_t j = 0; j < k; ++j) {
       const std::uint64_t r = rng.next();
       // One in four re-arms ties exactly with `now` (a same-time child).
@@ -165,22 +154,24 @@ int run_oscillating(ModelCheck& m, std::uint64_t seed) {
       const std::uint64_t armed = static_cast<std::uint64_t>(m.armed());
       m.cancel(static_cast<int>(rng.next() % armed));
     }
-    if (!above && m.pending() > kMin) ++crossings;
-    above = m.pending() > kMin;
+    if (!above && m.pending() > kFillers) ++crossings;
+    above = m.pending() > kFillers;
   }
   while (!m.empty()) m.step();
   return crossings;
 }
 
-// Heap only, cancel-heavy: each round tops the pending set up to 200 (below
-// kWheelStagingMin, so nothing is staged), cancels random events until 50
-// remain, arms 70 more, then fires 20. The cancels leave at least twice as
-// many heap entries as live events, with 64 or more entries, at 100 and
-// again at 50 live, so compaction and its heapify run twice per round. The
-// arms that follow bury the rebuilt heap's last parent under fresh entries
-// instead of letting pops move its children to the root, so a parent the
-// heapify left out of order still fires out of order.
-void run_cancel_heavy(ModelCheck& m, std::uint64_t seed) {
+// Cancel-heavy, over `rounds` rounds at pending sets up to `top`: each
+// round tops the pending set up to `top`, cancels random events until a
+// quarter remain, arms up to three fifths of `top`, then fires a tenth of
+// it. The cancels leave at least twice as many heap entries as live events,
+// with 64 or more entries, at half and again at a quarter of `top` live, so
+// compaction and its heapify run twice per round. The arms that follow
+// bury the rebuilt heap's last parent under fresh entries instead of
+// letting pops move its children to the root, so a parent the heapify left
+// out of order still fires out of order.
+void run_cancel_heavy(ModelCheck& m, std::uint64_t seed, std::size_t top,
+                      int rounds) {
   Rng rng{seed};
   std::int64_t now = 0;
   const auto arm_until = [&](std::size_t pending) {
@@ -192,19 +183,19 @@ void run_cancel_heavy(ModelCheck& m, std::uint64_t seed) {
       m.arm(at, Time::nanoseconds(now));
     }
   };
-  for (int round = 0; round < 60; ++round) {
-    arm_until(200);
-    while (m.pending() > 50) {
+  for (int round = 0; round < rounds; ++round) {
+    arm_until(top);
+    while (m.pending() > top / 4) {
       m.cancel(static_cast<int>(rng.next() % static_cast<std::uint64_t>(
                                                   m.armed())));
     }
-    arm_until(120);
-    for (int i = 0; i < 20; ++i) now = m.step().ns();
+    arm_until(top * 3 / 5);
+    for (std::size_t i = 0; i < top / 10; ++i) now = m.step().ns();
   }
   while (!m.empty()) m.step();
 }
 
-TEST(TimerWheel, FiringOrderMatchesReferenceModel) {
+TEST(SchedulerModel, FiringOrderMatchesReferenceModel) {
   for (const std::uint64_t seed : {1u, 42u, 9001u}) {
     ModelCheck m;
     run_mixed_scales(m, seed);
@@ -217,19 +208,25 @@ TEST(TimerWheel, FiringOrderMatchesReferenceModel) {
   EXPECT_GT(m.fired().size(), 20'000u);
   EXPECT_EQ(m.fired(), m.expected());
   for (const std::uint64_t seed : {5u, 77u}) {
-    ModelCheck heap_only;
-    run_cancel_heavy(heap_only, seed);
+    ModelCheck small;
+    run_cancel_heavy(small, seed, 200, 60);
     // 60 rounds fire 20 each; the last round's other 100 then drain.
-    EXPECT_EQ(heap_only.fired().size(), 60u * 20u + 100u) << "seed " << seed;
-    EXPECT_EQ(heap_only.fired(), heap_only.expected()) << "seed " << seed;
+    EXPECT_EQ(small.fired().size(), 60u * 20u + 100u) << "seed " << seed;
+    EXPECT_EQ(small.fired(), small.expected()) << "seed " << seed;
   }
+  // About 5,000 live events, the peak pending set of the largest benchmark
+  // mesh: compaction and its heapify at the heap depth that mesh reaches.
+  ModelCheck large;
+  run_cancel_heavy(large, 3, 5000, 8);
+  // 8 rounds fire 500 each; the last round's other 2,500 then drain.
+  EXPECT_EQ(large.fired().size(), 8u * 500u + 2500u);
+  EXPECT_EQ(large.fired(), large.expected());
 }
 
-TEST(TimerWheel, SameTickDifferentTimesOrdered) {
-  // Two events inside one wheel tick (1024 ns) must still fire in time
-  // order: the wheel resolves sub-tick order through the dispatch heap.
+TEST(SchedulerModel, CloseTimesFireInTimeOrder) {
+  // Two events 400 ns apart, armed latest first, fire in time order.
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   std::vector<int> order;
   sched.schedule_at(Time::nanoseconds(700), [&] { order.push_back(2); });
   sched.schedule_at(Time::nanoseconds(300), [&] { order.push_back(1); });
@@ -237,9 +234,9 @@ TEST(TimerWheel, SameTickDifferentTimesOrdered) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerWheel, SimultaneousEventsFifo) {
+TEST(SchedulerModel, SimultaneousEventsFifo) {
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sched.schedule_at(Time::seconds(1.0), [&order, i] { order.push_back(i); });
@@ -249,9 +246,9 @@ TEST(TimerWheel, SimultaneousEventsFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(TimerWheel, CancelInBucketIsImmediate) {
+TEST(SchedulerModel, CancelIsImmediate) {
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   int fired = 0;
   EventHandle h = sched.schedule_at(Time::seconds(5.0), [&] { ++fired; });
   sched.schedule_at(Time::seconds(1.0), [&] { ++fired; });
@@ -263,11 +260,11 @@ TEST(TimerWheel, CancelInBucketIsImmediate) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(TimerWheel, CascadeAcrossLevels) {
-  // An event far enough out to sit above level 0 must still fire exactly on
-  // time after cascading down, including across a level-1 carry boundary.
+TEST(SchedulerModel, BoundaryTimesFireInOrder) {
+  // Times on either side of power-of-two boundaries (multiples of 1024 ns
+  // around 2^18 and 2^26 ns) fire exactly on time and in order.
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   std::vector<std::int64_t> fired_at;
   const std::int64_t kTick = 1 << 10;
   for (std::int64_t t : {255 * kTick, 256 * kTick, 257 * kTick,
@@ -286,34 +283,26 @@ TEST(TimerWheel, CascadeAcrossLevels) {
                                        65536 * kTick, (65536 + 255) * kTick}));
 }
 
-TEST(TimerWheel, StaleBucketAtBlockEntryPreservesFifo) {
-  // Regression: a ++cursor carry enters a level-1 block whose bucket is
-  // still staged (the carry path never scans upper levels). A fresh insert
-  // at the same tick then lands directly in level 0 of the new block; the
-  // stale bucket must be cascaded before level 0 is consumed, or the pair
-  // fires in reverse key order. Found via the paced-dumbbell digest diff.
+TEST(SchedulerModel, SameTimeArmedLaterFiresFifo) {
+  // E1 is armed at the start; an earlier event arms E2 for E1's exact time
+  // and birth once the clock has moved on. Same firing time and birth:
+  // FIFO on the tie, so E1 (armed first) fires first.
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   const std::int64_t kTick = 1 << 10;
   std::vector<int> order;
-  // E1 in the NEXT level-1 block (tick 352 -> bucket (1,1) at cursor 0).
   const Time t_shared = Time::nanoseconds(352 * kTick + 500);
   sched.schedule_at(t_shared, [&] { order.push_back(1); });
-  // A carry driver at the last tick of the current block. From inside its
-  // action — after the cursor has carried into block 1 — schedule E2 at the
-  // exact same time as E1 (it maps to level 0 of the just-entered block).
   sched.schedule_at(Time::nanoseconds(255 * kTick),
                     [&] { sched.schedule_at(t_shared, [&] { order.push_back(2); }); });
   while (!sched.empty()) sched.run_next();
-  // Same firing time and birth: FIFO on the tie, so E1 (armed first) wins.
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(TimerWheel, FarFutureEvents) {
-  // Beyond the six-level horizon (2^48 ticks): the far bucket re-enters the
-  // wheel via far_jump and still fires in order.
+TEST(SchedulerModel, FarFutureEvents) {
+  // Events 2^59 ns (about 18 simulated years) out still fire in order.
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   std::vector<int> order;
   const std::int64_t far = std::int64_t{1} << 59;
   sched.schedule_at(Time::nanoseconds(far + 5000), [&] { order.push_back(3); });
@@ -323,19 +312,19 @@ TEST(TimerWheel, FarFutureEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimerWheel, HeavyRearmLeavesNoTombstones) {
+TEST(SchedulerModel, HeavyRearmFiresOnlyLastShot) {
   // The RTO pattern: cancel + re-schedule a far deadline on every "ACK".
-  // Bucket unlink must reclaim the slot each time, so the scheduler never
-  // accumulates dead entries (size() counts live events only).
+  // Each cancel leaves a tombstone that compaction later drops; size()
+  // counts live events only, and only the last shot fires.
   FifoScheduler sched;
-  stage_on_wheel(sched);
+  arm_fillers(sched);
   EventHandle rto;
   int fired = 0;
   for (int i = 0; i < 10'000; ++i) {
     rto.cancel();
     rto = sched.schedule_at(Time::milliseconds(500 + i), [&] { ++fired; });
   }
-  EXPECT_EQ(sched.size(), Scheduler::kWheelStagingMin + 1);
+  EXPECT_EQ(sched.size(), kFillers + 1);
   while (!sched.empty()) sched.run_next();
   EXPECT_EQ(fired, 1);
 }

@@ -1,20 +1,20 @@
-// Golden digests for the scheduler's two event stores. Each scheduler
-// stages an event on the timer wheel or puts it straight into the dispatch
-// heap, chosen per insert from its pending-set size, and the choice must
-// never move an event: every counter, every queue statistic, the full cwnd
-// trajectory (hashed over raw double bits) and the packet-conservation
-// ledger must stay what they were.
+// Golden digests for the scheduler's event order. The scheduler keeps
+// every pending event in one 4-ary heap under one key comparator, and
+// nothing about how it stores them may move an event: every counter, every
+// queue statistic, the full cwnd trajectory (hashed over raw double bits)
+// and the packet-conservation ledger must stay what they were.
 //
-// The goldens were captured when the store was a user-chosen backend, and
-// an all-heap run and an all-wheel run printed identical digests for every
-// scenario here. The workloads now cover each side of the switch point:
-//   * heap only (at most 68 events pending): the paper dumbbells (RTO
-//     rearm churn, pacing, delayed ACKs) and the chaos dumbbell (fault-plan
+// The goldens were captured when the event store was a user-chosen
+// backend, and the two stores of that time printed identical digests for
+// every scenario here, so they pin the order independently of how the
+// heap is built. The workloads cover small and large pending sets:
+//   * small (at most 68 events pending): the paper dumbbells (RTO rearm
+//     churn, pacing, delayed ACKs) and the chaos dumbbell (fault-plan
 //     timers, Gilbert-Elliott losses, long RTO backoff);
-//   * wheel: the 512-flow parking lot stages all but its first few hundred
-//     inserts (bucket occupancy at scale);
-//   * both: the 128-session incast churn peaks just above the threshold,
-//     so its pending set crosses it as sessions open and close.
+//   * large: the 512-flow parking lot, whose RTO re-arms leave tombstones
+//     that compaction must drop without reordering the heap;
+//   * changing: the 128-session incast churn, whose pending set grows and
+//     shrinks as sessions open and close.
 // A diff here is a scheduler bug unless a model change explains it;
 // recapture in the same commit and say why.
 #include <gtest/gtest.h>

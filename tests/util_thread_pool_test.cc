@@ -58,10 +58,19 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 }
 
 TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
+  // One worker, and `good` is waited for before `bad`: by then the worker
+  // has finished with `bad`'s task and destroyed it, so the test thread
+  // holds the last reference to the stored exception when it reads it.
+  // Reading it while the worker still held the task would race the task's
+  // release of the exception under TSan, which cannot see libstdc++'s
+  // exception reference counts.
+  ThreadPool pool(1);
   auto bad = pool.submit(
       []() -> int { throw std::runtime_error("point 3 exploded"); });
   auto good = pool.submit([] { return 11; });
+  // A throwing task must not take the worker down with it: the pool's one
+  // worker has to run the next task.
+  EXPECT_EQ(good.get(), 11);
   EXPECT_THROW(
       {
         try {
@@ -72,8 +81,6 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
         }
       },
       std::runtime_error);
-  // A throwing task must not take the worker down with it.
-  EXPECT_EQ(good.get(), 11);
   EXPECT_EQ(pool.submit([] { return 12; }).get(), 12);
 }
 
